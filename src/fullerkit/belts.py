@@ -3,15 +3,18 @@
 A k-loop is a cyclic sequence of faces in which consecutive faces share an
 edge.  A k-belt is a k-loop whose faces are pairwise distinct and in which
 non-consecutive faces do not intersect at all (for k = 3 the condition is
-that the three faces have no common vertex).  Cutting the sphere along a
-simple edge-cycle leaves two disks; the faces met while walking round the
-cycle on either side form the bordering loops, whose lengths obey
-``l_alpha = sum(a_r_beta - 1)`` over the contact counts of the other side.
+that the three faces have no common vertex).  Faces at a common vertex of
+a cubic map share an edge there, so a k-belt is a chordless k-cycle of the
+dual graph, for k = 3 one not around a vertex (a cyclic k-edge cut, Doslic
+2003).  Cutting the sphere along a simple edge-cycle leaves two disks; the
+faces met while walking round the cycle on either side form the bordering
+loops, whose lengths obey ``l_alpha = sum(a_r_beta - 1)`` over the contact
+counts of the other side.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set
 
 from .maps import CombMap
 
@@ -81,100 +84,35 @@ class FiveBeltReport:
         return len(self.belts)
 
 
-def _vertex_share_pairs(m: CombMap) -> Set[Tuple[int, int]]:
-    """Unordered face pairs sharing at least one vertex."""
-    pairs: Set[Tuple[int, int]] = set()
-    for v in range(m.f0):
-        fs = sorted({m.face_of[3 * v + i] for i in range(3)})
-        for i in range(len(fs)):
-            for j in range(i + 1, len(fs)):
-                pairs.add((fs[i], fs[j]))
-    return pairs
-
-
-def _edge_share_pairs(m: CombMap) -> Set[Tuple[int, int]]:
-    pairs: Set[Tuple[int, int]] = set()
-    for d in m.edge_darts():
-        a, b = m.face_of[d], m.face_of[m.twin[d]]
-        pairs.add((min(a, b), max(a, b)))
-    return pairs
-
-
 def find_k_belts(m: CombMap, k: int) -> List[List[int]]:
     """All k-belts, one representative per dihedral class, sorted.
 
     A belt is returned as the face sequence rotated to start at its smallest
-    face id, in the direction that minimizes the sequence.
+    face id, in the direction that minimizes the sequence.  The search
+    walks chordless dual k-cycles from their smallest face (module docstring).
     """
     if k < 3:
         return []
-    vshare = _vertex_share_pairs(m)
-    eshare = _edge_share_pairs(m)
-
-    def adj(a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in eshare
-
-    def meets(a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in vshare
-
-    nbrs: List[List[int]] = [[] for _ in range(m.f2)]
-    for a, b in eshare:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-
-    found: Set[Tuple[int, ...]] = set()
+    face_of, twin = m.face_of, m.twin
+    nbrs: List[Set[int]] = [set() for _ in range(m.f2)]
+    for d in range(len(twin)):
+        nbrs[face_of[d]].add(face_of[twin[d]])
+    corners = ({frozenset(face_of[3 * v:3 * v + 3]) for v in range(m.f0)}
+               if k == 3 else set())
     out: List[List[int]] = []
 
-    def check_belt(seq: List[int]) -> bool:
-        n = len(seq)
-        if n == 3:
-            # pairwise adjacent with empty common intersection: no vertex
-            # lies on all three faces
-            trip = set(seq)
-            for v in range(m.f0):
-                if {m.face_of[3 * v + i] for i in range(3)} == trip:
-                    return False
-            return True
-        for i in range(n):
-            for j in range(i + 1, n):
-                consecutive = (j - i == 1) or (i == 0 and j == n - 1)
-                if consecutive:
-                    continue
-                if meets(seq[i], seq[j]):
-                    return False
-        return True
-
-    def canon(seq: List[int]) -> Tuple[int, ...]:
-        n = len(seq)
-        best = None
-        for rev in (seq, seq[::-1]):
-            for r in range(n):
-                cand = tuple(rev[r:] + rev[:r])
-                if best is None or cand < best:
-                    best = cand
-        return best
-
     def extend(path: List[int]) -> None:
-        if len(path) == k:
-            if adj(path[-1], path[0]) and check_belt(path):
-                key = canon(path)
-                if key not in found:
-                    found.add(key)
-                    out.append(list(key))
-            return
         last = path[-1]
+        if len(path) == k:
+            # each cycle is walked both ways; keep the minimal direction
+            if (path[0] in nbrs[last] and path[1] < last
+                    and frozenset(path) not in corners):
+                out.append(path)
+            return
+        # no chords; path[0] is a neighbour of the face closing the cycle
+        placed = path[1:-1] if len(path) + 1 == k else path[:-1]
         for g in nbrs[last]:
-            if g <= path[0] or g in path:
-                continue
-            # prune: g must not meet any non-neighbour already placed
-            ok = True
-            for idx, h in enumerate(path[:-1]):
-                if idx == 0 and len(path) + 1 == k:
-                    continue  # g will be adjacent to path[0] at closure
-                if meets(g, h):
-                    ok = False
-                    break
-            if ok:
+            if g > path[0] and g not in path and nbrs[g].isdisjoint(placed):
                 extend(path + [g])
 
     for f in range(m.f2):
@@ -261,7 +199,6 @@ def belt_boundary_cycles(m: CombMap, belt: Sequence[int]) -> List[List[int]]:
         d = d0
         while True:
             # next boundary dart out of head(d), region still on the left
-            v = m.head(d)
             e = m.twin[d]
             for _ in range(3):
                 e = m.next_dart(e)

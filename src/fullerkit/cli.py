@@ -3,28 +3,36 @@
 Subcommands pipe planar_code streams through stdin/stdout (or --in/--out),
 so generation, growth, verification and rendering compose with ordinary
 shell pipelines.  Exit codes: 0 success / all checks passed, 1 a check or
-operation failed on valid input, 2 usage error.
+operation failed or the input was malformed (one line on stderr), 2 usage
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from .growth import (apply_rule, enumerate_maps, invert_rule, rules_by_id,
-                     seed)
-from .maps import CombMap
+from .growth import (NegativeParameter, NotAMatch, ResultNotFullerene,
+                     apply_rule, decompose_rule, enumerate_maps, invert_rule,
+                     rules_by_id, seed)
+from .maps import CombMap, MapError
 from .patterns import match_pattern
-from .planarcode import read_planar_code, write_planar_code
-from .rulefile import parse_file
-from .surgery import truncate
+from .planarcode import (BadHeader, TruncatedRecord, ValidationFailure,
+                         read_planar_code, write_planar_code)
+from .rulefile import RuleFileError, parse_file
+from .surgery import IsSimplex, NotDefined, truncate
 from .svg import render_svg
 from .verify import verify_fullerene, verify_intermediate
 
 
 class CliFailure(Exception):
     """Operation failed on otherwise valid input (exit code 1)."""
+
+
+ERRORS = (CliFailure, BadHeader, TruncatedRecord, ValidationFailure, MapError,
+          NegativeParameter, NotAMatch, ResultNotFullerene, NotDefined,
+          IsSimplex, RuleFileError)
 
 
 def _read_maps(args) -> List[CombMap]:
@@ -51,18 +59,11 @@ def _write_text(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _lhs_sites(m: CombMap, rule_id: str):
+def _sites(m: CombMap, rule_id: str, rhs: bool = False):
+    """(rule, match) pairs of the rule's LHS pattern, or its RHS pattern."""
     sites = []
     for rule in sorted(rules_by_id(rule_id), key=lambda r: r.key):
-        for at in match_pattern(m, rule.lhs):
-            sites.append((rule, at))
-    return sites
-
-
-def _rhs_sites(m: CombMap, rule_id: str):
-    sites = []
-    for rule in sorted(rules_by_id(rule_id), key=lambda r: r.key):
-        for at in match_pattern(m, rule.rhs):
+        for at in match_pattern(m, rule.rhs if rhs else rule.lhs):
             sites.append((rule, at))
     return sites
 
@@ -84,7 +85,7 @@ def cmd_gen(args) -> int:
 def cmd_grow(args) -> int:
     out = []
     for m in _read_maps(args):
-        rule, at = _pick(_lhs_sites(m, args.rule), args.site, "growth")
+        rule, at = _pick(_sites(m, args.rule), args.site, "growth")
         out.append(apply_rule(m, rule, at))
     _write_maps(out, args, sort=False)
     return 0
@@ -118,8 +119,7 @@ def cmd_decompose(args) -> int:
     if len(maps) != 1:
         raise CliFailure("decompose expects exactly one input map")
     m = maps[0]
-    from .growth import decompose_rule
-    rule, at = _pick(_lhs_sites(m, args.rule), args.site, "growth")
+    rule, at = _pick(_sites(m, args.rule), args.site, "growth")
     steps = decompose_rule(m, rule, at)
     stream = []
     cur = None
@@ -137,7 +137,7 @@ def cmd_decompose(args) -> int:
 def cmd_invert(args) -> int:
     out = []
     for m in _read_maps(args):
-        rule, at = _pick(_rhs_sites(m, args.rule), args.site, "inversion")
+        rule, at = _pick(_sites(m, args.rule, True), args.site, "inversion")
         out.append(invert_rule(m, rule, at))
     _write_maps(out, args, sort=False)
     return 0
@@ -246,7 +246,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliFailure as exc:
+    except ERRORS as exc:
         print("fullerkit: %s" % exc, file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -11,15 +11,13 @@ matched right-hand-side site.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .belts import NotFullerene
 from .maps import CombMap
-from .patterns import B, MatchResult, PatchPattern, extract_patch, match_pattern
+from .patterns import MatchResult, PatchPattern, match_pattern
 from .spiral import wind
-from .surgery import (StraighteningResult, TruncationResult, TruncationSpec,
-                      straighten, truncate)
+from .surgery import TruncationSpec, straighten, truncate
 from .winding import PatchBuilder
 
 
@@ -141,14 +139,8 @@ class ScriptState:
     def dart_at(self, name: str, slot: int) -> int:
         """Dart at the given slot; negative slots walk backwards, so scripts
         can address runs relative to slot 0 independently of face size."""
-        d = self.origins[name]
-        if slot >= 0:
-            for _ in range(slot):
-                d = self.map.face_next(d)
-        else:
-            for _ in range(-slot):
-                d = self.map.twin[self.map.next_dart(d)]
-        return d
+        return self.map.face_walk(self.origins[name], abs(slot) + 1,
+                                  slot < 0)[-1]
 
 
 def run_trunc_step(state: ScriptState, name: str, slot: int, run_len: int,
@@ -343,87 +335,6 @@ def _check_match(m: CombMap, pat: PatchPattern, at: MatchResult) -> None:
         if cand.origin == at.origin and cand.mirrored == at.mirrored:
             return
     raise NotAMatch("not a match of this pattern at the given site")
-
-
-def derive_inverse_script(m: CombMap, rule_lhs: PatchPattern,
-                          script: List[TruncStep],
-                          at: MatchResult) -> List[StraightenStep]:
-    """Compute the straightening script undoing ``script`` at a sample site.
-
-    The forward script is run, then each truncation is undone in reverse
-    order by straightening the edge between its two result faces; the slot
-    addresses recorded are site-independent because the rewrite region is
-    isomorphic at every match.  The derived script is verified to restore
-    the original map.
-    """
-    st = _initial_state(m, at)
-    history: List[Tuple[str, str, str]] = []
-    for (_, name, slot, rl, small, big) in script:
-        st, _spec = run_trunc_step(st, name, slot, rl, small, big)
-        history.append((small, big, name))
-    inverse: List[StraightenStep] = []
-    for small, big, merged in reversed(history):
-        fsmall = st.face_of(small)
-        fbig = st.face_of(big)
-        mm = st.map
-        d = st.origins[small]
-        slot = -1
-        for i in range(mm.face_size(fsmall)):
-            if mm.face_of[mm.twin[d]] == fbig:
-                slot = i
-                break
-            d = mm.face_next(d)
-        assert slot >= 0, "result faces of a script step are not adjacent"
-        inverse.append(("STRAIGHTEN", small, slot, merged))
-        st = run_straighten_step(st, small, slot, merged)
-    host, _ = unmirror(m, at)
-    assert st.map.is_isomorphic(host), "inverse script failed to restore host"
-    return inverse
-
-
-def rhs_pattern(m: CombMap, rule_lhs: PatchPattern, script: List[TruncStep],
-                at: MatchResult) -> PatchPattern:
-    """Extract the RHS pattern by running the script at a sample site.
-
-    Wildcard faces of the LHS stay wildcards: their extracted cycles are cut
-    down to the contiguous arc of named neighbours.
-    """
-    st = _initial_state(m, at)
-    for (_, name, slot, rl, small, big) in script:
-        st, _spec = run_trunc_step(st, name, slot, rl, small, big)
-    wild = {n for n in rule_lhs.faces if rule_lhs.is_wild(n)}
-    out = st.map
-    name_of = {st.face_of(n): n for n in st.patch}
-    faces: Dict[str, List[str]] = {}
-    for n in st.patch:
-        f = st.face_of(n)
-        d = st.origins[n]
-        cyc = []
-        for _ in range(out.face_size(f)):
-            g = out.face_of[out.twin[d]]
-            cyc.append(name_of.get(g, B))
-            d = out.face_next(d)
-        faces[n] = cyc
-    for n in wild:
-        faces[n] = _named_arc(faces[n])
-    # deterministic order: sized faces first so the anchor is sized
-    ordered = {n: faces[n] for n in sorted(faces) if n not in wild}
-    ordered.update({n: faces[n] for n in sorted(wild)})
-    return PatchPattern(ordered, wildcard=wild)
-
-
-def _named_arc(cyc: List[str]) -> List[str]:
-    """Rotate a cycle so its named entries form a leading contiguous arc."""
-    k = len(cyc)
-    named = [i for i, g in enumerate(cyc) if g != B]
-    assert named, "wildcard face with no named neighbours"
-    # find the rotation where all named entries are contiguous from 0
-    for r in range(k):
-        rot = cyc[r:] + cyc[:r]
-        span = max(i for i, g in enumerate(rot) if g != B) + 1
-        if span == len(named) and all(g != B for g in rot[:span]):
-            return rot[:span]
-    raise ValueError("named neighbours of wildcard face are not contiguous")
 
 
 # -- rule catalog ------------------------------------------------------------

@@ -9,7 +9,7 @@ All maps are immutable after construction; surgery returns fresh maps.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class MapError(Exception):
@@ -39,7 +39,8 @@ class ValidationReport:
         face_vector: mapping face size -> count.
         simple: no loops or parallel edges.
         connected: the graph is connected.
-        three_connected: no vertex pair disconnects the graph.
+        three_connected: no vertex pair disconnects the graph; for a cubic
+            map this equals ``simple`` (see :meth:`CombMap.validate`).
         euler_ok: f0 - f1 + f2 == 2.
         residual: 3*p3 + 2*p4 + p5 - 12 - sum((k - 6) * p_k for k >= 7).
     """
@@ -253,6 +254,26 @@ class CombMap:
         """Next dart along the face of ``d`` (interior on the left)."""
         return self.prev_dart(self.twin[d])
 
+    def face_prev(self, d: int) -> int:
+        """Previous dart along the face of ``d``; inverse of face_next."""
+        return self.twin[(d - d % 3) + (d % 3 + 1) % 3]
+
+    def face_walk(self, d: int, n: int, backward: bool = False) -> List[int]:
+        """``n`` darts from ``d`` by face_next (``backward``: face_prev),
+        steps inlined: pattern matching calls this in its hot loop."""
+        twin = self.twin
+        out = [d]
+        if backward:
+            for _ in range(n - 1):
+                d = twin[(d - d % 3) + (d % 3 + 1) % 3]
+                out.append(d)
+        else:
+            for _ in range(n - 1):
+                t = twin[d]
+                d = (t - t % 3) + (t % 3 - 1) % 3
+                out.append(d)
+        return out
+
     def dart(self, u: int, v: int) -> int:
         """The dart from vertex ``u`` to its neighbour ``v``."""
         return 3 * u + self.rotations[u].index(v)
@@ -294,37 +315,14 @@ class CombMap:
 
     # -- validation ---------------------------------------------------------
 
-    def is_connected_without(self, removed: Tuple[int, int]) -> bool:
-        n = self.f0
-        a, b = removed
-        start = next(v for v in range(n) if v != a and v != b)
-        seen = [False] * n
-        seen[a] = seen[b] = True
-        seen[start] = True
-        stack = [start]
-        count = 1
-        while stack:
-            v = stack.pop()
-            for w in self.rotations[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == n - 2
-
-    def is_three_connected(self) -> bool:
-        """Exhaustive 2-cut search; fine at desk scale."""
-        n = self.f0
-        if n < 5:
-            return n == 4
-        for a in range(n):
-            for b in range(a + 1, n):
-                if not self.is_connected_without((a, b)):
-                    return False
-        return True
-
     def validate(self) -> ValidationReport:
-        """Structural report; construction already guarantees most checks."""
+        """Structural report; construction already guarantees most checks.
+
+        A cubic graph's vertex and edge connectivity agree, and a minimal
+        edge cut of a plane graph is a cycle of its dual.  So the map is
+        3-connected iff no face borders itself and no two faces share two
+        edges, which is the ``simple`` check.
+        """
         pk = self.face_vector()
         residual = (3 * pk.get(3, 0) + 2 * pk.get(4, 0) + pk.get(5, 0) - 12
                     - sum((k - 6) * c for k, c in pk.items() if k >= 7))
@@ -336,8 +334,7 @@ class CombMap:
             if f in nbrs or len(nbrs) != len(set(nbrs)):
                 simple = False
                 break
-        return ValidationReport(pk, simple, True, self.is_three_connected(),
-                                euler_ok, residual)
+        return ValidationReport(pk, simple, True, simple, euler_ok, residual)
 
     def is_fullerene(self) -> bool:
         pk = self.face_vector()

@@ -162,27 +162,10 @@ class MatchResult:
 
     def dart_at(self, m: CombMap, name: str, slot: int) -> int:
         """Map dart corresponding to the given pattern face slot."""
-        d = self.origin[name]
-        step = (m.face_next if not self.mirrored
-                else lambda x: _face_prev(m, x))
-        for _ in range(slot):
-            d = step(d)
-        return d
+        return m.face_walk(self.origin[name], slot + 1, self.mirrored)[-1]
 
     def __repr__(self) -> str:
         return "MatchResult(%r, mirrored=%s)" % (self.faces, self.mirrored)
-
-
-def _face_prev(m: CombMap, d: int) -> int:
-    return m.twin[m.next_dart(d)]
-
-
-def _face_walk(m: CombMap, d: int, mirrored: bool, n: int) -> List[int]:
-    out = [d]
-    for _ in range(n - 1):
-        d = _face_prev(m, d) if mirrored else m.face_next(d)
-        out.append(d)
-    return out
 
 
 def match_pattern(m: CombMap, pat: PatchPattern,
@@ -234,7 +217,7 @@ def _try_match(m: CombMap, pat: PatchPattern, first: str, d0: int,
             continue
         done.add(name)
         cyc = pat.faces[name]
-        walk = _face_walk(m, origin[name], mirrored, len(cyc))
+        walk = m.face_walk(origin[name], len(cyc), mirrored)
         for i, g in enumerate(cyc):
             if g == B:
                 continue
@@ -250,24 +233,20 @@ def _try_match(m: CombMap, pat: PatchPattern, first: str, d0: int,
             if g in origin:
                 if faces[g] != gf:
                     return None
-                expect = _face_walk(m, origin[g], mirrored, j + 1)[j]
-                if expect != t:
+                if m.face_walk(origin[g], j + 1, mirrored)[j] != t:
                     return None
             else:
                 if gf in used:
                     return None
                 # align g so that its slot j sits on dart t
-                d2 = t
-                for _ in range(j):
-                    d2 = m.face_next(d2) if mirrored else _face_prev(m, d2)
-                origin[g] = d2
+                origin[g] = m.face_walk(t, j + 1, not mirrored)[j]
                 faces[g] = gf
                 used.add(gf)
                 queue.append(g)
     # boundary edges must lead outside the matched face set (for wildcard
     # faces only the listed arc is constrained)
     for name, cyc in pat.faces.items():
-        walk = _face_walk(m, origin[name], mirrored, len(cyc))
+        walk = m.face_walk(origin[name], len(cyc), mirrored)
         for i, g in enumerate(cyc):
             if g == B and m.face_of[m.twin[walk[i]]] in used:
                 return None
@@ -286,13 +265,10 @@ def extract_patch(m: CombMap, face_ids: Sequence[int],
         names = {f: "F%d" % f for f in face_ids}
     faces: Dict[str, List[str]] = {}
     for f in face_ids:
-        d0 = min(m.faces[f])
         cyc = []
-        d = d0
-        for _ in range(m.face_size(f)):
+        for d in m.face_walk(min(m.faces[f]), m.face_size(f)):
             g = m.face_of[m.twin[d]]
             cyc.append(names[g] if g in idset else B)
-            d = m.face_next(d)
         faces[names[f]] = cyc
     return PatchPattern(faces)
 

@@ -67,7 +67,7 @@ def read_planar_code(src: Union[bytes, BinaryIO]) -> List[CombMap]:
             raise ValidationFailure(index, "vertex of degree != 3")
         try:
             maps.append(CombMap.from_rotations(rotations))
-        except (MapError, Exception) as exc:
+        except MapError as exc:
             raise ValidationFailure(index, str(exc))
         index += 1
 

@@ -16,7 +16,7 @@ growth enumeration.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .maps import CombMap, MapError
 from .winding import PatchBuilder, WindingError

@@ -7,8 +7,10 @@ the midpoints are joined by a new edge, splitting the face into an
 gain one edge; nothing else changes.  Straightening along an edge is the
 inverse: the edge is deleted and the two resulting degree-2 vertices are
 smoothed away, merging the edge's two faces.  Straightening is defined
-exactly when the two faces have disjoint neighbour sets, equivalently when
-no 3-belt passes through both.
+exactly when the two faces have disjoint neighbour sets, away from the
+edge's ends.  On a 3-connected map the two faces meet only in the edge, so
+a common neighbour g closes a dual triangle with no common vertex, a 3-belt;
+hence this means no 3-belt passes through both, with no belt search needed.
 """
 
 from __future__ import annotations
@@ -53,10 +55,7 @@ class TruncationSpec:
         self.s = s
         self.face = face
         self.k = k
-        run = [start_dart]
-        for _ in range(s + 1):
-            run.append(m.face_next(run[-1]))
-        self.run = run
+        self.run = run = m.face_walk(start_dart, s + 2)
         self.t0 = m.face_size(m.face_of[m.twin[run[0]]])
         self.t1 = m.face_size(m.face_of[m.twin[run[-1]]])
 
@@ -168,8 +167,7 @@ def truncate_along_edge(m: CombMap, dart: int) -> TruncationResult:
     (1; t0, t2) with t0, t2 the sizes of the faces across the outer two run
     edges.
     """
-    start = m.twin[m.next_dart(dart)]   # previous edge around the face
-    return truncate(m, TruncationSpec(m, start, 1))
+    return truncate(m, TruncationSpec(m, m.face_prev(dart), 1))
 
 
 def edge_faces(m: CombMap, dart: int) -> Tuple[int, int]:
@@ -179,8 +177,9 @@ def edge_faces(m: CombMap, dart: int) -> Tuple[int, int]:
 def can_straighten(m: CombMap, dart: int) -> bool:
     """True iff the neighbour sets of the edge's two faces are disjoint.
 
-    The equivalent 3-belt criterion (no 3-belt contains both faces) is
-    asserted to agree; both are cheap at desk scale.
+    This equals "no 3-belt contains both faces" on 3-connected maps only
+    (module docstring); elsewhere, e.g. across a 2-edge cut, the two can
+    differ and the neighbour-set answer stands.
     """
     if m.f0 == 4:
         return False
@@ -191,10 +190,7 @@ def can_straighten(m: CombMap, dart: int) -> bool:
     at_ends = {m.face_of[3 * v + i] for v in (x, y) for i in range(3)}
     n1 = set(m.face_neighbors(f1)) - {f2} - at_ends
     n2 = set(m.face_neighbors(f2)) - {f1} - at_ends
-    disjoint = not (n1 & n2)
-    belt_free = not any(f1 in belt and f2 in belt for belt in find_k_belts(m, 3))
-    assert disjoint == belt_free, "neighbour-set and 3-belt criteria disagree"
-    return disjoint
+    return not (n1 & n2)
 
 
 def straighten(m: CombMap, dart: int) -> StraighteningResult:

@@ -9,7 +9,7 @@ quadrangles, green heptagons.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .maps import CombMap
 

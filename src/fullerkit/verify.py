@@ -7,7 +7,7 @@ re-checked in isolation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from .belts import NotFullerene, border_loops, find_k_belts
 from .maps import CombMap

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .maps import CombMap, MapError
+from .maps import CombMap
 
 
 class WindingError(Exception):
@@ -112,12 +112,6 @@ class PatchBuilder:
         # vertex before the first new edge and before `rest` are now degree 3
         self.vdeg = [3] + [2] * (size - length - 1) + [3] + rest_deg[1:]
         return new_id
-
-    def interior_run_ok(self, start: int, length: int) -> bool:
-        b = len(self.boundary)
-        if self.vdeg[start] != 2 or self.vdeg[(start + length) % b] != 2:
-            return False
-        return all(self.vdeg[(start + i) % b] != 2 for i in range(1, length))
 
     def close(self, size: int) -> int:
         """Glue the final face over the entire remaining boundary."""

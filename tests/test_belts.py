@@ -7,6 +7,67 @@ from fullerkit.growth import seed_family_one
 from fullerkit.maps import CombMap
 
 
+def reference_k_belts(m, k):
+    """Exhaustive belt search by definition: faces sharing a vertex, a
+    per-vertex test for 3-belts, every pair checked, dihedral canon."""
+    if k < 3:
+        return []
+    vshare = set()
+    for v in range(m.f0):
+        fs = sorted({m.face_of[3 * v + i] for i in range(3)})
+        vshare.update((a, b) for a in fs for b in fs if a < b)
+    eshare = set()
+    for d in m.edge_darts():
+        a, b = m.face_of[d], m.face_of[m.twin[d]]
+        eshare.add((min(a, b), max(a, b)))
+    nbrs = [[] for _ in range(m.f2)]
+    for a, b in eshare:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+
+    def meets(a, b):
+        return (min(a, b), max(a, b)) in vshare
+
+    def is_belt(seq):
+        if len(seq) == 3:
+            return all({m.face_of[3 * v + i] for i in range(3)} != set(seq)
+                       for v in range(m.f0))
+        n = len(seq)
+        return not any(meets(seq[i], seq[j]) for i in range(n)
+                       for j in range(i + 2, n) if (i, j) != (0, n - 1))
+
+    def canon(seq):
+        return min(tuple(r[i:] + r[:i]) for r in (seq, seq[::-1])
+                   for i in range(len(seq)))
+
+    found = set()
+
+    def extend(path):
+        if len(path) == k:
+            if (min(path[-1], path[0]), max(path[-1], path[0])) in eshare \
+                    and is_belt(path):
+                found.add(canon(path))
+            return
+        for g in nbrs[path[-1]]:
+            if g > path[0] and g not in path:
+                extend(path + [g])
+
+    for f in range(m.f2):
+        extend([f])
+    return [list(b) for b in sorted(found)]
+
+
+def test_belts_match_reference(polytopes, joined_maps):
+    seen = set()
+    for m in polytopes + joined_maps:
+        for k in range(3, 7):
+            belts = find_k_belts(m, k)
+            assert belts == reference_k_belts(m, k)
+            if belts:
+                seen.add(k)
+    assert seen == {3, 4, 5, 6}
+
+
 def test_fullerenes_have_no_small_belts(small_fullerenes):
     for m in small_fullerenes:
         assert find_k_belts(m, 3) == []

@@ -121,3 +121,20 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize("argv,data", [
+    (["canon"], b"garbage\n"),
+    (["canon"], b">>planar_code<<\x04\x02\x03\x04\x00\x01"),
+    (["gen", "--family", "one", "--k", "24"], None),   # 260 vertices
+], ids=["bad-header", "truncated-record", "too-many-vertices"])
+def test_library_errors_are_one_line(tmp_path, capsys, argv, data):
+    args = list(argv)
+    if data is not None:
+        src = tmp_path / "in.bin"
+        src.write_bytes(data)
+        args += ["--in", str(src)]
+    assert main(args + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fullerkit: ")
+    assert err.count("\n") == 1

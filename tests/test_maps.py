@@ -62,9 +62,32 @@ def test_tetrahedron_is_not_fullerene():
     assert tetrahedron().face_vector() == {3: 4}
 
 
-def test_three_connected(small_fullerenes):
-    for m in small_fullerenes:
-        assert m.is_three_connected()
+def connected_without(m, a, b):
+    start = next(v for v in range(m.f0) if v not in (a, b))
+    seen = {a, b, start}
+    stack = [start]
+    while stack:
+        for w in m.rotations[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == m.f0
+
+
+def two_cut_free(m):
+    """Reference: exhaustive search for a vertex pair that disconnects."""
+    n = m.f0
+    if n < 5:
+        return n == 4
+    return all(connected_without(m, a, b)
+               for a in range(n) for b in range(a + 1, n))
+
+
+def test_three_connected(polytopes, joined_maps):
+    for maps, expected in ((polytopes, True), (joined_maps, False)):
+        for m in maps:
+            assert two_cut_free(m) == expected
+            assert m.validate().three_connected == expected
 
 
 def test_validate_report(dodecahedron):

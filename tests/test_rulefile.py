@@ -1,3 +1,5 @@
+import importlib.util
+import os
 from importlib import resources
 
 import pytest
@@ -19,6 +21,16 @@ end
 
 def shipped_text():
     return (resources.files("fullerkit") / "data" / "rules.txt").read_text()
+
+
+def test_generator_reproduces_shipped_file():
+    path = os.path.join(os.path.dirname(__file__), "..", "tools",
+                        "gen_rules.py")
+    spec = importlib.util.spec_from_file_location("gen_rules", path)
+    gen_rules = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_rules)
+    shipped = (resources.files("fullerkit") / "data" / "rules.txt").read_bytes()
+    assert gen_rules.catalog_text().encode() == shipped
 
 
 def test_parse_pattern_with_comments():

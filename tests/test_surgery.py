@@ -1,5 +1,6 @@
 import pytest
 
+from fullerkit.belts import find_k_belts
 from fullerkit.maps import CombMap
 from fullerkit.surgery import (IsSimplex, NotDefined, SpecOutOfRange,
                                TruncationSpec, can_straighten, edge_faces,
@@ -113,6 +114,35 @@ def test_straighten_not_defined_after_zero_cut(dodecahedron):
     blocked = [d for d in res.map.edge_darts()
                if not can_straighten(res.map, d)]
     assert blocked
+
+
+def three_belt_free(m, belts3, dart):
+    f1, f2 = edge_faces(m, dart)
+    return not any(f1 in belt and f2 in belt for belt in belts3)
+
+
+def test_can_straighten_iff_no_three_belt(polytopes):
+    answers = set()
+    for m in polytopes:
+        if m.f0 == 4:
+            continue
+        belts3 = find_k_belts(m, 3)
+        for d in m.edge_darts():
+            ok = can_straighten(m, d)
+            assert ok == three_belt_free(m, belts3, d)
+            answers.add(ok)
+    assert answers == {True, False}
+
+
+def test_can_straighten_off_three_connected(joined_maps):
+    # the two faces of a 2-edge cut edge share neighbours, yet no 3-belt
+    # holds both: the neighbour-set answer (not defined) is returned
+    m = joined_maps[0]
+    belts3 = find_k_belts(m, 3)
+    differ = [d for d in m.edge_darts()
+              if can_straighten(m, d) != three_belt_free(m, belts3, d)]
+    assert len(differ) == 2
+    assert not any(can_straighten(m, d) for d in differ)
 
 
 def test_tetrahedron_has_no_straightening():

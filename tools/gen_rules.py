@@ -10,14 +10,89 @@ from __future__ import annotations
 
 import os
 import sys
+from typing import Dict, List, Tuple
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from fullerkit.growth import (GrowthRule, derive_inverse_script, apply_rule,
-                              rhs_pattern, seed_barrel, seed_dodecahedron,
-                              seed_family_one)
-from fullerkit.patterns import B, PatchPattern, match_pattern
+from fullerkit.growth import (GrowthRule, StraightenStep, TruncStep,
+                              _initial_state, apply_rule, run_straighten_step,
+                              run_trunc_step, seed_barrel, seed_dodecahedron,
+                              seed_family_one, unmirror)
+from fullerkit.maps import CombMap
+from fullerkit.patterns import B, MatchResult, PatchPattern, match_pattern
 from fullerkit.rulefile import format_pattern_block, format_rules, parse_file
+
+OUT_PATH = os.path.join(os.path.dirname(__file__), "..", "src", "fullerkit",
+                        "data", "rules.txt")
+
+
+def derive_inverse_script(m: CombMap, rule_lhs: PatchPattern,
+                          script: List[TruncStep],
+                          at: MatchResult) -> List[StraightenStep]:
+    """Compute the straightening script undoing ``script`` at a sample site.
+
+    The forward script is run, then each truncation is undone in reverse
+    order by straightening the edge between its two result faces; the slot
+    addresses recorded are site-independent because the rewrite region is
+    isomorphic at every match.  The derived script is verified to restore
+    the original map.
+    """
+    st = _initial_state(m, at)
+    history: List[Tuple[str, str, str]] = []
+    for (_, name, slot, rl, small, big) in script:
+        st, _spec = run_trunc_step(st, name, slot, rl, small, big)
+        history.append((small, big, name))
+    inverse: List[StraightenStep] = []
+    for small, big, merged in reversed(history):
+        fbig = st.face_of(big)
+        mm = st.map
+        walk = mm.face_walk(st.origins[small], mm.face_size(st.face_of(small)))
+        slots = [i for i, d in enumerate(walk) if mm.face_of[mm.twin[d]] == fbig]
+        assert slots, "result faces of a script step are not adjacent"
+        inverse.append(("STRAIGHTEN", small, slots[0], merged))
+        st = run_straighten_step(st, small, slots[0], merged)
+    host, _ = unmirror(m, at)
+    assert st.map.is_isomorphic(host), "inverse script failed to restore host"
+    return inverse
+
+
+def rhs_pattern(m: CombMap, rule_lhs: PatchPattern, script: List[TruncStep],
+                at: MatchResult) -> PatchPattern:
+    """Extract the RHS pattern by running the script at a sample site.
+
+    Wildcard faces of the LHS stay wildcards: their extracted cycles are cut
+    down to the contiguous arc of named neighbours.
+    """
+    st = _initial_state(m, at)
+    for (_, name, slot, rl, small, big) in script:
+        st, _spec = run_trunc_step(st, name, slot, rl, small, big)
+    wild = {n for n in rule_lhs.faces if rule_lhs.is_wild(n)}
+    out = st.map
+    name_of = {st.face_of(n): n for n in st.patch}
+    faces: Dict[str, List[str]] = {}
+    for n in st.patch:
+        walk = out.face_walk(st.origins[n], out.face_size(st.face_of(n)))
+        faces[n] = [name_of.get(out.face_of[out.twin[d]], B) for d in walk]
+    for n in wild:
+        faces[n] = _named_arc(faces[n])
+    # deterministic order: sized faces first so the anchor is sized
+    ordered = {n: faces[n] for n in sorted(faces) if n not in wild}
+    ordered.update({n: faces[n] for n in sorted(wild)})
+    return PatchPattern(ordered, wildcard=wild)
+
+
+def _named_arc(cyc: List[str]) -> List[str]:
+    """Rotate a cycle so its named entries form a leading contiguous arc."""
+    k = len(cyc)
+    named = [i for i, g in enumerate(cyc) if g != B]
+    assert named, "wildcard face with no named neighbours"
+    # find the rotation where all named entries are contiguous from 0
+    for r in range(k):
+        rot = cyc[r:] + cyc[:r]
+        span = max(i for i, g in enumerate(rot) if g != B) + 1
+        if span == len(named) and all(g != B for g in rot[:span]):
+            return rot[:span]
+    raise ValueError("named neighbours of wildcard face are not contiguous")
 
 
 def road_lhs(k):
@@ -139,7 +214,12 @@ def host_map(tag):
     raise ValueError(tag)
 
 
-def main():
+def catalog_text():
+    """Derive every rule from DEFS and return the text of rules.txt.
+
+    The text is parsed back and compared with the derived rules before it
+    is returned.
+    """
     rules = []
     for rule_id, params, lhs, script, host_tag in DEFS:
         host = host_map(host_tag)
@@ -156,7 +236,6 @@ def main():
         print("rule %-5s host %-13s lhs %2d faces, rhs %2d faces, dp6 %d"
               % (rule.key, host_tag, len(lhs.faces), len(rhs.faces),
                  rule.delta_p6))
-    text = format_rules(rules)
     # guaranteed-fragment catalog: every fullerene other than the
     # dodecahedron contains one of these (the operation result fragments);
     # the first four cover fullerenes with adjacent pentagons, the last
@@ -172,16 +251,11 @@ def main():
         cat_lines.extend(format_pattern_block(by_key[rkey].rhs))
         cat_lines.append("end")
         cat_lines.append("")
-    out_path = os.path.join(os.path.dirname(__file__), "..", "src",
-                            "fullerkit", "data", "rules.txt")
-    with open(out_path, "w") as fh:
-        fh.write("# Growth-rule catalog. Generated by tools/gen_rules.py;"
-                 " do not edit by hand.\n")
-        fh.write(text)
-        fh.write("\n".join(cat_lines))
+    text = ("# Growth-rule catalog. Generated by tools/gen_rules.py;"
+            " do not edit by hand.\n" + format_rules(rules)
+            + "\n".join(cat_lines))
     # round-trip check
-    with open(out_path) as fh:
-        pats, parsed = parse_file(fh.read())
+    pats, parsed = parse_file(text)
     assert len(pats) == len(catalog)
     assert len(parsed) == len(rules)
     for r1, r2 in zip(rules, parsed):
@@ -189,7 +263,14 @@ def main():
         assert r1.lhs.faces == r2.lhs.faces and r1.rhs.faces == r2.rhs.faces
         assert r1.script == r2.script
         assert r1.inverse_script == r2.inverse_script
-    print("wrote %s (%d rules, round-trip ok)" % (out_path, len(rules)))
+    return text
+
+
+def main():
+    text = catalog_text()
+    with open(OUT_PATH, "w") as fh:
+        fh.write(text)
+    print("wrote %s (round-trip ok)" % OUT_PATH)
 
 
 if __name__ == "__main__":
