@@ -35,10 +35,19 @@ ERRORS = (CliFailure, BadHeader, TruncatedRecord, ValidationFailure, MapError,
           IsSimplex, RuleFileError)
 
 
+def _read_file(path: str, mode: str):
+    """The whole file, or CliFailure if it cannot be opened or decoded."""
+    try:
+        with open(path, mode) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliFailure("cannot read %s: %s"
+                         % (path, getattr(exc, "strerror", None) or exc))
+
+
 def _read_maps(args) -> List[CombMap]:
     if args.infile:
-        with open(args.infile, "rb") as fh:
-            return read_planar_code(fh.read())
+        return read_planar_code(_read_file(args.infile, "rb"))
     return read_planar_code(sys.stdin.buffer.read())
 
 
@@ -150,8 +159,7 @@ def cmd_canon(args) -> int:
 
 
 def cmd_match(args) -> int:
-    with open(args.pattern) as fh:
-        patterns, rules = parse_file(fh.read())
+    patterns, rules = parse_file(_read_file(args.pattern, "r"))
     if not patterns:
         patterns = {"lhs:" + r.key: r.lhs for r in rules}
     if not patterns:
@@ -171,7 +179,11 @@ def cmd_render(args) -> int:
     maps = _read_maps(args)
     if len(maps) != 1:
         raise CliFailure("render expects exactly one input map")
-    _write_text(render_svg(maps[0], outer=args.outer), args)
+    m = maps[0]
+    if not 0 <= args.outer < m.f2:
+        raise CliFailure("outer face %d out of range (map has %d faces)"
+                         % (args.outer, m.f2))
+    _write_text(render_svg(m, outer=args.outer), args)
     return 0
 
 

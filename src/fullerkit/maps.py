@@ -9,6 +9,7 @@ All maps are immutable after construction; surgery returns fresh maps.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -358,14 +359,45 @@ class CombMap:
     # -- canonical form -----------------------------------------------------
 
     def _oriented_codes(self) -> Tuple[bytes, bytes]:
+        """Minimal BFS words of the map and of its mirror image.
+
+        Each word is rooted only at the darts of the rarest colour class of
+        its orientation; see :meth:`canonical_code`.
+        """
         if self._canon2 is None:
-            rot = self.rotations
+            rot, twin = self.rotations, self.twin
+            sizes = [len(orbit) for orbit in self.faces]
+            left = [sizes[f] for f in self.face_of]
+            # back[3v + i] = left[3v + (i + 1) % 3]: the third face at v
+            back = left[1:] + left[:1]
+            back[2::3] = left[0::3]
+            colour = list(zip(left, [left[t] for t in twin], back,
+                              [back[t] for t in twin]))
+            count = Counter(colour)
+            c = min(count, key=lambda x: (count[x], x))
+            # the mirror colour of dart 3v + i is its colour with left and
+            # right swapped, carried by the mirror dart 3v + (2 - i)
+            mc = min(count, key=lambda x: (count[x], (x[1], x[0], x[2], x[3])))
+            roots = [d for d, x in enumerate(colour) if x == c]
+            mroots = [d + 2 - 2 * (d % 3)
+                      for d, x in enumerate(colour) if x == mc]
             mrot = [(a[2], a[1], a[0]) for a in rot]
-            self._canon2 = (_min_word(rot), _min_word(mrot))
+            self._canon2 = (_min_word(rot, roots), _min_word(mrot, mroots))
         return self._canon2
 
     def canonical_code(self) -> bytes:
-        """Minimal BFS word over all rooted darts and both orientations."""
+        """Isomorphism invariant: the smaller of the two oriented codes.
+
+        The colour of a dart from ``v`` to ``w`` is the tuple of face sizes
+        ``(left, right, back, ahead)``: the faces on its two sides, the third
+        face at ``v`` and the third face at ``w``.  Each orientation's code is
+        the minimal BFS word (see :func:`_min_word`) over the darts of its
+        rarest colour class, ties broken by the colour tuple; the mirror
+        image swaps ``left`` and ``right``.  The rule that picks the class is
+        invariant under isomorphism, so each oriented code is an invariant;
+        a BFS word from any one dart determines the rooted oriented map, so
+        equal codes mean isomorphic maps.  Mirror images compare equal.
+        """
         if self._canon is None:
             a, b = self._oriented_codes()
             self._canon = a if a <= b else b
@@ -383,31 +415,31 @@ class CombMap:
         return "CombMap(f0=%d, f1=%d, f2=%d)" % (self.f0, self.f1, self.f2)
 
 
-def _min_word(rot: Sequence[Tuple[int, int, int]]) -> bytes:
-    """Lexicographically minimal BFS word over all root darts.
+def _min_word(rot: Sequence[Tuple[int, int, int]],
+              roots: Sequence[int]) -> bytes:
+    """Lexicographically minimal BFS word over the given root darts.
 
     The word lists, for each vertex in discovery order, the labels of its
     three neighbours starting at the entry edge and following the rotation.
-    Labels are assigned in order of first appearance.  Maps with up to 255
-    vertices fit in one byte per entry.
+    Labels are assigned in order of first appearance.  A word rooted at
+    dart ``3 * v + slot`` starts at ``v`` with neighbour ``rot[v][slot]``.
+    Maps with up to 255 vertices fit in one byte per entry.
     """
-    n = len(rot)
-    if n > 255:
+    if len(rot) > 255:
         raise MapError("canonical code supports at most 255 vertices")
-    best: Optional[bytes] = None
-    for root_v in range(n):
-        for root_slot in range(3):
-            word = _bfs_word(rot, root_v, root_slot, best)
-            if word is not None:
-                best = word
-    assert best is not None
+    best = _bfs_word(rot, roots[0], None)
+    for root in roots[1:]:
+        word = _bfs_word(rot, root, best)
+        if word is not None:
+            best = word
     return best
 
 
-def _bfs_word(rot: Sequence[Tuple[int, int, int]], root_v: int,
-              root_slot: int, best: Optional[bytes]) -> Optional[bytes]:
-    """BFS word from one root, or None once it exceeds ``best``."""
+def _bfs_word(rot: Sequence[Tuple[int, int, int]], root: int,
+              best: Optional[bytes]) -> Optional[bytes]:
+    """BFS word from one root dart, or None once it exceeds ``best``."""
     n = len(rot)
+    root_v, root_slot = divmod(root, 3)
     label = [-1] * n
     label[root_v] = 0
     order = [root_v]
@@ -415,27 +447,24 @@ def _bfs_word(rot: Sequence[Tuple[int, int, int]], root_v: int,
     start[root_v] = root_slot
     word = bytearray()
     nxt_label = 1
-    pos = 0
-    while pos < len(order):
-        v = order[pos]
-        pos += 1
+    j = 0
+    for v in order:  # order grows while it is walked
         nbrs = rot[v]
         s = start[v]
         for i in (s, (s + 1) % 3, (s + 2) % 3):
             w = nbrs[i]
             lw = label[w]
             if lw < 0:
-                lw = nxt_label
-                label[w] = lw
+                lw = label[w] = nxt_label
                 nxt_label += 1
                 start[w] = rot[w].index(v)
                 order.append(w)
             word.append(lw)
             if best is not None:
-                j = len(word) - 1
                 c = best[j]
-                if word[j] > c:
+                if lw > c:
                     return None
-                if word[j] < c:
+                if lw < c:
                     best = None  # strictly smaller; stop comparing
+                j += 1
     return bytes(word)

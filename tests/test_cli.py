@@ -1,7 +1,8 @@
 import pytest
 
 from fullerkit.cli import main
-from fullerkit.planarcode import read_planar_code
+from fullerkit.growth import seed_dodecahedron
+from fullerkit.planarcode import read_planar_code, write_planar_code
 
 
 def run(tmp_path, *argv, infile=None):
@@ -123,13 +124,23 @@ def test_unknown_subcommand_exits_two():
     assert e.value.code == 2
 
 
+DODECAHEDRON = write_planar_code([seed_dodecahedron()])
+
+
 @pytest.mark.parametrize("argv,data", [
     (["canon"], b"garbage\n"),
     (["canon"], b">>planar_code<<\x04\x02\x03\x04\x00\x01"),
     (["gen", "--family", "one", "--k", "24"], None),   # 260 vertices
-], ids=["bad-header", "truncated-record", "too-many-vertices"])
+    (["canon", "--in", "{tmp}/missing.bin"], None),
+    (["match", "--pattern", "{tmp}/missing.txt"], DODECAHEDRON),
+    (["match", "--pattern", "{tmp}/in.bin"], b"\xff\xfe"),
+    (["render", "--outer", "99"], DODECAHEDRON),
+    (["render", "--outer", "-1"], DODECAHEDRON),
+], ids=["bad-header", "truncated-record", "too-many-vertices",
+        "missing-input", "missing-pattern", "undecodable-pattern",
+        "outer-face-too-large", "outer-face-negative"])
 def test_library_errors_are_one_line(tmp_path, capsys, argv, data):
-    args = list(argv)
+    args = [a.format(tmp=tmp_path) for a in argv]
     if data is not None:
         src = tmp_path / "in.bin"
         src.write_bytes(data)

@@ -1,6 +1,14 @@
+import random
+
 import pytest
 
-from fullerkit.maps import (AsymmetricAdjacency, CombMap, NonCubic, NonPlanar)
+from fullerkit.growth import (apply_rule, enumerate_maps, load_rules,
+                              seed_dodecahedron, seed_family_one,
+                              seed_family_two)
+from fullerkit.maps import (AsymmetricAdjacency, CombMap, NonCubic, NonPlanar,
+                            _bfs_word)
+from fullerkit.patterns import match_pattern
+from fullerkit.spiral import generate_fullerenes
 
 
 def tetrahedron():
@@ -60,6 +68,82 @@ def test_isomorphism_distinguishes(dodecahedron, barrel):
 def test_tetrahedron_is_not_fullerene():
     assert not tetrahedron().is_fullerene()
     assert tetrahedron().face_vector() == {3: 4}
+
+
+def all_roots_word(rot):
+    """Reference: the minimal BFS word over every root dart."""
+    best = None
+    for root in range(3 * len(rot)):
+        word = _bfs_word(rot, root, best)
+        if word is not None:
+            best = word
+    return best
+
+
+def assert_matches_reference(maps):
+    """canonical_code splits ``maps`` into the same classes as the all-roots
+    search, and is_chiral gives the same answer on each."""
+    codes, ref_codes, ref_chiral = [], [], []
+    for m in maps:
+        a = all_roots_word(m.rotations)
+        b = all_roots_word([r[::-1] for r in m.rotations])
+        codes.append(m.canonical_code())
+        ref_codes.append(min(a, b))
+        ref_chiral.append(a != b)
+    assert len(set(zip(codes, ref_codes))) == len(set(codes)) \
+        == len(set(ref_codes))
+    assert [m.is_chiral() for m in maps] == ref_chiral
+    assert set(ref_chiral) == {True, False}
+
+
+@pytest.fixture(scope="module")
+def growth_children():
+    """Every child of every isomer with p6 <= 8, duplicates included."""
+    rules = load_rules()
+    return [apply_rule(m, rule, at) for m in enumerate_maps(8).values()
+            for rule in rules for at in match_pattern(m, rule.lhs)]
+
+
+def test_canonical_code_matches_reference_on_growth_children(
+        growth_children):
+    assert_matches_reference(growth_children)
+
+
+def test_canonical_code_matches_reference(polytopes, rng):
+    """Oracle C20-C30, nanotubes and polytopes, each with a relabelled
+    mirror image beside it."""
+    maps = [m for fc in range(12, 18) for m in generate_fullerenes(fc)]
+    maps += [seed_family_one(k) for k in range(11)]
+    maps += [seed_family_two(k) for k in range(9)]
+    maps += polytopes
+    for m in list(maps):
+        perm = list(range(m.f0))
+        rng.shuffle(perm)
+        maps.append(m.mirror().relabel(perm))
+    assert_matches_reference(maps)
+
+
+def grown(m, min_vertices, rng):
+    """Random growth steps from ``m`` until it has ``min_vertices``."""
+    rules = load_rules()
+    while m.f0 < min_vertices:
+        sites = [(rule, at) for rule in rules
+                 for at in match_pattern(m, rule.lhs)]
+        m = apply_rule(m, *rng.choice(sites))
+    return m
+
+
+def test_canonical_code_invariant_on_large_maps(rng):
+    maps = [seed_family_one(14), seed_family_two(22),
+            grown(seed_dodecahedron(), 151, random.Random(7))]
+    for m in maps:
+        assert m.f0 > 150
+        perm = list(range(m.f0))
+        for _ in range(3):
+            rng.shuffle(perm)
+            for image in (m.relabel(perm), m.mirror().relabel(perm)):
+                assert image.canonical_code() == m.canonical_code()
+                assert image.is_chiral() == m.is_chiral()
 
 
 def connected_without(m, a, b):

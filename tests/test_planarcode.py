@@ -1,6 +1,8 @@
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fullerkit.growth import seed_family_one, seed_family_two
 from fullerkit.planarcode import (HEADER, BadHeader, TruncatedRecord,
@@ -59,3 +61,36 @@ def test_failure_index_counts_records(dodecahedron):
     with pytest.raises(ValidationFailure) as e:
         read_planar_code(HEADER + good + bad)
     assert e.value.index == 1
+
+
+DOCUMENTED = (BadHeader, TruncatedRecord, ValidationFailure)
+FUZZ = settings(max_examples=300, derandomize=True, database=None,
+                deadline=None)
+STREAM = write_planar_code([seed_family_one(1), seed_family_two(2)])
+
+
+def read_or_documented_error(data):
+    try:
+        read_planar_code(data)
+    except DOCUMENTED:
+        pass
+
+
+@FUZZ
+@given(st.binary(max_size=64) | st.binary(max_size=64).map(HEADER.__add__))
+def test_fuzz_arbitrary_bytes(data):
+    read_or_documented_error(data)
+
+
+@FUZZ
+@given(st.integers(0, len(STREAM) - 1), st.integers(0, 255))
+def test_fuzz_flipped_byte(pos, value):
+    data = bytearray(STREAM)
+    data[pos] = value
+    read_or_documented_error(bytes(data))
+
+
+@FUZZ
+@given(st.integers(0, len(STREAM)))
+def test_fuzz_cut_stream(end):
+    read_or_documented_error(STREAM[:end])
