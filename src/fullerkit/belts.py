@@ -214,10 +214,17 @@ def belt_boundary_cycles(m: CombMap, belt: Sequence[int]) -> List[List[int]]:
 
 
 def border_loops(m: CombMap, belt: Sequence[int]) -> BeltAnalysis:
-    """Boundary loops and belt arithmetic for a verified k-belt."""
+    """Boundary loops and belt arithmetic for a verified k-belt.
+
+    Raises:
+        NotSimpleCycle: the faces do not form an annulus, i.e. their region
+            is not bounded by exactly two edge-cycles.
+    """
     region = set(belt)
     cycles = belt_boundary_cycles(m, belt)
-    assert len(cycles) == 2, "belt region is not an annulus"
+    if len(cycles) != 2:
+        raise NotSimpleCycle("belt region has %d boundary cycles, not 2"
+                             % len(cycles))
     g1, g2 = cycles
     loops = []
     sides = []

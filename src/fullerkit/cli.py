@@ -45,6 +45,15 @@ def _read_file(path: str, mode: str):
                          % (path, getattr(exc, "strerror", None) or exc))
 
 
+def _write_file(path: str, mode: str, data) -> None:
+    """Write the whole file, or CliFailure if it cannot be opened."""
+    try:
+        with open(path, mode) as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise CliFailure("cannot write %s: %s" % (path, exc.strerror or exc))
+
+
 def _read_maps(args) -> List[CombMap]:
     if args.infile:
         return read_planar_code(_read_file(args.infile, "rb"))
@@ -54,16 +63,14 @@ def _read_maps(args) -> List[CombMap]:
 def _write_maps(maps, args, sort: bool) -> None:
     data = write_planar_code(maps, sort=sort)
     if args.outfile:
-        with open(args.outfile, "wb") as fh:
-            fh.write(data)
+        _write_file(args.outfile, "wb", data)
     else:
         sys.stdout.buffer.write(data)
 
 
 def _write_text(text: str, args) -> None:
     if args.outfile:
-        with open(args.outfile, "w") as fh:
-            fh.write(text)
+        _write_file(args.outfile, "w", text)
     else:
         sys.stdout.write(text)
 
@@ -163,8 +170,7 @@ def cmd_match(args) -> int:
     if not patterns:
         patterns = {"lhs:" + r.key: r.lhs for r in rules}
     if not patterns:
-        print("pattern file defines no patterns", file=sys.stderr)
-        return 2
+        raise CliFailure("%s defines no patterns" % args.pattern)
     lines = []
     for i, m in enumerate(_read_maps(args)):
         for name in sorted(patterns):

@@ -6,20 +6,44 @@ run that contains an open edge of the earliest still-open face, preferring a
 run that also touches the face added last.  This is the classic sequential
 (spiral) construction; a sequence is rejected when no legal gluing exists.
 
-``generate_fullerenes`` enumerates all pentagon/hexagon size sequences for a
-given face count, winds each, validates the survivors as fullerenes, and
-deduplicates by canonical code.  It is deliberately independent of the
-pattern-replacement machinery so that it can serve as a cross-check for the
-growth enumeration.
+``generate_fullerenes`` enumerates the pentagon/hexagon size sequences for a
+given face count by a depth-first search over sequence prefixes.  The run a
+face is glued over depends only on the faces before it, so every sequence
+with a given prefix shares that prefix's partial patch, and a prefix that
+cannot be glued rules out all of its extensions at once.  Each complete
+sequence is wound by ``wind``, the survivors are validated as fullerenes and
+deduplicated by canonical code.  The generator is deliberately independent
+of the pattern-replacement machinery so that it can serve as a cross-check
+for the growth enumeration.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .maps import CombMap, MapError
 from .winding import PatchBuilder, WindingError
+
+
+def _next_run(pb: PatchBuilder) -> Optional[Tuple[int, int]]:
+    """The elementary run the next face is glued over, or None.
+
+    The run must contain an open edge of the earliest still-open face; the
+    first such run that also touches the face added last is preferred.
+    """
+    earliest = next((f for f, c in enumerate(pb.open_count) if c > 0), None)
+    if earliest is None:
+        return None
+    last = len(pb.sizes) - 1
+    fallback = None
+    for start, length in pb.runs():
+        faces = pb.run_faces(start, length)
+        if earliest in faces:
+            if last in faces:
+                return start, length
+            if fallback is None:
+                fallback = (start, length)
+    return fallback
 
 
 def wind(sizes: Sequence[int]) -> Optional[CombMap]:
@@ -31,35 +55,12 @@ def wind(sizes: Sequence[int]) -> Optional[CombMap]:
     if len(sizes) < 4:
         return None
     pb = PatchBuilder(sizes[0])
-    last = 0
-    for j in range(1, len(sizes) - 1):
-        s = sizes[j]
-        earliest = None
-        for f in range(len(pb.open_count)):
-            if pb.open_count[f] > 0:
-                earliest = f
-                break
-        if earliest is None:
-            return None
-        chosen = None
-        fallback = None
-        for start, length in pb.runs():
-            faces = pb.run_faces(start, length)
-            if earliest in faces:
-                if fallback is None:
-                    fallback = (start, length)
-                if last in faces:
-                    chosen = (start, length)
-                    break
-        if chosen is None:
-            chosen = fallback
-        if chosen is None:
-            return None
-        start, length = chosen
-        if length >= s:
+    for s in sizes[1:-1]:
+        run = _next_run(pb)
+        if run is None or run[1] >= s:
             return None
         try:
-            last = pb.glue(s, start, length)
+            pb.glue(s, *run)
         except WindingError:
             return None
     try:
@@ -75,27 +76,59 @@ def wind(sizes: Sequence[int]) -> Optional[CombMap]:
 def generate_fullerenes(face_count: int) -> List[CombMap]:
     """All fullerenes with the given face count, by exhaustive winding.
 
-    Tries every placement of the 12 pentagons within the sequence, pruning
-    mirror-redundant sequences (a sequence and its reversal wind to reflected
-    maps).  Returns one representative per canonical code.
+    Searches the size sequences with 12 pentagons depth first, pentagon
+    before hexagon, so complete sequences come in lexicographic order.  A
+    prefix is abandoned when its next face cannot be glued, or when it holds
+    more than 12 pentagons or leaves too few places for the rest.  Complete
+    sequences larger than their reversal are skipped (the two wind to
+    reflected maps); the rest go to ``wind``.  Returns the first map found
+    per canonical code.
     """
     if face_count < 12:
         return []
     hexes = face_count - 12
     out: Dict[bytes, CombMap] = {}
-    for pent_pos in combinations(range(face_count), 12):
-        sizes = [6] * face_count
-        for i in pent_pos:
-            sizes[i] = 5
-        if sizes > sizes[::-1]:
-            continue
-        m = wind(sizes)
+    sizes: List[int] = []
+
+    def leaf(pents: int) -> None:
+        # the last face is forced: it completes the 12 pentagons
+        full = sizes + [5 if pents == 11 else 6]
+        if full > full[::-1]:
+            return
+        m = wind(full)
         if m is None:
-            continue
+            return
         pk = m.face_vector()
         if pk.get(5, 0) != 12 or pk.get(6, 0) != hexes:
-            continue
+            return
         code = m.canonical_code()
         if code not in out:
             out[code] = m
+
+    def extend(pb: PatchBuilder, pents: int) -> None:
+        j = len(sizes)
+        if j == face_count - 1:
+            leaf(pents)
+            return
+        run = _next_run(pb)
+        if run is None:
+            return
+        for s in (5, 6):
+            p = pents + (s == 5)
+            # positions j + 1 .. face_count - 1 remain for 12 - p pentagons
+            if p > 12 or 12 - p > face_count - 1 - j or run[1] >= s:
+                continue
+            child = pb.copy()
+            try:
+                child.glue(s, *run)
+            except WindingError:
+                continue
+            sizes.append(s)
+            extend(child, p)
+            sizes.pop()
+
+    for s in (5, 6):
+        sizes.append(s)
+        extend(PatchBuilder(s), s == 5)
+        sizes.pop()
     return list(out.values())

@@ -41,6 +41,21 @@ class PatchBuilder:
         self.vdeg: List[int] = [2] * first_size
         self.closed = False
 
+    def copy(self) -> "PatchBuilder":
+        """An independent builder in the same state.
+
+        ``glue`` and ``close`` replace ``boundary`` and ``vdeg`` instead of
+        mutating them, so the copy shares those two lists.
+        """
+        pb = PatchBuilder.__new__(PatchBuilder)
+        pb.cycles = [c[:] for c in self.cycles]
+        pb.sizes = self.sizes[:]
+        pb.open_count = self.open_count[:]
+        pb.boundary = self.boundary
+        pb.vdeg = self.vdeg
+        pb.closed = self.closed
+        return pb
+
     # -- queries ------------------------------------------------------------
 
     def runs(self) -> List[Tuple[int, int]]:

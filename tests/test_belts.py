@@ -158,6 +158,12 @@ def test_belt_region_is_annulus(dodecahedron):
     assert sorted(len(c) for c in cycles)[0] == 5
 
 
+@pytest.mark.parametrize("faces,cycles", [([0], 1), (range(12), 0)])
+def test_border_loops_rejects_non_annulus(dodecahedron, faces, cycles):
+    with pytest.raises(NotSimpleCycle, match="%d boundary cycles" % cycles):
+        border_loops(dodecahedron, list(faces))
+
+
 def test_classify_five_belts_requires_fullerene():
     t = CombMap.from_rotations([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
     with pytest.raises(NotFullerene):

@@ -136,16 +136,22 @@ DODECAHEDRON = write_planar_code([seed_dodecahedron()])
     (["match", "--pattern", "{tmp}/in.bin"], b"\xff\xfe"),
     (["render", "--outer", "99"], DODECAHEDRON),
     (["render", "--outer", "-1"], DODECAHEDRON),
+    (["match", "--pattern", "{tmp}/in.bin"], b""),
+    (["gen", "--family", "dodeca", "--out", "{tmp}/nodir/x.bin"], None),
+    (["canon", "--out", "{tmp}/nodir/x.txt"], DODECAHEDRON),
 ], ids=["bad-header", "truncated-record", "too-many-vertices",
         "missing-input", "missing-pattern", "undecodable-pattern",
-        "outer-face-too-large", "outer-face-negative"])
+        "outer-face-too-large", "outer-face-negative", "empty-pattern",
+        "unwritable-maps-out", "unwritable-text-out"])
 def test_library_errors_are_one_line(tmp_path, capsys, argv, data):
     args = [a.format(tmp=tmp_path) for a in argv]
     if data is not None:
         src = tmp_path / "in.bin"
         src.write_bytes(data)
         args += ["--in", str(src)]
-    assert main(args + ["--out", str(tmp_path / "out")]) == 1
+    if "--out" not in args:
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("fullerkit: ")
     assert err.count("\n") == 1

@@ -3,6 +3,8 @@ import os
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fullerkit.rulefile import (RuleFileError, format_pattern_block,
                                 format_rules, parse_file)
@@ -89,3 +91,49 @@ def test_bad_script_line_rejected():
     with pytest.raises(RuleFileError) as e:
         parse_file(text)
     assert e.value.line_no == 7
+
+
+FUZZ = settings(max_examples=300, derandomize=True, database=None,
+                deadline=None)
+LINES = shipped_text().splitlines()
+VOCAB = sorted({t for line in LINES for t in line.split()} | {"pattern", "#"})
+WORDS = st.sampled_from(VOCAB) | st.text(max_size=6)
+
+
+def parse_or_documented_error(text):
+    try:
+        parse_file(text)
+    except RuleFileError:
+        pass
+
+
+@FUZZ
+@given(st.text(max_size=200)
+       | st.lists(WORDS | st.just("\n"), max_size=60).map(" ".join))
+def test_fuzz_arbitrary_text(text):
+    parse_or_documented_error(text)
+
+
+@FUZZ
+@given(st.integers(0, len(LINES) - 1),
+       st.lists(WORDS, max_size=8).map(" ".join))
+def test_fuzz_replaced_line(i, line):
+    parse_or_documented_error("\n".join(LINES[:i] + [line] + LINES[i + 1:]))
+
+
+@FUZZ
+@given(st.sampled_from([i for i, line in enumerate(LINES) if line.split()]),
+       st.integers(0, 7), WORDS)
+def test_fuzz_replaced_token(i, pos, word):
+    tok = LINES[i].split()
+    tok[pos % len(tok)] = word
+    lines = LINES[:i] + [" ".join(tok)] + LINES[i + 1:]
+    parse_or_documented_error("\n".join(lines))
+
+
+@FUZZ
+@given(st.integers(0, len(LINES)), st.integers(0, len(LINES)))
+def test_fuzz_cut_and_dropped_line(end, drop):
+    lines = LINES[:end]
+    del lines[drop:drop + 1]
+    parse_or_documented_error("\n".join(lines))

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from fullerkit.spiral import generate_fullerenes, wind
@@ -40,3 +42,34 @@ def test_generator_output_is_deduplicated():
     assert len(codes) == len(maps) == 2
     for m in maps:
         assert m.is_fullerene()
+
+
+def generate_by_sequence(face_count):
+    """Reference: wind every placement of the 12 pentagons from scratch."""
+    if face_count < 12:
+        return []
+    hexes = face_count - 12
+    out = {}
+    for pent_pos in combinations(range(face_count), 12):
+        sizes = [6] * face_count
+        for i in pent_pos:
+            sizes[i] = 5
+        if sizes > sizes[::-1]:
+            continue
+        m = wind(sizes)
+        if m is None:
+            continue
+        pk = m.face_vector()
+        if pk.get(5, 0) != 12 or pk.get(6, 0) != hexes:
+            continue
+        code = m.canonical_code()
+        if code not in out:
+            out[code] = m
+    return list(out.values())
+
+
+@pytest.mark.parametrize("fc", range(12, 19))
+def test_prefix_search_matches_reference(fc):
+    got = generate_fullerenes(fc)
+    want = generate_by_sequence(fc)
+    assert [m.rotations for m in got] == [m.rotations for m in want]

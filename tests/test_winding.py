@@ -46,3 +46,16 @@ def test_to_map_requires_closed_patch():
     pb = PatchBuilder(5)
     with pytest.raises((WindingError, Exception)):
         pb.to_map()
+
+
+def test_copy_is_independent():
+    pb = PatchBuilder(5)
+    pb.glue(5, 0, 1)
+    before = (repr(pb.cycles), pb.sizes[:], pb.open_count[:],
+              pb.boundary[:], pb.vdeg[:])
+    twin = pb.copy()
+    twin.glue(6, *twin.runs()[0])
+    twin.glue(5, *twin.runs()[0])
+    after = (repr(pb.cycles), pb.sizes, pb.open_count, pb.boundary, pb.vdeg)
+    assert after == before
+    assert len(twin.cycles) == 4
