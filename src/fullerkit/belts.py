@@ -10,6 +10,11 @@ dual graph, for k = 3 one not around a vertex (a cyclic k-edge cut, Doslic
 faces met while walking round the cycle on either side form the bordering
 loops, whose lengths obey ``l_alpha = sum(a_r_beta - 1)`` over the contact
 counts of the other side.
+
+Every belt face touches both boundary cycles, so a side that is a single
+face has exactly the belt as its neighbour set; conversely a face off the
+belt with that neighbour set is its whole side.  So :func:`enclosed_faces`
+reads enclosure off neighbour sets on any map, with no flood of the sphere.
 """
 
 from __future__ import annotations
@@ -119,6 +124,15 @@ def find_k_belts(m: CombMap, k: int) -> List[List[int]]:
         extend([f])
     out.sort()
     return out
+
+
+def enclosed_faces(m: CombMap, belt: Sequence[int]) -> List[int]:
+    """The faces that are a whole side of the belt, in increasing order:
+    those off the belt whose neighbour set is exactly the belt (module
+    docstring).  There are none, one or, as on the cube, two."""
+    region = set(belt)
+    return sorted(g for g in m.face_neighbors(belt[0]) if g not in region
+                  and set(m.face_neighbors(g)) == region)
 
 
 def split_by_cycle(m: CombMap, darts: Sequence[int]) -> RegionSplit:
@@ -278,11 +292,6 @@ def classify_five_belts(m: CombMap) -> FiveBeltReport:
     if not m.is_fullerene():
         raise NotFullerene("input is not a fullerene")
     belts = find_k_belts(m, 5)
-    kinds = []
-    for belt in belts:
-        ana = border_loops(m, belt)
-        if len(ana.side1) == 1 or len(ana.side2) == 1:
-            kinds.append("pentagon")
-        else:
-            kinds.append("hexagon ring")
+    kinds = ["pentagon" if enclosed_faces(m, belt) else "hexagon ring"
+             for belt in belts]
     return FiveBeltReport(belts, kinds)

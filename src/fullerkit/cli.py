@@ -137,16 +137,14 @@ def cmd_decompose(args) -> int:
     m = maps[0]
     rule, at = _pick(_sites(m, args.rule), args.site, "growth")
     steps = decompose_rule(m, rule, at)
-    stream = []
-    cur = None
-    for i, (before, spec) in enumerate(steps):
-        stream.append(before)
-        cur = truncate(before if cur is None else cur, spec).map
+    for i, (_, spec) in enumerate(steps):
         print("step %d: cut %d-gon face %d along %d edges, signature %r"
               % (i, spec.k, spec.face, spec.s + 2, spec.signature),
               file=sys.stderr)
-    stream.append(cur)
-    _write_maps(stream, args, sort=False)
+    # each step's map is the previous step's cut; only the last is missing
+    last, spec = steps[-1]
+    _write_maps([before for before, _ in steps] + [truncate(last, spec).map],
+                args, sort=False)
     return 0
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .belts import NotFullerene
-from .maps import CombMap
+from .maps import CombMap, MapError
 from .patterns import MatchResult, PatchPattern, match_pattern
 from .spiral import wind
 from .surgery import TruncationSpec, straighten, truncate
@@ -70,7 +70,8 @@ def seed_family_one(k: int) -> CombMap:
     if k < 0:
         raise NegativeParameter("k must be >= 0")
     m = wind([5] * 6 + [6] * (5 * k) + [5] * 6)
-    assert m is not None
+    if m is None:
+        raise MapError("the family-one spiral does not close for k=%d" % k)
     return m
 
 
@@ -168,26 +169,18 @@ def run_straighten_step(state: ScriptState, name: str, slot: int,
     # name of the face on the other side of the edge, if it has one
     other_names = [n for n in state.origins
                    if n != name and state.face_of(n) == other]
+    # two darts past the edge the walk has left both of its ends, so this
+    # dart survives the straightening
     keep = state.dart_at(name, (slot + 2) % m.face_size(state.face_of(name)))
     res = straighten(m, d)
-    vm = res.vertex_map
-
-    def remap(dart: int) -> Optional[int]:
-        v = dart // 3
-        if v not in vm:
-            return None
-        return 3 * vm[v] + dart % 3
-
     origins: Dict[str, int] = {}
     for n, dart in state.origins.items():
         if n in other_names or n == name:
             continue
-        nd = remap(dart)
+        nd = res.map_dart(dart)
         if nd is not None:
             origins[n] = nd
-    kd = remap(keep)
-    assert kd is not None
-    origins[merged_name] = kd
+    origins[merged_name] = res.map_dart(keep)
     patch = set(state.patch)
     patch.discard(name)
     for n in other_names:
@@ -374,7 +367,7 @@ def detect_growth_sites(m: CombMap) -> List[Tuple[str, MatchResult]]:
 
     Returns (rule id, match) pairs; a nonempty result means some operation
     can be inverted at the reported site.  Faces of each reported fragment
-    are pairwise distinct (guaranteed by the matcher and asserted here).
+    are pairwise distinct: the matcher never binds a face twice.
     """
     return [(rule.id, at) for rule, at in detect_growth_rules(m)]
 
@@ -385,9 +378,7 @@ def detect_growth_rules(m: CombMap) -> List[Tuple[GrowthRule, MatchResult]]:
         raise NotFullerene("growth-site detection expects a fullerene")
     out: List[Tuple[GrowthRule, MatchResult]] = []
     for rule in load_rules():
-        for at in match_pattern(m, rule.rhs):
-            assert len(set(at.faces.values())) == len(at.faces)
-            out.append((rule, at))
+        out.extend((rule, at) for at in match_pattern(m, rule.rhs))
     return out
 
 

@@ -315,7 +315,11 @@ def _all_shortest_paths(m: CombMap, a: int, b: int) -> List[List[int]]:
 
 
 def path_turns(m: CombMap, path: List[int]) -> int:
-    """Number of interior faces where the path does not go straight."""
+    """Number of interior faces where the path does not go straight.
+
+    Raises:
+        ValueError: two consecutive faces of the path are not adjacent.
+    """
     turns = 0
     for i in range(1, len(path) - 1):
         f = path[i]
@@ -328,7 +332,9 @@ def path_turns(m: CombMap, path: List[int]) -> int:
                 pos_in = idx
             if g == path[i + 1]:
                 pos_out = idx
-        assert pos_in is not None and pos_out is not None
+        for pos, g in ((pos_in, path[i - 1]), (pos_out, path[i + 1])):
+            if pos is None:
+                raise ValueError("faces %d and %d are not adjacent" % (g, f))
         if (pos_out - pos_in) % size != size // 2:
             turns += 1
     return turns

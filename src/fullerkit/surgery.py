@@ -11,6 +11,12 @@ exactly when the two faces have disjoint neighbour sets, away from the
 edge's ends.  On a 3-connected map the two faces meet only in the edge, so
 a common neighbour g closes a dual triangle with no common vertex, a 3-belt;
 hence this means no 3-belt passes through both, with no belt search needed.
+Off 3-connected maps the merge must also be checked to stay simple.
+
+Both cuts keep rotation slots, so darts ``3 * v + i`` (:mod:`maps`) carry
+over: truncation keeps every old dart's index and left face, and
+straightening sends ``3 * v + i`` to ``3 * vertex_map[v] + i`` for v not an
+end of the edge.  Face correspondences are read off these rules.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ class TruncationSpec:
 
 
 class TruncationResult:
-    """New map plus handles into it.
+    """New map plus handles into it; old darts keep their indices.
 
     Attributes:
         map: the truncated map.
@@ -76,8 +82,8 @@ class TruncationResult:
             its left.
         small_face, big_face: ids of the (s+3)-gon and the (k-s+1)-gon.
         face_map: old face id -> tuple of new face ids (the cut face maps to
-            (small_face, big_face); every other face to a 1-tuple).
-            Computed on first access.
+            (small_face, big_face); every other face to the 1-tuple of the
+            face left of its first dart).  Computed on each access.
     """
 
     def __init__(self, m: CombMap, new_edge: int, small_face: int,
@@ -88,26 +94,14 @@ class TruncationResult:
         self.big_face = big_face
         self._source = source
         self._cut_face = cut_face
-        self._face_map: Optional[Dict[int, Tuple[int, ...]]] = None
 
     @property
     def face_map(self) -> Dict[int, Tuple[int, ...]]:
-        if self._face_map is None:
-            # old vertex ids survive, so an old face maps to the new face
-            # whose vertex set contains it (the cut face to both parts)
-            src, out = self._source, self.map
-            fm: Dict[int, Tuple[int, ...]] = {
-                self._cut_face: (self.small_face, self.big_face)}
-            new_sets = {f: set(out.face_vertices(f)) for f in range(out.f2)}
-            for f in range(src.f2):
-                if f == self._cut_face:
-                    continue
-                old_set = set(src.face_vertices(f))
-                hits = tuple(g for g, s in new_sets.items() if old_set <= s)
-                assert len(hits) == 1, "ambiguous face correspondence"
-                fm[f] = hits
-            self._face_map = fm
-        return self._face_map
+        face_of = self.map.face_of
+        fm = {f: (face_of[orbit[0]],)
+              for f, orbit in enumerate(self._source.faces)}
+        fm[self._cut_face] = (self.small_face, self.big_face)
+        return fm
 
 
 class StraighteningResult:
@@ -125,6 +119,12 @@ class StraighteningResult:
         self.map = m
         self.vertex_map = vertex_map
         self.merged_face = merged_face
+
+    def map_dart(self, d: int) -> Optional[int]:
+        """The new index of old dart ``d``: ``3 * v + i`` goes to
+        ``3 * vertex_map[v] + i``; None for a dart leaving a removed end."""
+        v = self.vertex_map.get(d // 3)
+        return None if v is None else 3 * v + d % 3
 
 
 def truncate(m: CombMap, spec: TruncationSpec) -> TruncationResult:
@@ -175,7 +175,8 @@ def edge_faces(m: CombMap, dart: int) -> Tuple[int, int]:
 
 
 def can_straighten(m: CombMap, dart: int) -> bool:
-    """True iff the neighbour sets of the edge's two faces are disjoint.
+    """True iff the neighbour sets of the edge's two faces are disjoint and
+    the merge makes no parallel edge.
 
     This equals "no 3-belt contains both faces" on 3-connected maps only
     (module docstring); elsewhere, e.g. across a 2-edge cut, the two can
@@ -183,10 +184,15 @@ def can_straighten(m: CombMap, dart: int) -> bool:
     """
     if m.f0 == 4:
         return False
+    x, y = m.tail(dart), m.head(dart)
+    rot = m.rotations
+    # the merge joins each end's two other neighbours p, q by an edge
+    ends = [[w for w in rot[a] if w != b] for a, b in ((x, y), (y, x))]
+    if set(ends[0]) == set(ends[1]) or any(q in rot[p] for p, q in ends):
+        return False
     f1, f2 = edge_faces(m, dart)
     # the faces at the two endpoints of the edge meet both f1 and f2 by
     # construction and do not obstruct straightening
-    x, y = m.tail(dart), m.head(dart)
     at_ends = {m.face_of[3 * v + i] for v in (x, y) for i in range(3)}
     n1 = set(m.face_neighbors(f1)) - {f2} - at_ends
     n2 = set(m.face_neighbors(f2)) - {f1} - at_ends
@@ -198,14 +204,12 @@ def straighten(m: CombMap, dart: int) -> StraighteningResult:
     if m.f0 == 4:
         raise IsSimplex("the simplex admits no straightening")
     if not can_straighten(m, dart):
-        raise NotDefined("the two faces have a common neighbour")
+        raise NotDefined("the two faces have a common neighbour, or the "
+                         "merge would make a parallel edge")
     x, y = m.tail(dart), m.head(dart)
-    f_merge_old = set(m.face_vertices(m.face_of[dart])
-                      + m.face_vertices(m.face_of[m.twin[dart]]))
-    rot: List[Optional[List[int]]] = [list(r) for r in m.rotations]
+    rot: List[List[int]] = [list(r) for r in m.rotations]
     for a, b in ((x, y), (y, x)):
-        nbrs = [w for w in m.rotations[a] if w != b]
-        p, q = nbrs
+        p, q = [w for w in m.rotations[a] if w != b]
         rot[p][rot[p].index(a)] = q
         rot[q][rot[q].index(a)] = p
     vertex_map: Dict[int, int] = {}
@@ -219,16 +223,11 @@ def straighten(m: CombMap, dart: int) -> StraighteningResult:
         for i, w in enumerate(nbrs):
             nbrs[i] = vertex_map[w]
     out = CombMap.from_rotations(new_rot)
-    # the merged face is the one containing every surviving old boundary
-    # vertex of the two united faces
-    want = {vertex_map[v] for v in f_merge_old if v not in (x, y)}
-    merged = -1
-    for f in range(out.f2):
-        if want <= set(out.face_vertices(f)):
-            merged = f
-            break
-    assert merged >= 0, "merged face not found"
-    return StraighteningResult(out, vertex_map, merged)
+    res = StraighteningResult(out, vertex_map, -1)
+    # the dart before ``dart`` on its face leaves x's other neighbour there,
+    # so it survives and lies on the merged face
+    res.merged_face = out.face_of[res.map_dart(m.face_prev(dart))]
+    return res
 
 
 def is_flag(m: CombMap) -> bool:

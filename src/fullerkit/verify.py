@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .belts import NotFullerene, border_loops, find_k_belts
+from .belts import NotFullerene, enclosed_faces, find_k_belts
 from .maps import CombMap
 
 
@@ -49,15 +49,6 @@ class TheoremReport:
 
     def __repr__(self) -> str:
         return "TheoremReport(%s)" % ", ".join(map(repr, self.checks))
-
-
-def _pentagon_of_belt(m: CombMap, belt: List[int]) -> Optional[int]:
-    """The single face enclosed by the belt, if there is exactly one."""
-    ana = border_loops(m, belt)
-    for side in (ana.side1, ana.side2):
-        if len(side) == 1:
-            return next(iter(side))
-    return None
 
 
 def _opposite_contacts(m: CombMap, belt: List[int]) -> bool:
@@ -106,8 +97,7 @@ def verify_fullerene(m: CombMap) -> TheoremReport:
     if all(c.passed for c in checks):
         bad_belt = None
         for belt in find_k_belts(m, 5):
-            enclosed = _pentagon_of_belt(m, belt)
-            if enclosed is not None and m.face_size(enclosed) == 5:
+            if any(m.face_size(g) == 5 for g in enclosed_faces(m, belt)):
                 continue
             if (all(m.face_size(f) == 6 for f in belt)
                     and _opposite_contacts(m, belt)):
@@ -139,8 +129,7 @@ def verify_intermediate(m: CombMap) -> TheoremReport:
     belts4 = find_k_belts(m, 4)
     if fv.get(4, 0) == 1:
         quad = next(f for f in range(m.f2) if m.face_size(f) == 4)
-        ok = (len(belts4) == 1
-              and _pentagon_of_belt(m, belts4[0]) == quad)
+        ok = len(belts4) == 1 and quad in enclosed_faces(m, belts4[0])
         checks.append(CheckResult("one-4-belt-surrounds-quad", ok,
                                   belts4))
     else:

@@ -95,3 +95,11 @@ def joined_maps(dodecahedron):
     and two tetrahedra across a bridge."""
     return [two_edge_join(dodecahedron, dodecahedron),
             bridged(tetrahedron(), tetrahedron())]
+
+
+@pytest.fixture(scope="session")
+def joined_intermediate(dodecahedron):
+    """A one-quadrangle intermediate joined to a dodecahedron across a
+    2-edge cut: its 4-belt region has three boundary cycles, not two."""
+    cut = truncate(dodecahedron, TruncationSpec(dodecahedron, 0, 1)).map
+    return two_edge_join(cut, dodecahedron)

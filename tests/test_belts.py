@@ -2,7 +2,7 @@ import pytest
 
 from fullerkit.belts import (NotFullerene, NotSimpleCycle, border_loops,
                              belt_boundary_cycles, classify_five_belts,
-                             find_k_belts, split_by_cycle)
+                             enclosed_faces, find_k_belts, split_by_cycle)
 from fullerkit.growth import seed_family_one
 from fullerkit.maps import CombMap
 
@@ -66,6 +66,34 @@ def test_belts_match_reference(polytopes, joined_maps):
             if belts:
                 seen.add(k)
     assert seen == {3, 4, 5, 6}
+
+
+def reference_enclosed_faces(m, belt):
+    """The single-face sides of the belt, found by flooding the sphere."""
+    ana = border_loops(m, belt)
+    return sorted(next(iter(side)) for side in (ana.side1, ana.side2)
+                  if len(side) == 1)
+
+
+def test_enclosed_faces_match_border_loops(polytopes, joined_maps):
+    compared = not_annulus = 0
+    for m in polytopes + joined_maps:
+        for k in range(3, 7):
+            for belt in find_k_belts(m, k):
+                got = enclosed_faces(m, belt)
+                try:
+                    ref = reference_enclosed_faces(m, belt)
+                except NotSimpleCycle:
+                    # only off 3-connected maps; the rule still answers
+                    assert m in joined_maps
+                    assert all(set(m.face_neighbors(g)) == set(belt)
+                               for g in got)
+                    not_annulus += 1
+                    continue
+                assert got == ref
+                compared += 1
+    assert compared > 1500
+    assert not_annulus == 20
 
 
 def test_fullerenes_have_no_small_belts(small_fullerenes):

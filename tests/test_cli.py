@@ -53,6 +53,14 @@ def test_verify_pass_and_fail(tmp_path, capsys):
     assert main(["verify", "--intermediate", "--in", str(mids)]) == 0
 
 
+def test_verify_intermediate_across_two_edge_cut(tmp_path, capsys,
+                                                joined_intermediate):
+    src = tmp_path / "joined.bin"
+    src.write_bytes(write_planar_code([joined_intermediate]))
+    assert main(["verify", "--intermediate", "--in", str(src)]) == 1
+    assert "record 0: FAIL face-sizes" in capsys.readouterr().out
+
+
 def test_decompose_emits_script_intermediates(tmp_path):
     _, seeds = run(tmp_path, "gen", "--family", "dodeca")
     code, mids = run(tmp_path, "decompose", "--rule", "a", infile=seeds)

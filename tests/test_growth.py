@@ -1,11 +1,14 @@
 import pytest
 
+import fullerkit.growth as growth
 from fullerkit.growth import (NotAMatch, apply_rule, decompose_rule,
-                              detect_growth_sites, enumerate_fullerenes,
-                              enumerate_maps, invert_rule,
-                              load_fragment_catalog, load_rules, rules_by_id,
-                              seed, seed_barrel, seed_dodecahedron,
-                              seed_family_one, seed_family_two)
+                              detect_growth_rules, detect_growth_sites,
+                              enumerate_fullerenes, enumerate_maps,
+                              invert_rule, load_fragment_catalog, load_rules,
+                              rules_by_id, seed, seed_barrel,
+                              seed_dodecahedron, seed_family_one,
+                              seed_family_two)
+from fullerkit.maps import MapError
 from fullerkit.patterns import match_pattern
 from fullerkit.spiral import generate_fullerenes
 from fullerkit.surgery import truncate
@@ -145,6 +148,21 @@ def test_detect_growth_sites(dodecahedron, barrel):
     # operation can be inverted; the smallest fullerene has none
     assert detect_growth_sites(dodecahedron) == []
     assert detect_growth_sites(barrel)
+
+
+def test_growth_sites_bind_distinct_faces(small_fullerenes):
+    found = 0
+    for m in small_fullerenes:
+        for _, at in detect_growth_rules(m):
+            assert len(set(at.faces.values())) == len(at.faces)
+            found += 1
+    assert found
+
+
+def test_seed_family_one_unclosed_spiral_raises(monkeypatch):
+    monkeypatch.setattr(growth, "wind", lambda spiral: None)
+    with pytest.raises(MapError, match="k=2"):
+        seed_family_one(2)
 
 
 def test_enumeration_small_counts():

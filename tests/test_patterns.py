@@ -159,6 +159,19 @@ def test_thick_path_across_ring():
     assert len(shortest_thick_path(m, caps[0], caps[1])) == 5
 
 
+def test_path_turns_rejects_non_adjacent_faces(dodecahedron):
+    m = dodecahedron
+    a = 0
+    b = m.face_neighbors(a)[0]
+    far = next(f for f in range(m.f2)
+               if f != a and f not in m.face_neighbors(a)
+               and f not in m.face_neighbors(b))
+    with pytest.raises(ValueError, match="faces %d and %d " % (far, b)):
+        path_turns(m, [a, b, far])
+    with pytest.raises(ValueError, match="faces %d and %d " % (far, b)):
+        path_turns(m, [far, b, a])
+
+
 def test_minimal_path_properties(small_fullerenes):
     for m in small_fullerenes:
         pents = [f for f in range(m.f2) if m.face_size(f) == 5]

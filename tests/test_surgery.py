@@ -1,7 +1,7 @@
 import pytest
 
 from fullerkit.belts import find_k_belts
-from fullerkit.maps import CombMap
+from fullerkit.maps import CombMap, MapError
 from fullerkit.surgery import (IsSimplex, NotDefined, SpecOutOfRange,
                                TruncationSpec, can_straighten, edge_faces,
                                flag_effects, is_flag, straighten, truncate,
@@ -18,6 +18,26 @@ def all_specs(m):
             k = m.face_size(m.face_of[e])
             for s in range(0, k - 1):
                 yield TruncationSpec(m, e, s)
+
+
+def reference_face_map(src, res):
+    """Old face -> new faces whose vertex set contains its vertex set: old
+    vertex ids survive a truncation."""
+    new_sets = [set(res.map.face_vertices(g)) for g in range(res.map.f2)]
+    fm = {}
+    for f in range(src.f2):
+        old = set(src.face_vertices(f))
+        fm[f] = tuple(g for g, s in enumerate(new_sets) if old <= s)
+    return fm
+
+
+def reference_merged_faces(m, dart, res):
+    """New faces holding every surviving vertex of the edge's two faces."""
+    x, y = m.tail(dart), m.head(dart)
+    want = {res.vertex_map[v] for f in edge_faces(m, dart)
+            for v in m.face_vertices(f) if v not in (x, y)}
+    return [g for g in range(res.map.f2)
+            if want <= set(res.map.face_vertices(g))]
 
 
 def test_one_five_truncation_example(dodecahedron):
@@ -98,6 +118,68 @@ def test_face_correspondence(dodecahedron):
         (g,) = fm[f]
         old = set(m.face_vertices(f))
         assert old <= set(res.map.face_vertices(g))
+
+
+def test_face_map_matches_vertex_set_reference(polytopes):
+    # polytopes include small_fullerenes; every dart and every s is cut
+    count = 0
+    for m in polytopes:
+        for d in range(3 * m.f0):
+            k = m.face_size(m.face_of[d])
+            for s in range(k - 1):
+                spec = TruncationSpec(m, d, s)
+                res = truncate(m, spec)
+                ref = reference_face_map(m, res)
+                fm = res.face_map
+                assert fm[spec.face] == (res.small_face, res.big_face)
+                for f in range(m.f2):
+                    if f != spec.face:
+                        assert fm[f] == ref[f]
+                        count += 1
+    assert count > 200000
+
+
+def test_map_dart_keeps_slots(dodecahedron):
+    res = straighten(dodecahedron, 0)
+    x, y = dodecahedron.tail(0), dodecahedron.head(0)
+    for d in range(3 * dodecahedron.f0):
+        v = d // 3
+        if v in (x, y):
+            assert res.map_dart(d) is None
+        else:
+            assert res.map_dart(d) == 3 * res.vertex_map[v] + d % 3
+
+
+def test_merged_face_matches_scan_reference(polytopes):
+    count = 0
+    for m in polytopes:
+        if m.f0 == 4:
+            continue
+        for d in range(3 * m.f0):
+            if not can_straighten(m, d):
+                continue
+            res = straighten(m, d)
+            assert reference_merged_faces(m, d, res) == [res.merged_face]
+            count += 1
+    assert count > 2000
+
+
+def test_can_straighten_iff_straighten_returns(polytopes, joined_maps):
+    # across the bridge of joined_maps[1] the merge would make a parallel
+    # edge; can_straighten must say so rather than straighten failing
+    answers = set()
+    for m in polytopes + joined_maps:
+        if m.f0 == 4:
+            continue
+        for d in range(3 * m.f0):
+            try:
+                straighten(m, d)
+                returned = True
+            except (NotDefined, MapError):
+                returned = False
+            assert can_straighten(m, d) == returned
+            answers.add(returned)
+    assert answers == {True, False}
 
 
 def test_straighten_fullerene_edges_always_defined(small_fullerenes):

@@ -58,6 +58,15 @@ def test_intermediate_rejects_two_exceptional(dodecahedron):
     assert not rep["one-exceptional"].passed
 
 
+def test_intermediate_across_two_edge_cut_reports(joined_intermediate):
+    # the 4-belt round the quadrangle is no annulus here (three boundary
+    # cycles); the check reads enclosure off neighbour sets and answers
+    rep = verify_intermediate(joined_intermediate)
+    assert not rep["face-sizes"].passed
+    assert rep["face-sizes"].witness == [10, 11]
+    assert rep["one-4-belt-surrounds-quad"].passed
+
+
 def test_report_lookup_raises_on_unknown(dodecahedron):
     rep = verify_fullerene(dodecahedron)
     with pytest.raises(KeyError):
