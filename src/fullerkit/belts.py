@@ -80,6 +80,9 @@ class BeltAnalysis:
 
 
 class FiveBeltReport:
+    """The 5-belts of a fullerene, each with its kind ('pentagon' or
+    'hexagon ring'); ``kinds[i]`` belongs to ``belts[i]``."""
+
     def __init__(self, belts: List[List[int]], kinds: List[str]) -> None:
         self.belts = belts
         self.kinds = kinds

@@ -94,7 +94,11 @@ def _pick(sites, index: int, what: str):
 def cmd_gen(args) -> int:
     family = {"dodeca": "dodecahedron", "barrel": "barrel",
               "one": "family_one", "two": "family_two"}[args.family]
-    _write_maps([seed(family, args.k)], args, sort=False)
+    if args.k is not None and args.family in ("dodeca", "barrel"):
+        print("fullerkit: --k applies only to --family one and two",
+              file=sys.stderr)
+        return 2
+    _write_maps([seed(family, args.k or 0)], args, sort=False)
     return 0
 
 
@@ -108,7 +112,7 @@ def cmd_grow(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    maps = enumerate_maps(args.max_p6, jobs=args.jobs)
+    maps = enumerate_maps(args.max_p6)
     _write_maps(maps.values(), args, sort=True)
     return 0
 
@@ -126,7 +130,7 @@ def cmd_verify(args) -> int:
             fails = "; ".join("%s (witness %r)" % (c.name, c.witness)
                               for c in report.failures())
             lines.append("record %d: FAIL %s" % (i, fails))
-    _write_text("\n".join(lines) + "\n", args)
+    _write_text("".join(line + "\n" for line in lines), args)
     return 0 if ok else 1
 
 
@@ -175,7 +179,7 @@ def cmd_match(args) -> int:
             found = match_pattern(m, patterns[name])
             lines.append("record %d pattern %s: %d matches"
                          % (i, name, len(found)))
-    _write_text("\n".join(lines) + "\n", args)
+    _write_text("".join(line + "\n" for line in lines), args)
     return 0
 
 
@@ -204,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gen", help="emit a seed fullerene")
     sp.add_argument("--family", required=True,
                     choices=["dodeca", "barrel", "one", "two"])
-    sp.add_argument("--k", type=int, default=0)
+    sp.add_argument("--k", type=int, default=None,
+                    help="size of family one or two (default 0)")
     common(sp)
     sp.set_defaults(func=cmd_gen)
 
@@ -216,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("enumerate", help="closure of the dodecahedron")
     sp.add_argument("--max-p6", type=int, required=True)
-    sp.add_argument("--jobs", type=int, default=1)
     common(sp)
     sp.set_defaults(func=cmd_enumerate)
 

@@ -11,7 +11,7 @@ matched right-hand-side site.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .belts import NotFullerene
 from .maps import CombMap, MapError
@@ -22,11 +22,11 @@ from .winding import PatchBuilder
 
 
 class NegativeParameter(Exception):
-    pass
+    """A seed size or an enumeration bound is below zero."""
 
 
 class NotAMatch(Exception):
-    pass
+    """The given site is not a match of the rule's pattern in this map."""
 
 
 class ResultNotFullerene(Exception):
@@ -58,10 +58,12 @@ def is_permitted(sig: Tuple[int, int, int, int]) -> bool:
 # -- seeds ------------------------------------------------------------------
 
 def seed_dodecahedron() -> CombMap:
+    """C20, the dodecahedron: twelve pentagons and no hexagon."""
     return wind([5] * 12)
 
 
 def seed_barrel() -> CombMap:
+    """C24, the barrel: two hexagons separated by a ring of pentagons."""
     return wind([6] + [5] * 12 + [6])
 
 
@@ -112,6 +114,8 @@ def _glue_on(pb: PatchBuilder, size: int, faces: Sequence[int]) -> int:
 
 
 def seed(which: str, k: int = 0) -> CombMap:
+    """The named seed: 'dodecahedron', 'barrel', 'family_one' or
+    'family_two'; ``k`` sizes the two families and is ignored otherwise."""
     if which == "dodecahedron":
         return seed_dodecahedron()
     if which == "barrel":
@@ -128,11 +132,9 @@ def seed(which: str, k: int = 0) -> CombMap:
 class ScriptState:
     """A map plus named handles (face origin darts) evolving under a script."""
 
-    def __init__(self, m: CombMap, origins: Dict[str, int],
-                 patch: Set[str]) -> None:
+    def __init__(self, m: CombMap, origins: Dict[str, int]) -> None:
         self.map = m
         self.origins = dict(origins)
-        self.patch = set(patch)
 
     def face_of(self, name: str) -> int:
         return self.map.face_of[self.origins[name]]
@@ -154,11 +156,7 @@ def run_trunc_step(state: ScriptState, name: str, slot: int, run_len: int,
     del origins[name]
     origins[small_name] = res.new_edge
     origins[big_name] = res.map.twin[res.new_edge]
-    patch = set(state.patch)
-    patch.discard(name)
-    patch.add(small_name)
-    patch.add(big_name)
-    return ScriptState(res.map, origins, patch), spec
+    return ScriptState(res.map, origins), spec
 
 
 def run_straighten_step(state: ScriptState, name: str, slot: int,
@@ -181,12 +179,7 @@ def run_straighten_step(state: ScriptState, name: str, slot: int,
         if nd is not None:
             origins[n] = nd
     origins[merged_name] = res.map_dart(keep)
-    patch = set(state.patch)
-    patch.discard(name)
-    for n in other_names:
-        patch.discard(n)
-    patch.add(merged_name)
-    return ScriptState(res.map, origins, patch)
+    return ScriptState(res.map, origins)
 
 
 def unmirror(m: CombMap, match: MatchResult) -> Tuple[CombMap, Dict[str, int]]:
@@ -314,8 +307,7 @@ def invert_rule(m: CombMap, rule: GrowthRule, at_rhs: MatchResult) -> CombMap:
 
 
 def _initial_state(m: CombMap, at: MatchResult) -> ScriptState:
-    host, origins = unmirror(m, at)
-    return ScriptState(host, origins, set(origins))
+    return ScriptState(*unmirror(m, at))
 
 
 def _check_match(m: CombMap, pat: PatchPattern, at: MatchResult) -> None:
@@ -359,21 +351,17 @@ def load_fragment_catalog() -> Dict[str, PatchPattern]:
 
 
 def rules_by_id(rule_id: str) -> List[GrowthRule]:
+    """The catalog rules of one operation letter, in catalog order."""
     return [r for r in load_rules() if r.id == rule_id]
 
 
-def detect_growth_sites(m: CombMap) -> List[Tuple[str, MatchResult]]:
+def detect_growth_rules(m: CombMap) -> List[Tuple[GrowthRule, MatchResult]]:
     """All right-hand-side fragment occurrences of the growth operations.
 
-    Returns (rule id, match) pairs; a nonempty result means some operation
+    Returns (rule, match) pairs; a nonempty result means some operation
     can be inverted at the reported site.  Faces of each reported fragment
     are pairwise distinct: the matcher never binds a face twice.
     """
-    return [(rule.id, at) for rule, at in detect_growth_rules(m)]
-
-
-def detect_growth_rules(m: CombMap) -> List[Tuple[GrowthRule, MatchResult]]:
-    """Like detect_growth_sites but reporting the full rule objects."""
     if not m.is_fullerene():
         raise NotFullerene("growth-site detection expects a fullerene")
     out: List[Tuple[GrowthRule, MatchResult]] = []
@@ -384,40 +372,16 @@ def detect_growth_rules(m: CombMap) -> List[Tuple[GrowthRule, MatchResult]]:
 
 # -- enumeration -------------------------------------------------------------
 
-def _expand_one(m: CombMap, max_p6: int,
-                rules: List[GrowthRule]) -> List[CombMap]:
-    p6 = m.face_vector().get(6, 0)
-    children: List[CombMap] = []
-    for rule in rules:
-        if p6 + rule.delta_p6 > max_p6:
-            continue
-        for at in match_pattern(m, rule.lhs):
-            children.append(apply_rule(m, rule, at))
-    return children
+def enumerate_maps(max_p6: int) -> Dict[bytes, CombMap]:
+    """The closure of the dodecahedron under the rules, up to max_p6 hexagons.
 
-
-def _expand_rotations(args: Tuple[List[List[int]], int]
-                      ) -> List[Tuple[bytes, List[List[int]]]]:
-    rotations, max_p6 = args
-    m = CombMap.from_rotations(rotations)
-    seen: Dict[bytes, List[List[int]]] = {}
-    for child in _expand_one(m, max_p6, load_rules()):
-        code = child.canonical_code()
-        if code not in seen:
-            seen[code] = child.rotations
-    return [(code, rot) for code, rot in seen.items()]
-
-
-def enumerate_fullerenes(max_p6: int, jobs: int = 1) -> Set[bytes]:
-    """Canonical codes of the closure of the dodecahedron under the rules.
-
-    Breadth-first by p6; children are deduplicated by canonical code.  With
-    jobs > 1 each frontier generation is expanded by a process pool.
+    Works generation by generation: each generation applies one rule, at
+    every LHS site, to every map of the previous generation, skipping rules
+    that would pass max_p6.  A generation is not a p6 level, since rules add
+    one or more hexagons.  The result maps canonical code to the first map
+    produced with that code; its order is the order of discovery, starting
+    with the dodecahedron.
     """
-    return set(enumerate_maps(max_p6, jobs))
-
-
-def enumerate_maps(max_p6: int, jobs: int = 1) -> Dict[bytes, CombMap]:
     if max_p6 < 0:
         raise NegativeParameter("max_p6 must be >= 0")
     start = seed_dodecahedron()
@@ -425,22 +389,16 @@ def enumerate_maps(max_p6: int, jobs: int = 1) -> Dict[bytes, CombMap]:
     frontier: List[CombMap] = [start]
     rules = load_rules()
     while frontier:
-        if jobs > 1:
-            import multiprocessing
-            with multiprocessing.Pool(jobs) as pool:
-                batches = pool.map(
-                    _expand_rotations,
-                    [(m.rotations, max_p6) for m in frontier])
-            produced = [(code, CombMap.from_rotations(rot))
-                        for batch in batches for code, rot in batch]
-        else:
-            produced = []
-            for m in frontier:
-                for child in _expand_one(m, max_p6, rules):
-                    produced.append((child.canonical_code(), child))
-        frontier = []
-        for code, child in produced:
-            if code not in seen:
-                seen[code] = child
-                frontier.append(child)
+        parents, frontier = frontier, []
+        for m in parents:
+            p6 = m.face_vector().get(6, 0)
+            for rule in rules:
+                if p6 + rule.delta_p6 > max_p6:
+                    continue
+                for at in match_pattern(m, rule.lhs):
+                    child = apply_rule(m, rule, at)
+                    code = child.canonical_code()
+                    if code not in seen:
+                        seen[code] = child
+                        frontier.append(child)
     return seen

@@ -18,11 +18,11 @@ HEADER = b">>planar_code<<"
 
 
 class BadHeader(Exception):
-    pass
+    """The stream does not start with ``>>planar_code<<``."""
 
 
 class TruncatedRecord(Exception):
-    pass
+    """The stream ends inside a record."""
 
 
 class ValidationFailure(Exception):

@@ -49,7 +49,11 @@ def _logical_lines(text: str) -> List[Tuple[int, List[str]]]:
     return out
 
 
-def _build_pattern(face_lines: List[Tuple[int, List[str]]]) -> PatchPattern:
+def _build_pattern(header_ln: int,
+                   face_lines: List[Tuple[int, List[str]]]) -> PatchPattern:
+    """The pattern of one block; ``header_ln`` is the line of its header."""
+    if not face_lines:
+        raise RuleFileError(header_ln, "empty pattern block")
     faces: Dict[str, List[str]] = {}
     wild = set()
     for ln, tok in face_lines:
@@ -71,8 +75,6 @@ def _build_pattern(face_lines: List[Tuple[int, List[str]]]) -> PatchPattern:
                     ln, "face %r: size %d but %d entries"
                     % (name, sz, len(entries)))
         faces[name] = entries
-    if not face_lines:
-        raise RuleFileError(0, "empty pattern block")
     first_ln = face_lines[0][0]
     try:
         return PatchPattern(faces, wildcard=wild)
@@ -101,7 +103,7 @@ def parse_file(text: str) -> Tuple[Dict[str, PatchPattern], List["GrowthRule"]]:
             if i == len(lines):
                 raise RuleFileError(ln, "pattern %r missing 'end'" % name)
             i += 1
-            patterns[name] = _build_pattern(block)
+            patterns[name] = _build_pattern(ln, block)
         elif tok[0] == "rule":
             if len(tok) < 2 or tok[1] not in "abcdefg" or len(tok[1]) != 1:
                 raise RuleFileError(ln, "rule line needs an id a-g")
@@ -112,6 +114,7 @@ def parse_file(text: str) -> Tuple[Dict[str, PatchPattern], List["GrowthRule"]]:
                 raise RuleFileError(ln, "rule parameters must be integers")
             i += 1
             sections: Dict[str, List[Tuple[int, List[str]]]] = {}
+            headers: Dict[str, int] = {}
             current: Optional[str] = None
             while i < len(lines) and lines[i][1][0] != "end":
                 ln2, tok2 = lines[i]
@@ -120,6 +123,7 @@ def parse_file(text: str) -> Tuple[Dict[str, PatchPattern], List["GrowthRule"]]:
                         raise RuleFileError(ln2, "bad section header")
                     current = tok2[0]
                     sections[current] = []
+                    headers[current] = ln2
                 elif current is None:
                     raise RuleFileError(ln2, "content before any section")
                 else:
@@ -132,8 +136,8 @@ def parse_file(text: str) -> Tuple[Dict[str, PatchPattern], List["GrowthRule"]]:
                 if req not in sections:
                     raise RuleFileError(ln, "rule %s missing section %r"
                                         % (rule_id, req))
-            lhs = _build_pattern(sections["lhs"])
-            rhs = _build_pattern(sections["rhs"])
+            lhs = _build_pattern(headers["lhs"], sections["lhs"])
+            rhs = _build_pattern(headers["rhs"], sections["rhs"])
             script = []
             for ln2, tok2 in sections["script"]:
                 if tok2[0] != "TRUNC" or len(tok2) != 6:

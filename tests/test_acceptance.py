@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import pytest
 
 from fullerkit.belts import find_k_belts
-from fullerkit.growth import (apply_rule, decompose_rule, detect_growth_sites,
+from fullerkit.growth import (apply_rule, decompose_rule, detect_growth_rules,
                               enumerate_maps, invert_rule, load_rules,
                               seed_family_one, seed_family_two)
 from fullerkit.patterns import match_pattern
@@ -185,7 +185,7 @@ def test_criterion_8_fragment_guarantee(oracle):
         for fc in sorted(oracle):
             for m in oracle[fc]:
                 if m.face_vector().get(6, 0) >= 2 and m.f0 <= 40:
-                    assert detect_growth_sites(m), m.f0
+                    assert detect_growth_rules(m), m.f0
 
 
 def test_criterion_9_flag_polarity(fullerene_corpus, decompositions):

@@ -41,6 +41,42 @@ def test_enumerate_and_canon_counts(tmp_path):
     assert len(canon.read_text().splitlines()) == 3
 
 
+def test_enumerate_has_no_jobs_option():
+    with pytest.raises(SystemExit) as e:
+        main(["enumerate", "--max-p6", "0", "--jobs", "2"])
+    assert e.value.code == 2
+
+
+@pytest.mark.parametrize("family", ["dodeca", "barrel"])
+@pytest.mark.parametrize("k", ["-3", "0"])
+def test_gen_rejects_k_for_fixed_seeds(tmp_path, capsys, family, k):
+    assert main(["gen", "--family", family, "--k", k,
+                 "--out", str(tmp_path / "out.bin")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fullerkit: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out.bin").exists()
+
+
+def test_gen_family_one_defaults_to_k_zero(tmp_path, dodecahedron):
+    code, out = run(tmp_path, "gen", "--family", "one")
+    assert code == 0
+    (m,) = read_planar_code(out.read_bytes())
+    assert m.is_isomorphic(dodecahedron)
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["verify", "--intermediate"],
+                                  ["match", "--pattern", "{tmp}/cap.txt"]])
+def test_empty_stream_writes_nothing(tmp_path, argv):
+    (tmp_path / "cap.txt").write_text(CAP_FILE)
+    src = tmp_path / "empty.bin"
+    src.write_bytes(b">>planar_code<<")
+    out = tmp_path / "out.txt"
+    args = [a.format(tmp=tmp_path) for a in argv]
+    assert main(args + ["--in", str(src), "--out", str(out)]) == 0
+    assert out.read_bytes() == b""
+
+
 def test_verify_pass_and_fail(tmp_path, capsys):
     _, seeds = run(tmp_path, "gen", "--family", "dodeca")
     assert main(["verify", "--in", str(seeds)]) == 0

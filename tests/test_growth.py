@@ -2,8 +2,7 @@ import pytest
 
 import fullerkit.growth as growth
 from fullerkit.growth import (NotAMatch, apply_rule, decompose_rule,
-                              detect_growth_rules, detect_growth_sites,
-                              enumerate_fullerenes, enumerate_maps,
+                              detect_growth_rules, enumerate_maps,
                               invert_rule, load_fragment_catalog, load_rules,
                               rules_by_id, seed, seed_barrel,
                               seed_dodecahedron, seed_family_one,
@@ -146,8 +145,8 @@ def test_apply_rejects_foreign_match(dodecahedron):
 def test_detect_growth_sites(dodecahedron, barrel):
     # sites are occurrences of replacement fragments, i.e. places where an
     # operation can be inverted; the smallest fullerene has none
-    assert detect_growth_sites(dodecahedron) == []
-    assert detect_growth_sites(barrel)
+    assert detect_growth_rules(dodecahedron) == []
+    assert detect_growth_rules(barrel)
 
 
 def test_growth_sites_bind_distinct_faces(small_fullerenes):
@@ -168,11 +167,44 @@ def test_seed_family_one_unclosed_spiral_raises(monkeypatch):
 def test_enumeration_small_counts():
     # no fullerene has exactly one hexagon, so only the seed survives
     assert len(enumerate_maps(1)) == 1
-    codes = enumerate_fullerenes(2)
+    codes = set(enumerate_maps(2))
     assert len(codes) == 2
     reference = {m.canonical_code()
                  for fc in range(12, 15) for m in generate_fullerenes(fc)}
     assert codes == reference
+
+
+def reference_enumerate(max_p6):
+    """Closure loop that codes a whole generation's children before
+    deduplicating them; enumerate_maps deduplicates each child at once."""
+    start = seed_dodecahedron()
+    seen = {start.canonical_code(): start}
+    frontier = [start]
+    rules = load_rules()
+    while frontier:
+        produced = []
+        for m in frontier:
+            p6 = m.face_vector().get(6, 0)
+            for rule in rules:
+                if p6 + rule.delta_p6 > max_p6:
+                    continue
+                for at in match_pattern(m, rule.lhs):
+                    child = apply_rule(m, rule, at)
+                    produced.append((child.canonical_code(), child))
+        frontier = []
+        for code, child in produced:
+            if code not in seen:
+                seen[code] = child
+                frontier.append(child)
+    return seen
+
+
+def test_enumeration_matches_reference():
+    grown = enumerate_maps(8)
+    reference = reference_enumerate(8)
+    assert list(grown) == list(reference)
+    assert all(grown[code].rotations == reference[code].rotations
+               for code in reference)
 
 
 def test_fragment_catalog_occurs_after_growth():

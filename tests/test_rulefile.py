@@ -85,6 +85,18 @@ def test_parse_errors_carry_line_numbers(text, line):
     assert "line %d:" % line in str(e.value)
 
 
+@pytest.mark.parametrize("text,line", [
+    ("pattern p\nend\n", 1),
+    ("# lhs left empty\nrule c\nlhs\nrhs\n  A 5 B B B B B\nscript\n"
+     "inverse\nend\n", 3),
+    ("rule c\nlhs\n  A 5 B B B B B\nrhs\nscript\ninverse\nend\n", 4),
+], ids=["pattern", "lhs", "rhs"])
+def test_empty_block_reports_its_header_line(text, line):
+    with pytest.raises(RuleFileError, match="empty pattern block") as e:
+        parse_file(text)
+    assert e.value.line_no == line
+
+
 def test_bad_script_line_rejected():
     text = ("rule c\nlhs\n  A 5 B B B B B\nrhs\n  A 5 B B B B B\n"
             "script\n  TRUNC A 0\ninverse\nend\n")

@@ -68,9 +68,9 @@ def rhs_pattern(m: CombMap, rule_lhs: PatchPattern, script: List[TruncStep],
         st, _spec = run_trunc_step(st, name, slot, rl, small, big)
     wild = {n for n in rule_lhs.faces if rule_lhs.is_wild(n)}
     out = st.map
-    name_of = {st.face_of(n): n for n in st.patch}
+    name_of = {st.face_of(n): n for n in st.origins}
     faces: Dict[str, List[str]] = {}
-    for n in st.patch:
+    for n in st.origins:
         walk = out.face_walk(st.origins[n], out.face_size(st.face_of(n)))
         faces[n] = [name_of.get(out.face_of[out.twin[d]], B) for d in walk]
     for n in wild:
