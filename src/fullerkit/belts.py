@@ -101,11 +101,8 @@ def find_k_belts(m: CombMap, k: int) -> List[List[int]]:
     """
     if k < 3:
         return []
-    face_of, twin = m.face_of, m.twin
-    nbrs: List[Set[int]] = [set() for _ in range(m.f2)]
-    for d in range(len(twin)):
-        nbrs[face_of[d]].add(face_of[twin[d]])
-    corners = ({frozenset(face_of[3 * v:3 * v + 3]) for v in range(m.f0)}
+    nbrs: List[Set[int]] = [set(cyc) for cyc in m.face_cycles()]
+    corners = ({frozenset(m.face_of[3 * v:3 * v + 3]) for v in range(m.f0)}
                if k == 3 else set())
     out: List[List[int]] = []
 
@@ -134,8 +131,9 @@ def enclosed_faces(m: CombMap, belt: Sequence[int]) -> List[int]:
     those off the belt whose neighbour set is exactly the belt (module
     docstring).  There are none, one or, as on the cube, two."""
     region = set(belt)
-    return sorted(g for g in m.face_neighbors(belt[0]) if g not in region
-                  and set(m.face_neighbors(g)) == region)
+    cycles = m.face_cycles()
+    return sorted(g for g in set(cycles[belt[0]]) - region
+                  if set(cycles[g]) == region)
 
 
 def split_by_cycle(m: CombMap, darts: Sequence[int]) -> RegionSplit:
@@ -243,6 +241,7 @@ def border_loops(m: CombMap, belt: Sequence[int]) -> BeltAnalysis:
         raise NotSimpleCycle("belt region has %d boundary cycles, not 2"
                              % len(cycles))
     g1, g2 = cycles
+    dual = m.face_cycles()
     loops = []
     sides = []
     for cyc in (g1, g2):
@@ -256,8 +255,7 @@ def border_loops(m: CombMap, belt: Sequence[int]) -> BeltAnalysis:
             if f in seen or f in region:
                 continue
             seen.add(f)
-            for d in m.faces[f]:
-                stack.append(m.face_of[m.twin[d]])
+            stack.extend(dual[f])
         sides.append(seen)
     b: Dict[int, int] = {}
     for f in belt:

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .belts import NotFullerene
 from .maps import CombMap, MapError
-from .patterns import MatchResult, PatchPattern, match_pattern
+from .patterns import MatchResult, PatchPattern, _try_match, match_pattern
 from .spiral import wind
 from .surgery import TruncationSpec, straighten, truncate
 from .winding import PatchBuilder
@@ -311,15 +311,12 @@ def _initial_state(m: CombMap, at: MatchResult) -> ScriptState:
 
 
 def _check_match(m: CombMap, pat: PatchPattern, at: MatchResult) -> None:
-    anchor_name = next(n for n in pat.faces if not pat.is_wild(n))
-    if anchor_name not in at.origin:
-        raise NotAMatch("match does not bind face %r" % anchor_name)
-    found = match_pattern(m, pat, anchored_at=[at.origin[anchor_name]],
-                          all_embeddings=True)
-    for cand in found:
-        if cand.origin == at.origin and cand.mirrored == at.mirrored:
-            return
-    raise NotAMatch("not a match of this pattern at the given site")
+    anchor = next(n for n in pat.faces if not pat.is_wild(n))
+    if anchor not in at.origin:
+        raise NotAMatch("match does not bind face %r" % anchor)
+    found = _try_match(m, pat, anchor, at.origin[anchor], at.mirrored)
+    if found is None or found.origin != at.origin:
+        raise NotAMatch("not a match of this pattern at the given site")
 
 
 # -- rule catalog ------------------------------------------------------------

@@ -36,36 +36,33 @@ class Disconnected(MapError):
 class ValidationReport:
     """Outcome of the structural checks on a map.
 
+    Connectivity and Euler's formula need no field: ``from_rotations``
+    raises ``Disconnected`` or ``NonPlanar`` without them.  Nor does the
+    face-count identity: a cubic plane map without loops or parallel edges
+    has no 1- or 2-gons, so Euler's formula reads
+    ``3*p3 + 2*p4 + p5 - 12 == sum((k - 6) * p_k for k >= 7)``.
+
     Attributes:
         face_vector: mapping face size -> count.
-        simple: no loops or parallel edges.
-        connected: the graph is connected.
+        simple: no face borders itself and no two faces share two edges.
         three_connected: no vertex pair disconnects the graph; for a cubic
             map this equals ``simple`` (see :meth:`CombMap.validate`).
-        euler_ok: f0 - f1 + f2 == 2.
-        residual: 3*p3 + 2*p4 + p5 - 12 - sum((k - 6) * p_k for k >= 7).
     """
 
     def __init__(self, face_vector: Dict[int, int], simple: bool,
-                 connected: bool, three_connected: bool, euler_ok: bool,
-                 residual: int) -> None:
+                 three_connected: bool) -> None:
         self.face_vector = face_vector
         self.simple = simple
-        self.connected = connected
         self.three_connected = three_connected
-        self.euler_ok = euler_ok
-        self.residual = residual
 
     @property
     def ok(self) -> bool:
-        return (self.simple and self.connected and self.three_connected
-                and self.euler_ok and self.residual == 0)
+        return self.simple and self.three_connected
 
     def __repr__(self) -> str:
-        return ("ValidationReport(face_vector={0}, simple={1}, connected={2}, "
-                "three_connected={3}, euler_ok={4}, residual={5})".format(
-                    self.face_vector, self.simple, self.connected,
-                    self.three_connected, self.euler_ok, self.residual))
+        return ("ValidationReport(face_vector={0}, simple={1}, "
+                "three_connected={2})".format(
+                    self.face_vector, self.simple, self.three_connected))
 
 
 class CombMap:
@@ -75,7 +72,8 @@ class CombMap:
     :meth:`from_face_cycles`.
     """
 
-    __slots__ = ("rotations", "twin", "face_of", "faces", "_canon", "_canon2")
+    __slots__ = ("rotations", "twin", "face_of", "faces", "_cycles", "_canon",
+                 "_canon2")
 
     def __init__(self, rotations: Tuple[Tuple[int, int, int], ...],
                  twin: Tuple[int, ...], face_of: Tuple[int, ...],
@@ -84,6 +82,7 @@ class CombMap:
         self.twin = twin
         self.face_of = face_of
         self.faces = faces
+        self._cycles: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._canon: Optional[bytes] = None
         self._canon2: Optional[Tuple[bytes, bytes]] = None
 
@@ -294,21 +293,19 @@ class CombMap:
             pk[k] = pk.get(k, 0) + 1
         return pk
 
-    def face_cycles(self) -> List[List[int]]:
-        """Per-face cyclic list of the neighbouring face across each edge."""
-        out = []
-        for orbit in self.faces:
-            out.append([self.face_of[self.twin[d]] for d in orbit])
-        return out
+    def face_cycles(self) -> Tuple[Tuple[int, ...], ...]:
+        """The dual adjacency: per face, the face across each of its darts,
+        in ``faces[f]`` order.  Built on first use and cached; every reader
+        of the dual graph goes through it."""
+        if self._cycles is None:
+            face_of, twin = self.face_of, self.twin
+            self._cycles = tuple(tuple(face_of[twin[d]] for d in orbit)
+                                 for orbit in self.faces)
+        return self._cycles
 
     def face_neighbors(self, f: int) -> List[int]:
-        """Distinct faces sharing an edge with ``f``."""
-        seen: List[int] = []
-        for d in self.faces[f]:
-            g = self.face_of[self.twin[d]]
-            if g not in seen:
-                seen.append(g)
-        return seen
+        """Distinct faces sharing an edge with ``f``, in cycle order."""
+        return list(dict.fromkeys(self.face_cycles()[f]))
 
     def edge_darts(self) -> List[int]:
         """One representative dart per edge (the smaller of the pair)."""
@@ -324,18 +321,9 @@ class CombMap:
         3-connected iff no face borders itself and no two faces share two
         edges, which is the ``simple`` check.
         """
-        pk = self.face_vector()
-        residual = (3 * pk.get(3, 0) + 2 * pk.get(4, 0) + pk.get(5, 0) - 12
-                    - sum((k - 6) * c for k, c in pk.items() if k >= 7))
-        euler_ok = self.f0 - self.f1 + self.f2 == 2
-        # simplicity of the face structure: faces share at most one edge
-        simple = True
-        for f in range(self.f2):
-            nbrs = [self.face_of[self.twin[d]] for d in self.faces[f]]
-            if f in nbrs or len(nbrs) != len(set(nbrs)):
-                simple = False
-                break
-        return ValidationReport(pk, simple, True, simple, euler_ok, residual)
+        simple = all(f not in cyc and len(set(cyc)) == len(cyc)
+                     for f, cyc in enumerate(self.face_cycles()))
+        return ValidationReport(self.face_vector(), simple, simple)
 
     def is_fullerene(self) -> bool:
         pk = self.face_vector()

@@ -169,30 +169,23 @@ class MatchResult:
 
 
 def match_pattern(m: CombMap, pat: PatchPattern,
-                  anchored_at: Optional[Iterable[int]] = None,
                   all_embeddings: bool = False) -> List[MatchResult]:
     """Embeddings of the pattern in the map, both orientations.
 
     By default one representative is returned per occurrence (per matched
     face set), so a symmetric pattern counts each site once.  With
     ``all_embeddings`` every distinct correspondence is returned, including
-    the pattern's self-symmetries.  ``anchored_at`` optionally restricts the
-    map darts tried for the anchor (slot 0 of the pattern's first face).
+    the pattern's self-symmetries: each (anchor dart, orientation) pair
+    yields at most one.
     """
     first = next(n for n in pat.faces if not pat.is_wild(n))
     results: List[MatchResult] = []
-    seen_keys: Set[Tuple[Tuple[int, ...], bool]] = set()
     seen_sites: Set[FrozenSet[int]] = set()
-    darts = range(3 * m.f0) if anchored_at is None else anchored_at
     for mirrored in (False, True):
-        for d0 in darts:
+        for d0 in range(3 * m.f0):
             res = _try_match(m, pat, first, d0, mirrored)
             if res is None:
                 continue
-            key = (tuple(sorted(res.origin.items())), mirrored)
-            if key in seen_keys:
-                continue
-            seen_keys.add(key)
             site = frozenset(res.faces.values())
             if not all_embeddings:
                 if site in seen_sites:
@@ -258,19 +251,15 @@ def extract_patch(m: CombMap, face_ids: Sequence[int],
     """Pattern describing the given faces of a map, with 'B' marks outside.
 
     Face cycles are read in the map's orientation starting from an arbitrary
-    slot (deterministic: each face starts at its lowest dart id).
+    slot (deterministic: each face starts at its lowest dart id, as
+    :meth:`CombMap.face_cycles` does).
     """
     idset = set(face_ids)
     if names is None:
         names = {f: "F%d" % f for f in face_ids}
-    faces: Dict[str, List[str]] = {}
-    for f in face_ids:
-        cyc = []
-        for d in m.face_walk(min(m.faces[f]), m.face_size(f)):
-            g = m.face_of[m.twin[d]]
-            cyc.append(names[g] if g in idset else B)
-        faces[names[f]] = cyc
-    return PatchPattern(faces)
+    cycles = m.face_cycles()
+    return PatchPattern({names[f]: [names[g] if g in idset else B
+                                    for g in cycles[f]] for f in face_ids})
 
 
 def shortest_thick_path(m: CombMap, a: int, b: int) -> List[int]:
@@ -320,21 +309,13 @@ def path_turns(m: CombMap, path: List[int]) -> int:
     Raises:
         ValueError: two consecutive faces of the path are not adjacent.
     """
+    cycles = m.face_cycles()
     turns = 0
-    for i in range(1, len(path) - 1):
-        f = path[i]
-        size = m.face_size(f)
-        darts = list(m.faces[f])
-        pos_in = pos_out = None
-        for idx, d in enumerate(darts):
-            g = m.face_of[m.twin[d]]
-            if g == path[i - 1]:
-                pos_in = idx
-            if g == path[i + 1]:
-                pos_out = idx
-        for pos, g in ((pos_in, path[i - 1]), (pos_out, path[i + 1])):
-            if pos is None:
+    for a, f, b in zip(path, path[1:], path[2:]):
+        cyc = cycles[f]
+        for g in (a, b):
+            if g not in cyc:
                 raise ValueError("faces %d and %d are not adjacent" % (g, f))
-        if (pos_out - pos_in) % size != size // 2:
+        if (cyc.index(b) - cyc.index(a)) % len(cyc) != len(cyc) // 2:
             turns += 1
     return turns

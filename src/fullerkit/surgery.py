@@ -194,8 +194,9 @@ def can_straighten(m: CombMap, dart: int) -> bool:
     # the faces at the two endpoints of the edge meet both f1 and f2 by
     # construction and do not obstruct straightening
     at_ends = {m.face_of[3 * v + i] for v in (x, y) for i in range(3)}
-    n1 = set(m.face_neighbors(f1)) - {f2} - at_ends
-    n2 = set(m.face_neighbors(f2)) - {f1} - at_ends
+    cycles = m.face_cycles()
+    n1 = set(cycles[f1]) - {f2} - at_ends
+    n2 = set(cycles[f2]) - {f1} - at_ends
     return not (n1 & n2)
 
 

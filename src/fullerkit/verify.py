@@ -11,6 +11,7 @@ from typing import List, Optional
 
 from .belts import NotFullerene, enclosed_faces, find_k_belts
 from .maps import CombMap
+from .patterns import match_pattern, path_turns
 
 
 class CheckResult:
@@ -51,27 +52,9 @@ class TheoremReport:
         return "TheoremReport(%s)" % ", ".join(map(repr, self.checks))
 
 
-def _opposite_contacts(m: CombMap, belt: List[int]) -> bool:
-    """Each belt face meets its two belt neighbours along opposite edges."""
-    n = len(belt)
-    for i, f in enumerate(belt):
-        size = m.face_size(f)
-        if size % 2:
-            return False
-        prev_f = belt[(i - 1) % n]
-        next_f = belt[(i + 1) % n]
-        pos = {}
-        for idx, d in enumerate(m.faces[f]):
-            g = m.face_of[m.twin[d]]
-            if g == prev_f:
-                pos["prev"] = idx
-            elif g == next_f:
-                pos["next"] = idx
-        if len(pos) != 2:
-            return False
-        if (pos["next"] - pos["prev"]) % size != size // 2:
-            return False
-    return True
+def _no_belts(k: int, belts: List[List[int]]) -> CheckResult:
+    """``no-<k>-belts``, with the first belt as witness."""
+    return CheckResult("no-%d-belts" % k, not belts, belts[0] if belts else None)
 
 
 def verify_fullerene(m: CombMap) -> TheoremReport:
@@ -88,19 +71,16 @@ def verify_fullerene(m: CombMap) -> TheoremReport:
     checks.append(CheckResult("face-sizes", not bad_sizes, bad_sizes or None))
     checks.append(CheckResult("twelve-pentagons", fv.get(5, 0) == 12,
                               fv.get(5, 0)))
-    belts3 = find_k_belts(m, 3)
-    checks.append(CheckResult("no-3-belts", not belts3,
-                              belts3[0] if belts3 else None))
-    belts4 = find_k_belts(m, 4)
-    checks.append(CheckResult("no-4-belts", not belts4,
-                              belts4[0] if belts4 else None))
+    checks.append(_no_belts(3, find_k_belts(m, 3)))
+    checks.append(_no_belts(4, find_k_belts(m, 4)))
     if all(c.passed for c in checks):
         bad_belt = None
         for belt in find_k_belts(m, 5):
             if any(m.face_size(g) == 5 for g in enclosed_faces(m, belt)):
                 continue
+            # a hexagon ring goes straight through every face
             if (all(m.face_size(f) == 6 for f in belt)
-                    and _opposite_contacts(m, belt)):
+                    and path_turns(m, belt + belt[:2]) == 0):
                 continue
             bad_belt = belt
             break
@@ -123,9 +103,7 @@ def verify_intermediate(m: CombMap) -> TheoremReport:
     checks.append(CheckResult("face-sizes", not bad_sizes, bad_sizes or None))
     checks.append(CheckResult("one-exceptional", exceptional <= 1,
                               {s: fv.get(s, 0) for s in (4, 7)}))
-    belts3 = find_k_belts(m, 3)
-    checks.append(CheckResult("no-3-belts", not belts3,
-                              belts3[0] if belts3 else None))
+    checks.append(_no_belts(3, find_k_belts(m, 3)))
     belts4 = find_k_belts(m, 4)
     if fv.get(4, 0) == 1:
         quad = next(f for f in range(m.f2) if m.face_size(f) == 4)
@@ -133,8 +111,7 @@ def verify_intermediate(m: CombMap) -> TheoremReport:
         checks.append(CheckResult("one-4-belt-surrounds-quad", ok,
                                   belts4))
     else:
-        checks.append(CheckResult("no-4-belts", not belts4,
-                                  belts4[0] if belts4 else None))
+        checks.append(_no_belts(4, belts4))
     return TheoremReport(checks)
 
 
@@ -176,7 +153,6 @@ def classify_nanotube(m: CombMap) -> FamilyReport:
     member, which rebuilds the map layer by layer from the fragment.
     """
     from .growth import (rules_by_id, seed_family_one, seed_family_two)
-    from .patterns import match_pattern
     if not m.is_fullerene():
         raise NotFullerene("nanotube classification expects a fullerene")
     p6 = m.face_vector().get(6, 0)

@@ -8,7 +8,7 @@ from fullerkit.growth import (NotAMatch, apply_rule, decompose_rule,
                               seed_dodecahedron, seed_family_one,
                               seed_family_two)
 from fullerkit.maps import MapError
-from fullerkit.patterns import match_pattern
+from fullerkit.patterns import MatchResult, match_pattern
 from fullerkit.spiral import generate_fullerenes
 from fullerkit.surgery import truncate
 
@@ -140,6 +140,39 @@ def test_apply_rejects_foreign_match(dodecahedron):
     cap_site = match_pattern(dodecahedron, rules_by_id("a")[0].lhs)[0]
     with pytest.raises(NotAMatch):
         apply_rule(dodecahedron, rules_by_id("c")[0], cap_site)
+
+
+def reference_check_match(m, pat, at):
+    """A site is a match iff some embedding has its origins and orientation."""
+    return any(c.origin == at.origin and c.mirrored == at.mirrored
+               for c in match_pattern(m, pat, all_embeddings=True))
+
+
+def test_check_match_accepts_only_the_exact_site():
+    flipped_rejected = 0
+    for rule in load_rules():
+        m, site = _first_application(rule)
+        out = apply_rule(m, rule, site)
+        for host, pat, at in ((m, rule.lhs, site),
+                              (out, rule.rhs, match_pattern(out, rule.rhs)[0])):
+            growth._check_match(host, pat, at)
+            # a pattern with a mirror symmetry fixing the anchor dart also
+            # matches with the orientation flipped (LHS of c, e and f_k)
+            flipped = MatchResult(at.faces, at.origin, not at.mirrored)
+            if reference_check_match(host, pat, flipped):
+                growth._check_match(host, pat, flipped)
+            else:
+                with pytest.raises(NotAMatch):
+                    growth._check_match(host, pat, flipped)
+                flipped_rejected += 1
+            for name in at.origin:
+                moved = dict(at.origin)
+                moved[name] = host.face_next(moved[name])
+                at_moved = MatchResult(at.faces, moved, at.mirrored)
+                assert not reference_check_match(host, pat, at_moved)
+                with pytest.raises(NotAMatch):
+                    growth._check_match(host, pat, at_moved)
+    assert flipped_rejected == 2 * len(load_rules()) - 6
 
 
 def test_detect_growth_sites(dodecahedron, barrel):

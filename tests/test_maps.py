@@ -5,8 +5,8 @@ import pytest
 from fullerkit.growth import (apply_rule, enumerate_maps, load_rules,
                               seed_dodecahedron, seed_family_one,
                               seed_family_two)
-from fullerkit.maps import (AsymmetricAdjacency, CombMap, NonCubic, NonPlanar,
-                            _bfs_word)
+from fullerkit.maps import (AsymmetricAdjacency, CombMap, Disconnected,
+                            MapError, NonCubic, NonPlanar, _bfs_word)
 from fullerkit.patterns import match_pattern
 from fullerkit.spiral import generate_fullerenes
 
@@ -45,6 +45,14 @@ def test_nonplanar_rejected():
     with pytest.raises(NonPlanar):
         CombMap.from_rotations([[3, 4, 5], [3, 4, 5], [3, 4, 5],
                                 [0, 1, 2], [0, 1, 2], [0, 1, 2]])
+
+
+def test_disconnected_rejected():
+    # two disjoint tetrahedra: cubic, symmetric, each component planar
+    rot = [list(r) for r in tetrahedron().rotations]
+    rot += [[w + 4 for w in r] for r in rot]
+    with pytest.raises(Disconnected):
+        CombMap.from_rotations(rot)
 
 
 def test_canonical_code_invariant_under_relabel(dodecahedron, rng):
@@ -186,3 +194,26 @@ def test_face_structure(dodecahedron):
         assert m.face_size(f) == 5
         assert len(m.face_neighbors(f)) == 5
     assert len(m.edge_darts()) == m.f1
+
+
+def test_face_cycles_match_per_dart_derivation(polytopes, joined_maps):
+    for m in polytopes + joined_maps:
+        cycles = m.face_cycles()
+        assert len(cycles) == m.f2
+        for f, orbit in enumerate(m.faces):
+            assert cycles[f] == tuple(m.face_of[m.twin[d]] for d in orbit)
+
+
+def test_face_cycles_are_cached(dodecahedron, joined_maps):
+    for m in [dodecahedron] + joined_maps:
+        assert m.face_cycles() is m.face_cycles()
+
+
+def test_from_face_cycles_inverts_face_cycles(polytopes, joined_maps):
+    for m in polytopes:
+        assert CombMap.from_face_cycles(m.face_cycles()).is_isomorphic(m)
+    # off 3-connected maps two faces share two edges (or a face borders
+    # itself), so the dual darts cannot be paired
+    for m in joined_maps:
+        with pytest.raises(MapError):
+            CombMap.from_face_cycles(m.face_cycles())

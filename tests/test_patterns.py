@@ -2,8 +2,10 @@ from itertools import permutations
 
 import pytest
 
+from fullerkit.belts import find_k_belts
 from fullerkit.growth import rules_by_id, seed_family_one, seed_family_two
-from fullerkit.patterns import (B, PatchPattern, PatternError, extract_patch,
+from fullerkit.patterns import (B, PatchPattern, PatternError,
+                                _all_shortest_paths, extract_patch,
                                 match_pattern, path_turns,
                                 shortest_thick_path)
 
@@ -119,6 +121,33 @@ def test_extract_patch_roundtrip(dodecahedron):
     assert len(match_pattern(dodecahedron, pat)) == 12
 
 
+def reference_extract_patch(m, face_ids):
+    """Face entry lists read by walking each face from its smallest dart."""
+    idset = set(face_ids)
+    faces = {}
+    for f in face_ids:
+        cyc = []
+        for d in m.face_walk(min(m.faces[f]), m.face_size(f)):
+            g = m.face_of[m.twin[d]]
+            cyc.append("F%d" % g if g in idset else B)
+        faces["F%d" % f] = tuple(cyc)
+    return faces
+
+
+def test_extract_patch_matches_min_dart_walk(polytopes, joined_maps):
+    compared = 0
+    for m in polytopes + joined_maps:
+        for f in range(m.f2):
+            ids = [f] + m.face_neighbors(f)
+            try:
+                pat = extract_patch(m, ids)
+            except PatternError:
+                continue  # the patch is no disk, e.g. the whole sphere
+            assert pat.faces == reference_extract_patch(m, ids)
+            compared += 1
+    assert compared > 300
+
+
 def test_wildcard_pattern_matching(dodecahedron):
     pat = rules_by_id("d")[0].lhs
     assert any(pat.is_wild(n) for n in pat.faces)
@@ -170,6 +199,47 @@ def test_path_turns_rejects_non_adjacent_faces(dodecahedron):
         path_turns(m, [a, b, far])
     with pytest.raises(ValueError, match="faces %d and %d " % (far, b)):
         path_turns(m, [far, b, a])
+
+
+def reference_path_turns(m, path):
+    """Turn count by scanning each interior face's darts; a neighbour met
+    more than once counts at its last position."""
+    turns = 0
+    for i in range(1, len(path) - 1):
+        f = path[i]
+        size = m.face_size(f)
+        pos_in = pos_out = None
+        for idx, d in enumerate(m.faces[f]):
+            g = m.face_of[m.twin[d]]
+            if g == path[i - 1]:
+                pos_in = idx
+            if g == path[i + 1]:
+                pos_out = idx
+        if (pos_out - pos_in) % size != size // 2:
+            turns += 1
+    return turns
+
+
+def test_path_turns_match_reference_on_thick_paths(small_fullerenes):
+    compared = 0
+    for m in small_fullerenes:
+        for a in range(m.f2):
+            for b in range(a + 1, m.f2):
+                for path in _all_shortest_paths(m, a, b):
+                    assert path_turns(m, path) == reference_path_turns(m, path)
+                    compared += 1
+    assert compared > 3000
+
+
+def test_path_turns_match_reference_round_belts(polytopes, joined_maps):
+    compared = 0
+    for m in polytopes + joined_maps:
+        for k in (5, 6):
+            for belt in find_k_belts(m, k):
+                closed = belt + belt[:2]
+                assert path_turns(m, closed) == reference_path_turns(m, closed)
+                compared += 1
+    assert compared > 500
 
 
 def test_minimal_path_properties(small_fullerenes):

@@ -1,10 +1,10 @@
 import pytest
 
-from fullerkit.belts import NotFullerene
+from fullerkit.belts import NotFullerene, find_k_belts
 from fullerkit.growth import (decompose_rule, rules_by_id, seed_family_one,
                               seed_family_two)
 from fullerkit.maps import CombMap
-from fullerkit.patterns import match_pattern
+from fullerkit.patterns import match_pattern, path_turns
 from fullerkit.spiral import generate_fullerenes
 from fullerkit.surgery import TruncationSpec, truncate
 from fullerkit.verify import (classify_nanotube, verify_fullerene,
@@ -15,6 +15,44 @@ def test_fullerenes_pass(small_fullerenes):
     for m in small_fullerenes:
         rep = verify_fullerene(m)
         assert rep.passed, rep.failures()
+
+
+def reference_opposite_contacts(m, belt):
+    """Each belt face is an even-gon meeting its two belt neighbours along
+    opposite edges, found by scanning its darts."""
+    n = len(belt)
+    for i, f in enumerate(belt):
+        size = m.face_size(f)
+        if size % 2:
+            return False
+        prev_f = belt[(i - 1) % n]
+        next_f = belt[(i + 1) % n]
+        pos = {}
+        for idx, d in enumerate(m.faces[f]):
+            g = m.face_of[m.twin[d]]
+            if g == prev_f:
+                pos["prev"] = idx
+            elif g == next_f:
+                pos["next"] = idx
+        if len(pos) != 2:
+            return False
+        if (pos["next"] - pos["prev"]) % size != size // 2:
+            return False
+    return True
+
+
+def test_straight_belts_match_opposite_contacts(polytopes, joined_maps):
+    straight = compared = 0
+    for m in polytopes + joined_maps:
+        for k in (5, 6):
+            for belt in find_k_belts(m, k):
+                even = all(m.face_size(f) % 2 == 0 for f in belt)
+                got = even and path_turns(m, belt + belt[:2]) == 0
+                assert got == reference_opposite_contacts(m, belt)
+                straight += got
+                compared += 1
+    assert compared > 500
+    assert straight > 10
 
 
 def test_cube_fails_with_witnesses():
