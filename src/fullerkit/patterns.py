@@ -306,6 +306,10 @@ def _all_shortest_paths(m: CombMap, a: int, b: int) -> List[List[int]]:
 def path_turns(m: CombMap, path: List[int]) -> int:
     """Number of interior faces where the path does not go straight.
 
+    A path goes straight through a face only when the face is an even-gon
+    and it enters and leaves by opposite edges; every pass through an odd
+    face is a turn.
+
     Raises:
         ValueError: two consecutive faces of the path are not adjacent.
     """
@@ -316,6 +320,7 @@ def path_turns(m: CombMap, path: List[int]) -> int:
         for g in (a, b):
             if g not in cyc:
                 raise ValueError("faces %d and %d are not adjacent" % (g, f))
-        if (cyc.index(b) - cyc.index(a)) % len(cyc) != len(cyc) // 2:
+        size = len(cyc)
+        if size % 2 or (cyc.index(b) - cyc.index(a)) % size != size // 2:
             turns += 1
     return turns

@@ -15,6 +15,17 @@ sequence is wound by ``wind``, the survivors are validated as fullerenes and
 deduplicated by canonical code.  The generator is deliberately independent
 of the pattern-replacement machinery so that it can serve as a cross-check
 for the growth enumeration.
+
+The search also cuts, by a degree-2 budget, prefixes that cannot complete.
+Let n2 be the number of degree-2 boundary vertices.  Gluing a face
+of size s over an elementary run of l edges raises its two end vertices to
+degree 3 and adds s - l - 1 new degree-2 vertices, so n2 becomes
+n2 + s - l - 3.  A glue needs l <= s - 1, so one glue lowers n2 by at most
+2, and the closing face needs n2 == 0.  A prefix of j + 1 faces leaves
+F - j - 2 glues before the closing face, so one with n2 > 2(F - j - 2) can
+never close, and since ``wind`` follows the same runs as the search, no
+sequence with that prefix winds.  The cut therefore removes only sequences
+that ``wind`` rejects, and the output is the same with or without it.
 """
 
 from __future__ import annotations
@@ -30,19 +41,36 @@ def _next_run(pb: PatchBuilder) -> Optional[Tuple[int, int]]:
 
     The run must contain an open edge of the earliest still-open face; the
     first such run that also touches the face added last is preferred.
+    Runs are taken in the order of ``PatchBuilder.runs``, in one walk of the
+    boundary that starts at its first degree-2 vertex.
     """
     earliest = next((f for f, c in enumerate(pb.open_count) if c > 0), None)
     if earliest is None:
         return None
     last = len(pb.sizes) - 1
+    vdeg, boundary = pb.vdeg, pb.boundary
+    b = len(boundary)
+    if 2 not in vdeg:
+        return 0, b
+    first = vdeg.index(2)
     fallback = None
-    for start, length in pb.runs():
-        faces = pb.run_faces(start, length)
-        if earliest in faces:
-            if last in faces:
-                return start, length
-            if fallback is None:
-                fallback = (start, length)
+    start = first
+    has_earliest = has_last = False
+    for k in range(first, first + b):
+        f = boundary[k % b][0]
+        if f == earliest:
+            has_earliest = True
+        if f == last:
+            has_last = True
+        if vdeg[(k + 1) % b] == 2:
+            # the run from ``start`` ends at the vertex after edge k
+            if has_earliest:
+                if has_last:
+                    return start, k + 1 - start
+                if fallback is None:
+                    fallback = start, k + 1 - start
+            start = k + 1
+            has_earliest = has_last = False
     return fallback
 
 
@@ -78,8 +106,12 @@ def generate_fullerenes(face_count: int) -> List[CombMap]:
 
     Searches the size sequences with 12 pentagons depth first, pentagon
     before hexagon, so complete sequences come in lexicographic order.  A
-    prefix is abandoned when its next face cannot be glued, or when it holds
-    more than 12 pentagons or leaves too few places for the rest.  Complete
+    prefix is abandoned when its next face cannot be glued, when it holds
+    more than 12 pentagons or leaves too few places for the rest, or when
+    the glue would leave more degree-2 boundary vertices than the remaining
+    faces can close: each later glue lowers their number n2 by at most 2, so
+    a prefix of j + 1 faces with n2 > 2(face_count - j - 2) has no winding
+    completion (see the module docstring).  Complete
     sequences larger than their reversal are skipped (the two wind to
     reflected maps); the rest go to ``wind``.  Returns the first map found
     per canonical code.
@@ -113,12 +145,21 @@ def generate_fullerenes(face_count: int) -> List[CombMap]:
         run = _next_run(pb)
         if run is None:
             return
+        length = run[1]
+        # the degree-2 budget: a face of size s leaves n2 + s - length - 3
+        # degree-2 vertices, which faces j + 1 .. face_count - 2 must bring
+        # down to 0 at 2 per face
+        max_size = 2 * (face_count - j - 2) - pb.vdeg.count(2) + length + 3
+        kids = []
         for s in (5, 6):
             p = pents + (s == 5)
             # positions j + 1 .. face_count - 1 remain for 12 - p pentagons
-            if p > 12 or 12 - p > face_count - 1 - j or run[1] >= s:
-                continue
-            child = pb.copy()
+            if (p <= 12 and 12 - p <= face_count - 1 - j
+                    and length < s <= max_size):
+                kids.append((s, p))
+        for i, (s, p) in enumerate(kids):
+            # glue fails before it mutates, so the last child may reuse pb
+            child = pb.copy() if i + 1 < len(kids) else pb
             try:
                 child.glue(s, *run)
             except WindingError:

@@ -89,7 +89,9 @@ class PatchBuilder:
         Raises:
             WindingError: the run is not elementary, the size does not leave
                 at least one open edge, or the new face would share more than
-                one edge with some existing face.
+                one edge with some existing face.  Every such check comes
+                before any change, so a failed glue leaves the builder as it
+                was.
         """
         if self.closed:
             raise WindingError("patch already closed")
@@ -99,12 +101,15 @@ class PatchBuilder:
         if size - length < 1:
             raise WindingError("face of size %d cannot cover %d edges"
                                % (size, length))
-        if self.vdeg[start] != 2 or self.vdeg[(start + length) % b] != 2:
+        # the boundary and its vertex degrees, rotated to begin at the run
+        start %= b
+        edges = self.boundary[start:] + self.boundary[:start]
+        degs = self.vdeg[start:] + self.vdeg[:start]
+        if degs[0] != 2 or degs[length] != 2:
             raise WindingError("run endpoints must be degree-2 vertices")
-        for i in range(1, length):
-            if self.vdeg[(start + i) % b] != 3:
-                raise WindingError("run interior vertex has degree 2")
-        covered = [self.boundary[(start + i) % b] for i in range(length)]
+        if 2 in degs[1:length]:
+            raise WindingError("run interior vertex has degree 2")
+        covered = edges[:length]
         owners = [f for f, _ in covered]
         if len(set(owners)) != length:
             raise WindingError("face would share two edges with one face")
@@ -118,14 +123,11 @@ class PatchBuilder:
             self.cycles[f][slot] = new_id
             self.open_count[f] -= 1
         # splice the new open edges into the boundary in place of the run
-        rest = [self.boundary[(start + length + i) % b]
-                for i in range(b - length)]
-        rest_deg = [self.vdeg[(start + length + i) % b]
-                    for i in range(b - length)]
         new_edges = [(new_id, length + j) for j in range(size - length)]
-        self.boundary = new_edges + rest
-        # vertex before the first new edge and before `rest` are now degree 3
-        self.vdeg = [3] + [2] * (size - length - 1) + [3] + rest_deg[1:]
+        self.boundary = new_edges + edges[length:]
+        # the vertices before the first new edge and after the last one are
+        # now degree 3
+        self.vdeg = [3] + [2] * (size - length - 1) + [3] + degs[length + 1:]
         return new_id
 
     def close(self, size: int) -> int:

@@ -2,9 +2,12 @@
 
 Every expected number is either produced by the independent patch-growing
 generator inside the same run (the oracle) or is a structural identity
-checked exactly; nothing is hard-coded from outside sources.
+checked exactly; nothing is hard-coded from outside sources.  The oracle's
+own output is pinned by digest, so that a faster search must return the
+same maps in the same order.
 """
 
+import hashlib
 import random
 import time
 from collections import Counter
@@ -40,6 +43,29 @@ def criterion(num, desc):
 def oracle():
     """Independent generator output: face count -> list of fullerenes."""
     return {fc: generate_fullerenes(fc) for fc in range(12, 23)}
+
+
+# sha256 of repr([m.rotations for m in generate_fullerenes(fc)]), recorded
+# before the degree-2 cut and the one-pass run choice went in
+ORACLE_DIGESTS = {
+    12: "709e042ed7706a198b1a3d22c680a53b58c055aad33d0dda4798d9127eca362e",
+    13: "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    14: "1a3a671cb495f4f6e699c9b5241e306591fef9d0798fa687e649e031e25da1d5",
+    15: "6a651d3f0ad11bb25d17e29b0d4f6f4e61669888b77af44257b0eaf2e5ce9592",
+    16: "49fb60b4830f72362ecdee458708d3fa3fee5a159a2a7efc2a2f8a8d1a19c675",
+    17: "b2aa4bd2dd0d458403c213f401b38e9459eed5fa301da5989770453e827f07aa",
+    18: "6cec6c8d537f00479c6d0f9b0203ced344c97fdf8732b7ac92f05ce3b3619187",
+    19: "0ed0a06995782edef6c936f6f8e7377aec7bda5396149f0a1f71c4919413c853",
+    20: "f222661d920bc40889692e0b21fb7648f6456697bd5cf72c4ea10a82d73c2a2f",
+    21: "3f74ad894b8f14b34386613f0461223dec97ebe2faf34e4c8b275fa798d37d17",
+    22: "287af9a7177271a6a09974be2ef7f207096064dcdab17e7375476003d3afb180",
+}
+
+
+@pytest.mark.parametrize("fc", sorted(ORACLE_DIGESTS))
+def test_oracle_output_is_pinned(oracle, fc):
+    rotations = repr([m.rotations for m in oracle[fc]]).encode()
+    assert hashlib.sha256(rotations).hexdigest() == ORACLE_DIGESTS[fc]
 
 
 @pytest.fixture(scope="module")

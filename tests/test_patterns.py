@@ -203,7 +203,8 @@ def test_path_turns_rejects_non_adjacent_faces(dodecahedron):
 
 def reference_path_turns(m, path):
     """Turn count by scanning each interior face's darts; a neighbour met
-    more than once counts at its last position."""
+    more than once counts at its last position, and an odd face is always a
+    turn."""
     turns = 0
     for i in range(1, len(path) - 1):
         f = path[i]
@@ -215,9 +216,18 @@ def reference_path_turns(m, path):
                 pos_in = idx
             if g == path[i + 1]:
                 pos_out = idx
-        if (pos_out - pos_in) % size != size // 2:
+        if size % 2 or (pos_out - pos_in) % size != size // 2:
             turns += 1
     return turns
+
+
+def test_pentagon_ring_turns_at_every_face(dodecahedron):
+    # the 5-belt round a pentagon of the dodecahedron passes through five
+    # pentagons, and no path goes straight through an odd face
+    belts = find_k_belts(dodecahedron, 5)
+    assert belts
+    for belt in belts:
+        assert path_turns(dodecahedron, belt + belt[:2]) == 5
 
 
 def test_path_turns_match_reference_on_thick_paths(small_fullerenes):

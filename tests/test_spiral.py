@@ -2,7 +2,9 @@ from itertools import combinations
 
 import pytest
 
-from fullerkit.spiral import generate_fullerenes, wind
+from fullerkit import spiral
+from fullerkit.spiral import _next_run, generate_fullerenes, wind
+from fullerkit.winding import PatchBuilder, WindingError
 
 # counts established by this generator and used as the reference everywhere
 # (face count -> number of fullerene isomers)
@@ -44,16 +46,22 @@ def test_generator_output_is_deduplicated():
         assert m.is_fullerene()
 
 
+def size_sequences(face_count):
+    """Every placement of the 12 pentagons, in lexicographic order."""
+    for pent_pos in combinations(range(face_count), 12):
+        sizes = [6] * face_count
+        for i in pent_pos:
+            sizes[i] = 5
+        yield sizes
+
+
 def generate_by_sequence(face_count):
     """Reference: wind every placement of the 12 pentagons from scratch."""
     if face_count < 12:
         return []
     hexes = face_count - 12
     out = {}
-    for pent_pos in combinations(range(face_count), 12):
-        sizes = [6] * face_count
-        for i in pent_pos:
-            sizes[i] = 5
+    for sizes in size_sequences(face_count):
         if sizes > sizes[::-1]:
             continue
         m = wind(sizes)
@@ -73,3 +81,104 @@ def test_prefix_search_matches_reference(fc):
     got = generate_fullerenes(fc)
     want = generate_by_sequence(fc)
     assert [m.rotations for m in got] == [m.rotations for m in want]
+
+
+def reference_next_run(pb):
+    """Reference: the run rule read off ``runs()`` and one ``run_faces``
+    list per run."""
+    earliest = next((f for f, c in enumerate(pb.open_count) if c > 0), None)
+    if earliest is None:
+        return None
+    last = len(pb.sizes) - 1
+    fallback = None
+    for start, length in pb.runs():
+        faces = pb.run_faces(start, length)
+        if earliest in faces:
+            if last in faces:
+                return start, length
+            if fallback is None:
+                fallback = (start, length)
+    return fallback
+
+
+def reference_search(face_count, visit=lambda pb, sizes: None):
+    """Reference: the prefix search without the degree-2 cut, a fresh copy
+    for every child, and ``reference_next_run``.  ``visit`` sees every
+    search node before its run is chosen.  Returns the complete sequences
+    that reach a leaf."""
+    leaves = []
+    sizes = []
+
+    def extend(pb, pents):
+        j = len(sizes)
+        if j == face_count - 1:
+            leaves.append(sizes + [5 if pents == 11 else 6])
+            return
+        visit(pb, sizes)
+        run = reference_next_run(pb)
+        if run is None:
+            return
+        for s in (5, 6):
+            p = pents + (s == 5)
+            if p > 12 or 12 - p > face_count - 1 - j or run[1] >= s:
+                continue
+            child = pb.copy()
+            try:
+                child.glue(s, *run)
+            except WindingError:
+                continue
+            sizes.append(s)
+            extend(child, p)
+            sizes.pop()
+
+    for s in (5, 6):
+        sizes.append(s)
+        extend(PatchBuilder(s), s == 5)
+        sizes.pop()
+    return leaves
+
+
+@pytest.mark.parametrize("fc", range(12, 18))
+def test_boundary_degree_identity_and_one_pass_run(fc):
+    # on the boundary of a pentagon/hexagon disk n2 - n3 = 6 - p5, and the
+    # one-pass run choice agrees with the runs()/run_faces reading
+    nodes = 0
+
+    def visit(pb, sizes):
+        nonlocal nodes
+        n2, n3 = pb.vdeg.count(2), pb.vdeg.count(3)
+        assert n2 + n3 == len(pb.boundary)
+        assert n2 - n3 == 6 - sizes.count(5)
+        assert _next_run(pb) == reference_next_run(pb)
+        nodes += 1
+
+    reference_search(fc, visit)
+    assert nodes > 0
+
+
+@pytest.mark.parametrize("fc", range(12, 18))
+def test_degree_two_cut_keeps_every_fullerene_sequence(fc, monkeypatch):
+    seqs = [sizes for sizes in size_sequences(fc)
+            if (m := wind(sizes)) is not None and m.is_fullerene()]
+    for sizes in seqs:
+        # the budget holds along the winding of every good sequence
+        pb = PatchBuilder(sizes[0])
+        for j in range(1, fc - 1):
+            pb.glue(sizes[j], *_next_run(pb))
+            assert pb.vdeg.count(2) <= 2 * (fc - j - 2)
+    # and the search reaches every good sequence it does not leave to its
+    # reversal, so no prefix of one is ever cut
+    wound = []
+
+    def recording_wind(sizes):
+        wound.append(list(sizes))
+        return wind(sizes)
+
+    monkeypatch.setattr(spiral, "wind", recording_wind)
+    generate_fullerenes(fc)
+    assert [s for s in seqs if s <= s[::-1]] == [
+        s for s in wound if s in seqs]
+    # the cut drops only leaves that the uncut search would reject
+    uncut = [s for s in reference_search(fc) if s <= s[::-1]]
+    assert set(map(tuple, wound)) <= set(map(tuple, uncut))
+    assert all(wind(s) is None for s in uncut if s not in wound)

@@ -1,5 +1,6 @@
 import pytest
 
+from fullerkit.spiral import _next_run
 from fullerkit.winding import PatchBuilder, WindingError
 
 
@@ -44,18 +45,70 @@ def test_screw_construction_closes(dodecahedron):
 
 def test_to_map_requires_closed_patch():
     pb = PatchBuilder(5)
-    with pytest.raises((WindingError, Exception)):
+    with pytest.raises(WindingError):
         pb.to_map()
+
+
+def _state(pb):
+    return (repr(pb.cycles), pb.sizes[:], pb.open_count[:], pb.boundary[:],
+            pb.vdeg[:])
 
 
 def test_copy_is_independent():
     pb = PatchBuilder(5)
     pb.glue(5, 0, 1)
-    before = (repr(pb.cycles), pb.sizes[:], pb.open_count[:],
-              pb.boundary[:], pb.vdeg[:])
+    before = _state(pb)
     twin = pb.copy()
     twin.glue(6, *twin.runs()[0])
     twin.glue(5, *twin.runs()[0])
-    after = (repr(pb.cycles), pb.sizes, pb.open_count, pb.boundary, pb.vdeg)
-    assert after == before
+    assert _state(pb) == before
     assert len(twin.cycles) == 4
+
+
+def _three_faces_round_a_vertex():
+    """A hexagon and two triangles round one vertex.  Each triangle has one
+    open edge, and the two sit between the hexagon's last open edge and its
+    first, so the run over those four edges meets the hexagon twice."""
+    pb = PatchBuilder(6)
+    pb.glue(3, 0, 1)
+    pb.glue(3, *next(r for r in pb.runs() if r[1] == 2))
+    return pb
+
+
+@pytest.mark.parametrize("size,run,message", [
+    (5, (0, 0), "bad run length"),
+    (5, (0, 8), "bad run length"),
+    (2, (3, 2), "cannot cover"),
+    (5, (0, 1), "endpoints must be degree-2"),
+    (6, (1, 2), "interior vertex has degree 2"),
+])
+def test_failed_glue_leaves_builder_unchanged(size, run, message):
+    pb = PatchBuilder(5)
+    pb.glue(5, 0, 1)
+    # boundary: 8 edges; vdeg 3 at positions 0 and 4, 2 elsewhere
+    assert pb.vdeg == [3, 2, 2, 2, 3, 2, 2, 2]
+    before = _state(pb)
+    with pytest.raises(WindingError, match=message):
+        pb.glue(size, *run)
+    assert _state(pb) == before
+
+
+def test_failed_glue_over_one_face_twice_leaves_builder_unchanged():
+    pb = _three_faces_round_a_vertex()
+    start, length = next(r for r in pb.runs() if r[1] == 4)
+    assert pb.run_faces(start, length) == [0, 1, 2, 0]
+    before = _state(pb)
+    with pytest.raises(WindingError, match="two edges with one face"):
+        pb.glue(6, start, length)
+    assert _state(pb) == before
+
+
+def test_glue_after_close_leaves_builder_unchanged():
+    pb = PatchBuilder(5)
+    for _ in range(10):
+        pb.glue(5, *_next_run(pb))
+    pb.close(5)
+    before = _state(pb)
+    with pytest.raises(WindingError, match="already closed"):
+        pb.glue(5, 0, 1)
+    assert _state(pb) == before
