@@ -97,10 +97,18 @@ def find_k_belts(m: CombMap, k: int) -> List[List[int]]:
 
     A belt is returned as the face sequence rotated to start at its smallest
     face id, in the direction that minimizes the sequence.  The search
-    walks chordless dual k-cycles from their smallest face (module docstring).
+    walks chordless dual k-cycles from their smallest face (module docstring)
+    and runs once per map and k; every call returns fresh lists.
     """
     if k < 3:
         return []
+    found = m._belts.get(k)
+    if found is None:
+        found = m._belts[k] = tuple(map(tuple, _search_k_belts(m, k)))
+    return [list(belt) for belt in found]
+
+
+def _search_k_belts(m: CombMap, k: int) -> List[List[int]]:
     nbrs: List[Set[int]] = [set(cyc) for cyc in m.face_cycles()]
     corners = ({frozenset(m.face_of[3 * v:3 * v + 3]) for v in range(m.f0)}
                if k == 3 else set())

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .belts import NotFullerene
 from .maps import CombMap, MapError
-from .patterns import MatchResult, PatchPattern, _try_match, match_pattern
+from .patterns import MatchResult, PatchPattern, _embeddings, match_pattern
 from .spiral import wind
 from .surgery import TruncationSpec, straighten, truncate
 from .winding import PatchBuilder
@@ -311,11 +311,14 @@ def _initial_state(m: CombMap, at: MatchResult) -> ScriptState:
 
 
 def _check_match(m: CombMap, pat: PatchPattern, at: MatchResult) -> None:
-    anchor = next(n for n in pat.faces if not pat.is_wild(n))
+    anchor = pat.first
     if anchor not in at.origin:
         raise NotAMatch("match does not bind face %r" % anchor)
-    found = _try_match(m, pat, anchor, at.origin[anchor], at.mirrored)
-    if found is None or found.origin != at.origin:
+    d0 = at.origin[anchor]
+    if not 0 <= d0 < len(m.face_of):
+        raise NotAMatch("dart %d is not a dart of this map" % d0)
+    found = _embeddings(m, pat, anchor, [d0], at.mirrored)
+    if not found or found[0].origin != at.origin:
         raise NotAMatch("not a match of this pattern at the given site")
 
 

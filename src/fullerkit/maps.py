@@ -72,8 +72,8 @@ class CombMap:
     :meth:`from_face_cycles`.
     """
 
-    __slots__ = ("rotations", "twin", "face_of", "faces", "_cycles", "_canon",
-                 "_canon2")
+    __slots__ = ("rotations", "twin", "face_of", "faces", "_cycles", "_pos",
+                 "_belts", "_canon", "_canon2")
 
     def __init__(self, rotations: Tuple[Tuple[int, int, int], ...],
                  twin: Tuple[int, ...], face_of: Tuple[int, ...],
@@ -83,6 +83,9 @@ class CombMap:
         self.face_of = face_of
         self.faces = faces
         self._cycles: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._pos: Optional[Tuple[int, ...]] = None
+        # k -> the k-belts, filled by belts.find_k_belts
+        self._belts: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
         self._canon: Optional[bytes] = None
         self._canon2: Optional[Tuple[bytes, bytes]] = None
 
@@ -259,8 +262,7 @@ class CombMap:
         return self.twin[(d - d % 3) + (d % 3 + 1) % 3]
 
     def face_walk(self, d: int, n: int, backward: bool = False) -> List[int]:
-        """``n`` darts from ``d`` by face_next (``backward``: face_prev),
-        steps inlined: pattern matching calls this in its hot loop."""
+        """``n`` darts from ``d`` by face_next (``backward``: face_prev)."""
         twin = self.twin
         out = [d]
         if backward:
@@ -302,6 +304,19 @@ class CombMap:
             self._cycles = tuple(tuple(face_of[twin[d]] for d in orbit)
                                  for orbit in self.faces)
         return self._cycles
+
+    def face_positions(self) -> Tuple[int, ...]:
+        """Per dart, its index in its face's orbit: ``d`` is
+        ``faces[face_of[d]][face_positions()[d]]``, and ``i`` steps along
+        the face from ``d`` is the orbit entry ``i`` further on, cyclically.
+        Built on first use and cached."""
+        if self._pos is None:
+            pos = [0] * len(self.face_of)
+            for orbit in self.faces:
+                for i, d in enumerate(orbit):
+                    pos[d] = i
+            self._pos = tuple(pos)
+        return self._pos
 
     def face_neighbors(self, f: int) -> List[int]:
         """Distinct faces sharing an edge with ``f``, in cycle order."""

@@ -2,9 +2,16 @@
 
 A pattern is a disk-shaped combinatorial map fragment: named faces with
 fixed sizes and cyclic neighbour lists in which ``B`` marks a boundary edge
-(an edge to a face outside the fragment).  Matching anchors one pattern dart
+(an edge to a face outside the fragment).  Matching anchors one pattern face
 on a map dart and extends deterministically through the rotation structure,
-in both orientations, so each anchor costs time linear in the pattern size.
+in both orientations.  Each pattern compiles, once per anchor face and
+orientation, into a flat program: one step per internal pattern edge in
+breadth-first order, then the ``B`` slots to check.  A run addresses darts
+by their position in the face orbit (:meth:`CombMap.face_positions`), so an
+attempt builds no list or dict.  The anchor is the fixed-size pattern face
+whose size has the fewest darts in the map, and only those darts are tried:
+on a fullerene, a pattern with a pentagon tries at most the 60 pentagon
+darts in each orientation, whatever the size of the map.
 """
 
 from __future__ import annotations
@@ -33,6 +40,8 @@ class PatchPattern:
         faces: name -> cyclic entry list (face names and 'B' marks), or the
             arc for wildcard faces.
         sizes: name -> face size; None for wildcard faces.
+        first: the first fixed-size face; matches are listed in order of
+            its origin dart.
     """
 
     def __init__(self, faces: Dict[str, Sequence[str]],
@@ -47,6 +56,9 @@ class PatchPattern:
             name: (None if name in wild else len(cyc))
             for name, cyc in self.faces.items()}
         self._check()
+        self.first = next(n for n in self.faces if not self.is_wild(n))
+        # anchor name -> match programs, see _compile
+        self._programs: Dict[str, _Compiled] = {}
 
     def is_wild(self, name: str) -> bool:
         return self.sizes[name] is None
@@ -72,6 +84,8 @@ class PatchPattern:
                                        % (name, g))
         if not self.faces:
             raise PatternError("empty pattern")
+        if all(self.is_wild(n) for n in self.faces):
+            raise PatternError("pattern needs a face of fixed size")
         # connectivity over internal adjacencies
         start = next(iter(self.faces))
         seen2 = {start}
@@ -175,75 +189,130 @@ def match_pattern(m: CombMap, pat: PatchPattern,
     By default one representative is returned per occurrence (per matched
     face set), so a symmetric pattern counts each site once.  With
     ``all_embeddings`` every distinct correspondence is returned, including
-    the pattern's self-symmetries: each (anchor dart, orientation) pair
-    yields at most one.
+    the pattern's self-symmetries.  Embeddings are listed unmirrored first,
+    then by the origin dart of ``pat.first``; the representative of an
+    occurrence is the first of its embeddings in that order.
     """
-    first = next(n for n in pat.faces if not pat.is_wild(n))
+    count = m.face_vector()
+    anchor = min((n for n in pat.faces if not pat.is_wild(n)),
+                 key=lambda n: pat.sizes[n] * count.get(pat.sizes[n], 0))
+    size = pat.sizes[anchor]
+    if size not in count:
+        return []
+    darts = [d for orbit in m.faces if len(orbit) == size for d in orbit]
+    found = (_embeddings(m, pat, anchor, darts, False)
+             + _embeddings(m, pat, anchor, darts, True))
+    first = pat.first
+    found.sort(key=lambda res: (res.mirrored, res.origin[first]))
+    if all_embeddings:
+        return found
     results: List[MatchResult] = []
     seen_sites: Set[FrozenSet[int]] = set()
-    for mirrored in (False, True):
-        for d0 in range(3 * m.f0):
-            res = _try_match(m, pat, first, d0, mirrored)
-            if res is None:
-                continue
-            site = frozenset(res.faces.values())
-            if not all_embeddings:
-                if site in seen_sites:
-                    continue
-                seen_sites.add(site)
+    for res in found:
+        site = frozenset(res.faces.values())
+        if site not in seen_sites:
+            seen_sites.add(site)
             results.append(res)
     return results
 
 
-def _try_match(m: CombMap, pat: PatchPattern, first: str, d0: int,
-               mirrored: bool) -> Optional[MatchResult]:
-    if m.face_size(m.face_of[d0]) != pat.sizes[first]:
-        return None
-    origin: Dict[str, int] = {first: d0}
-    faces: Dict[str, int] = {first: m.face_of[d0]}
-    used: Set[int] = {m.face_of[d0]}
-    queue = deque([first])
-    done: Set[str] = set()
-    while queue:
-        name = queue.popleft()
-        if name in done:
+# One step per internal pattern edge, in breadth-first order from the anchor:
+# (source face, slot, target face, back-slot, size, wild?, new?).  Faces are
+# pattern indices and slots are signed by the orientation.  The target's map
+# face must have the given size, or at least that many darts when it is a
+# wildcard (its arc length).  A new target is bound so that its back-slot
+# lies on the twin of the source slot's dart; an old one must already sit
+# there.  Then each (face, slot) of the B list must lead off the matched set.
+_Step = Tuple[int, int, int, int, int, bool, bool]
+_Program = Tuple[Tuple[_Step, ...], Tuple[Tuple[int, int], ...]]
+_Compiled = Tuple[Tuple[Tuple[str, int], ...], _Program, _Program]
+
+
+def _compile(pat: PatchPattern, anchor: str) -> _Compiled:
+    """The faces in breadth-first order from ``anchor`` as (name, index)
+    pairs, then its program unmirrored and mirrored; built on first use."""
+    compiled = pat._programs.get(anchor)
+    if compiled is None:
+        index = {n: i for i, n in enumerate(pat.faces)}
+        order = [anchor]
+        steps = []
+        for name in order:  # order grows while it is walked
+            for i, g in enumerate(pat.faces[name]):
+                if g == B:
+                    continue
+                new = g not in order
+                if new:
+                    order.append(g)
+                steps.append((index[name], i, index[g],
+                              pat.faces[g].index(name), len(pat.faces[g]),
+                              pat.is_wild(g), new))
+        bslots = [(index[n], i) for n, cyc in pat.faces.items()
+                  for i, g in enumerate(cyc) if g == B]
+        forward, backward = (
+            (tuple((src, sgn * i, dst, sgn * j, k, wild, new)
+                   for src, i, dst, j, k, wild, new in steps),
+             tuple((src, sgn * i) for src, i in bslots))
+            for sgn in (1, -1))
+        compiled = pat._programs[anchor] = (
+            tuple((n, index[n]) for n in order), forward, backward)
+    return compiled
+
+
+def _embeddings(m: CombMap, pat: PatchPattern, anchor: str,
+                darts: Iterable[int], mirrored: bool) -> List[MatchResult]:
+    """Embeddings with slot 0 of ``anchor`` on one of the given darts.
+
+    Each dart yields at most one embedding: the program binds every other
+    face from the anchor's position.  A face's origin is kept as its
+    orbit tuple and the position of the origin dart in it, so slot ``i``
+    of the face is ``orbit[(position + i) % len(orbit)]``, ``- i`` when
+    mirrored.
+    """
+    from_anchor, forward, backward = _compile(pat, anchor)
+    steps, bslots = backward if mirrored else forward
+    a = from_anchor[0][1]
+    size = pat.sizes[anchor]
+    order = _compile(pat, pat.first)[0]
+    faces, face_of, twin = m.faces, m.face_of, m.twin
+    pos = m.face_positions()
+    # per pattern face: map face, its orbit, origin position; overwritten by
+    # every attempt before they are read
+    fid = [0] * len(order)
+    orb: List[Tuple[int, ...]] = [()] * len(order)
+    org = [0] * len(order)
+    out: List[MatchResult] = []
+    for d0 in darts:
+        f = face_of[d0]
+        o = faces[f]
+        if len(o) != size:
             continue
-        done.add(name)
-        cyc = pat.faces[name]
-        walk = m.face_walk(origin[name], len(cyc), mirrored)
-        for i, g in enumerate(cyc):
-            if g == B:
-                continue
-            d = walk[i]
-            t = m.twin[d]
-            gf = m.face_of[t]
-            if pat.is_wild(g):
-                if m.face_size(gf) < len(pat.faces[g]):
-                    return None
-            elif m.face_size(gf) != pat.sizes[g]:
-                return None
-            j = pat.slot_of(g, name)
-            if g in origin:
-                if faces[g] != gf:
-                    return None
-                if m.face_walk(origin[g], j + 1, mirrored)[j] != t:
-                    return None
+        fid[a], orb[a], org[a] = f, o, pos[d0]
+        used = {f}
+        for src, i, dst, j, k, wild, new in steps:
+            so = orb[src]
+            t = twin[so[(org[src] + i) % len(so)]]
+            g = face_of[t]
+            go = faces[g]
+            kg = len(go)
+            if (kg < k) if wild else (kg != k):
+                break
+            if new:
+                if g in used:
+                    break
+                used.add(g)
+                fid[dst], orb[dst], org[dst] = g, go, (pos[t] - j) % kg
+            elif fid[dst] != g or (org[dst] + j) % kg != pos[t]:
+                break
+        else:
+            for src, i in bslots:
+                so = orb[src]
+                if face_of[twin[so[(org[src] + i) % len(so)]]] in used:
+                    break
             else:
-                if gf in used:
-                    return None
-                # align g so that its slot j sits on dart t
-                origin[g] = m.face_walk(t, j + 1, not mirrored)[j]
-                faces[g] = gf
-                used.add(gf)
-                queue.append(g)
-    # boundary edges must lead outside the matched face set (for wildcard
-    # faces only the listed arc is constrained)
-    for name, cyc in pat.faces.items():
-        walk = m.face_walk(origin[name], len(cyc), mirrored)
-        for i, g in enumerate(cyc):
-            if g == B and m.face_of[m.twin[walk[i]]] in used:
-                return None
-    return MatchResult(faces, origin, mirrored)
+                out.append(MatchResult({n: fid[x] for n, x in order},
+                                       {n: orb[x][org[x]] for n, x in order},
+                                       mirrored))
+    return out
 
 
 def extract_patch(m: CombMap, face_ids: Sequence[int],

@@ -75,11 +75,10 @@ def _build_pattern(header_ln: int,
                     ln, "face %r: size %d but %d entries"
                     % (name, sz, len(entries)))
         faces[name] = entries
-    first_ln = face_lines[0][0]
     try:
         return PatchPattern(faces, wildcard=wild)
     except Exception as exc:
-        raise RuleFileError(first_ln, "invalid pattern: %s" % exc)
+        raise RuleFileError(header_ln, "invalid pattern: %s" % exc)
 
 
 def parse_file(text: str) -> Tuple[Dict[str, PatchPattern], List["GrowthRule"]]:

@@ -68,6 +68,18 @@ def test_belts_match_reference(polytopes, joined_maps):
     assert seen == {3, 4, 5, 6}
 
 
+def test_belt_memo_equals_a_fresh_search(polytopes, joined_maps):
+    for m in polytopes + joined_maps:
+        for k in range(3, 7):
+            first = find_k_belts(m, k)
+            fresh = CombMap.from_rotations(m.rotations)
+            assert find_k_belts(m, k) == first == find_k_belts(fresh, k)
+            if first:
+                first[0].append(-1)
+                first.append([-1])
+            assert find_k_belts(m, k) == find_k_belts(fresh, k)
+
+
 def reference_enclosed_faces(m, belt):
     """The single-face sides of the belt, found by flooding the sphere."""
     ana = border_loops(m, belt)

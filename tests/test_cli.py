@@ -140,6 +140,17 @@ def test_match_counts(tmp_path, capsys):
     assert "record 0 pattern cap: 12 matches" in out
 
 
+def test_match_rejects_all_wildcard_pattern(tmp_path, capsys):
+    _, seeds = run(tmp_path, "gen", "--family", "dodeca")
+    patfile = tmp_path / "f.txt"
+    patfile.write_text("pattern any\n  A * B B B B B\nend\n")
+    assert main(["match", "--pattern", str(patfile),
+                 "--in", str(seeds)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("fullerkit: line 1: invalid pattern: pattern needs a "
+                   "face of fixed size\n")
+
+
 def test_render_svg_output(tmp_path):
     _, seeds = run(tmp_path, "gen", "--family", "dodeca")
     code, svg = run(tmp_path, "render", infile=seeds)

@@ -142,6 +142,16 @@ def test_apply_rejects_foreign_match(dodecahedron):
         apply_rule(dodecahedron, rules_by_id("c")[0], cap_site)
 
 
+def test_apply_rejects_site_past_the_last_dart(barrel):
+    rule = rules_by_id("c")[0]
+    at = match_pattern(barrel, rule.lhs)[0]
+    shift = 3 * barrel.f0
+    far = MatchResult(at.faces, {n: d + shift for n, d in at.origin.items()},
+                      at.mirrored)
+    with pytest.raises(NotAMatch, match="not a dart of this map"):
+        apply_rule(barrel, rule, far)
+
+
 def reference_check_match(m, pat, at):
     """A site is a match iff some embedding has its origins and orientation."""
     return any(c.origin == at.origin and c.mirrored == at.mirrored

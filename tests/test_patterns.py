@@ -1,10 +1,14 @@
+from collections import deque
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fullerkit.belts import find_k_belts
-from fullerkit.growth import rules_by_id, seed_family_one, seed_family_two
-from fullerkit.patterns import (B, PatchPattern, PatternError,
+from fullerkit.growth import (load_fragment_catalog, load_rules, rules_by_id,
+                              seed_family_one, seed_family_two)
+from fullerkit.patterns import (B, MatchResult, PatchPattern, PatternError,
                                 _all_shortest_paths, extract_patch,
                                 match_pattern, path_turns,
                                 shortest_thick_path)
@@ -28,6 +32,11 @@ def test_pattern_validation_rejects_asymmetry():
 def test_pattern_validation_rejects_disconnected():
     with pytest.raises(PatternError):
         PatchPattern({"A": [B] * 5, "C": [B] * 5})
+
+
+def test_pattern_validation_rejects_all_wildcards():
+    with pytest.raises(PatternError, match="needs a face of fixed size"):
+        PatchPattern({"A": ["C"], "C": ["A"]}, wildcard={"A", "C"})
 
 
 def test_contact_sequence_of_road():
@@ -260,3 +269,140 @@ def test_minimal_path_properties(small_fullerenes):
         assert len(set(path)) == len(path)
         for i in range(len(path) - 1):
             assert path[i + 1] in m.face_neighbors(path[i])
+
+
+# -- the compiled matcher against the dart scan it replaced ------------------
+
+def reference_match_pattern(m, pat, all_embeddings=False):
+    """Every dart of the map in both orientations, each tried as slot 0 of
+    the first fixed-size face; the first embedding per face set is kept."""
+    first = next(n for n in pat.faces if not pat.is_wild(n))
+    results = []
+    seen_sites = set()
+    for mirrored in (False, True):
+        for d0 in range(3 * m.f0):
+            res = reference_try_match(m, pat, first, d0, mirrored)
+            if res is None:
+                continue
+            site = frozenset(res.faces.values())
+            if not all_embeddings:
+                if site in seen_sites:
+                    continue
+                seen_sites.add(site)
+            results.append(res)
+    return results
+
+
+def reference_try_match(m, pat, first, d0, mirrored):
+    """Breadth-first extension from one anchor dart through face walks."""
+    if m.face_size(m.face_of[d0]) != pat.sizes[first]:
+        return None
+    origin = {first: d0}
+    faces = {first: m.face_of[d0]}
+    used = {m.face_of[d0]}
+    queue = deque([first])
+    done = set()
+    while queue:
+        name = queue.popleft()
+        if name in done:
+            continue
+        done.add(name)
+        cyc = pat.faces[name]
+        walk = m.face_walk(origin[name], len(cyc), mirrored)
+        for i, g in enumerate(cyc):
+            if g == B:
+                continue
+            d = walk[i]
+            t = m.twin[d]
+            gf = m.face_of[t]
+            if pat.is_wild(g):
+                if m.face_size(gf) < len(pat.faces[g]):
+                    return None
+            elif m.face_size(gf) != pat.sizes[g]:
+                return None
+            j = pat.slot_of(g, name)
+            if g in origin:
+                if faces[g] != gf:
+                    return None
+                if m.face_walk(origin[g], j + 1, mirrored)[j] != t:
+                    return None
+            else:
+                if gf in used:
+                    return None
+                origin[g] = m.face_walk(t, j + 1, not mirrored)[j]
+                faces[g] = gf
+                used.add(gf)
+                queue.append(g)
+    for name, cyc in pat.faces.items():
+        walk = m.face_walk(origin[name], len(cyc), mirrored)
+        for i, g in enumerate(cyc):
+            if g == B and m.face_of[m.twin[walk[i]]] in used:
+                return None
+    return MatchResult(faces, origin, mirrored)
+
+
+def as_rows(results):
+    """Faces and origins in dict order, so order differences show too."""
+    return [(list(r.faces.items()), list(r.origin.items()), r.mirrored)
+            for r in results]
+
+
+def assert_same_matches(m, pat):
+    """Same results, order, representatives and origins in both modes;
+    returns the number of embeddings compared."""
+    compared = 0
+    for every in (False, True):
+        want = as_rows(reference_match_pattern(m, pat, every))
+        assert as_rows(match_pattern(m, pat, every)) == want
+        compared += len(want)
+    return compared
+
+
+@pytest.fixture(scope="module")
+def fixture_maps(polytopes, joined_maps):
+    """polytopes + joined_maps; polytopes holds small_fullerenes already."""
+    return polytopes + joined_maps
+
+
+def test_catalog_patterns_match_as_the_reference(fixture_maps):
+    pats = [p for r in load_rules() for p in (r.lhs, r.rhs)]
+    pats += list(load_fragment_catalog().values())
+    compared = sum(assert_same_matches(m, pat)
+                   for m in fixture_maps for pat in pats)
+    assert compared > 1000
+
+
+def test_extracted_patches_match_as_the_reference(fixture_maps):
+    compared = 0
+    for m in fixture_maps:
+        for f in range(0, m.f2, 3):
+            try:
+                pat = extract_patch(m, [f] + m.face_neighbors(f))
+            except PatternError:
+                continue  # the patch is no disk
+            compared += assert_same_matches(m, pat)
+    assert compared > 1000
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_random_patches_match_as_the_reference(fixture_maps, data):
+    m = data.draw(st.sampled_from(fixture_maps))
+    ids = [data.draw(st.integers(0, m.f2 - 1))]
+    for _ in range(data.draw(st.integers(0, 6))):
+        rim = sorted({g for f in ids for g in m.face_neighbors(f)} - set(ids))
+        if not rim:
+            break
+        ids.append(data.draw(st.sampled_from(rim)))
+    try:
+        pat = extract_patch(m, ids)
+    except PatternError:
+        return  # the patch is no disk
+    # wildcard faces keep their whole cycle as the arc; one face stays fixed
+    if len(pat.faces) > 1:
+        wild = data.draw(st.sets(st.sampled_from(sorted(pat.faces)[1:])))
+        pat = PatchPattern(pat.faces, wildcard=wild)
+    hosts = [m] + data.draw(st.lists(st.sampled_from(fixture_maps),
+                                     max_size=2))
+    for host in hosts:
+        assert_same_matches(host, pat)

@@ -97,6 +97,17 @@ def test_empty_block_reports_its_header_line(text, line):
     assert e.value.line_no == line
 
 
+@pytest.mark.parametrize("text,line", [
+    ("pattern p\n  A * B B B B B\nend\n", 1),
+    ("rule c\nlhs\n  A 5 B B B B B\nrhs\n  A * C B B\n  C * A B\n"
+     "script\ninverse\nend\n", 4),
+], ids=["pattern", "rhs"])
+def test_all_wildcard_block_reports_its_header_line(text, line):
+    with pytest.raises(RuleFileError, match="needs a face of fixed size") as e:
+        parse_file(text)
+    assert e.value.line_no == line
+
+
 def test_bad_script_line_rejected():
     text = ("rule c\nlhs\n  A 5 B B B B B\nrhs\n  A 5 B B B B B\n"
             "script\n  TRUNC A 0\ninverse\nend\n")
