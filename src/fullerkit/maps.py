@@ -68,8 +68,11 @@ class ValidationReport:
 class CombMap:
     """Immutable cubic planar map given by per-vertex rotations.
 
-    Do not call the constructor directly; use :meth:`from_rotations` or
-    :meth:`from_face_cycles`.
+    The constructor trusts its four fields and checks nothing; build maps
+    with :meth:`from_rotations` or :meth:`from_face_cycles`, which check
+    everything.  The one other caller is ``surgery.truncate``, which patches
+    a valid map into another valid one and keeps the ``from_rotations``
+    face numbering.
     """
 
     __slots__ = ("rotations", "twin", "face_of", "faces", "_cycles", "_pos",

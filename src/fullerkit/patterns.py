@@ -176,7 +176,10 @@ class MatchResult:
 
     def dart_at(self, m: CombMap, name: str, slot: int) -> int:
         """Map dart corresponding to the given pattern face slot."""
-        return m.face_walk(self.origin[name], slot + 1, self.mirrored)[-1]
+        d = self.origin[name]
+        orbit = m.faces[m.face_of[d]]
+        i = m.face_positions()[d] + (-slot if self.mirrored else slot)
+        return orbit[i % len(orbit)]
 
     def __repr__(self) -> str:
         return "MatchResult(%r, mirrored=%s)" % (self.faces, self.mirrored)

@@ -17,10 +17,18 @@ Both cuts keep rotation slots, so darts ``3 * v + i`` (:mod:`maps`) carry
 over: truncation keeps every old dart's index and left face, and
 straightening sends ``3 * v + i`` to ``3 * vertex_map[v] + i`` for v not an
 end of the edge.  Face correspondences are read off these rules.
+
+A cut of a valid map is valid by construction: subdividing two edges of a
+face and joining the midpoints across it keeps the map cubic, connected and
+planar.  So ``truncate`` builds its output by copying and patching its
+input, not by a rebuild, and calls the trusted ``CombMap`` constructor; it
+checks only that the spec is a run of the map.  ``straighten`` still rebuilds through ``from_rotations``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .belts import find_k_belts
@@ -28,7 +36,7 @@ from .maps import CombMap, MapError
 
 
 class InvalidRun(Exception):
-    """The truncation run does not lie on the stated face."""
+    """The truncation run is not a run of the map it is applied to."""
 
 
 class SpecOutOfRange(Exception):
@@ -43,6 +51,13 @@ class IsSimplex(Exception):
     """The tetrahedron admits no straightening."""
 
 
+def _check_dart(m: CombMap, dart: int, error: type) -> None:
+    """Raise ``error`` unless ``dart`` is a dart of ``m``.  Negative indices
+    would wrap round the dart tables."""
+    if not 0 <= dart < 3 * m.f0:
+        raise error("dart %d outside 0..%d" % (dart, 3 * m.f0 - 1))
+
+
 class TruncationSpec:
     """A run of s+2 consecutive edges on a face, given by its first dart.
 
@@ -53,6 +68,7 @@ class TruncationSpec:
     """
 
     def __init__(self, m: CombMap, start_dart: int, s: int) -> None:
+        _check_dart(m, start_dart, InvalidRun)
         face = m.face_of[start_dart]
         k = m.face_size(face)
         if not 0 <= s <= k - 2:
@@ -128,26 +144,67 @@ class StraighteningResult:
 
 
 def truncate(m: CombMap, spec: TruncationSpec) -> TruncationResult:
-    """Cut the face of ``spec`` along its run.  Returns fresh handles."""
-    if m.face_of[spec.start_dart] != spec.face:
-        raise InvalidRun("start dart not on the stated face")
+    """Cut the face of ``spec`` along its run.  Returns fresh handles.
+
+    The output is ``m`` patched, not rebuilt: four rotation slots and twins
+    change and two vertices (six darts) are appended.  Only the orbits of
+    the cut face and the faces across the two run ends are walked again;
+    faces keep the :meth:`CombMap.from_rotations` numbering, ordered by
+    their first dart with each orbit starting there.
+
+    Raises:
+        InvalidRun: ``spec`` is not a run of ``m``, or the run starts and
+            ends on the same edge.
+        MapError: the cut does not give an (s+3)-gon and a (k-s+1)-gon,
+            which happens only on a face that borders itself.
+    """
+    try:
+        own = TruncationSpec(m, spec.start_dart, spec.s)
+    except SpecOutOfRange:
+        own = None
+    if own is None or ((own.face, own.run, own.signature)
+                       != (spec.face, spec.run, spec.signature)):
+        raise InvalidRun("spec is not a run of this map")
     n = m.f0
-    d0 = spec.run[0]
-    d1 = spec.run[-1]
-    u0, v0 = m.tail(d0), m.head(d0)
-    u1, v1 = m.tail(d1), m.head(d1)
+    d0, d1 = spec.run[0], spec.run[-1]
+    t0, t1 = m.twin[d0], m.twin[d1]
+    if d1 == t0:
+        raise InvalidRun("run starts and ends on the same edge")
+    u0, v0, u1, v1 = d0 // 3, t0 // 3, d1 // 3, t1 // 3
     m0, m1 = n, n + 1
-    rot: List[List[int]] = [list(r) for r in m.rotations]
-    rot[u0][rot[u0].index(v0)] = m0
-    rot[v0][rot[v0].index(u0)] = m0
-    rot[u1][rot[u1].index(v1)] = m1
-    rot[v1][rot[v1].index(u1)] = m1
-    # the run has the face on its left; the new edge closes the (s+3)-gon
-    # on the side of the run interior (v0 .. u1)
-    rot.append([u0, v0, m1])   # m0
-    rot.append([u1, v1, m0])   # m1
-    out = CombMap.from_rotations(rot)
-    e = out.dart(m0, m1)
+    # each run end edge gets a midpoint in both its slots; the run has the
+    # face on its left, and the new edge closes the (s+3)-gon on the side
+    # of the run interior (v0 .. u1)
+    rot = list(m.rotations)
+    for d, mid in ((d0, m0), (t0, m0), (d1, m1), (t1, m1)):
+        row = list(rot[d // 3])
+        row[d % 3] = mid
+        rot[d // 3] = tuple(row)
+    rot += [(u0, v0, m1), (u1, v1, m0)]
+    e = 3 * n  # m0's darts are e .. e+2, m1's e+3 .. e+5
+    twin = list(m.twin)
+    twin[d0], twin[t0], twin[d1], twin[t1] = e, e + 1, e + 3, e + 4
+    twin += (d0, t0, e + 5, d1, t1, e + 2)
+    # the cut face splits into the orbits of d0 and d1; the piece holding
+    # its first dart keeps its id and the other is inserted at its place in
+    # first-dart order.  The faces across the run ends each gain a dart.
+    f = spec.face
+    faces = list(m.faces)
+    keep, new = _orbit(twin, d0), _orbit(twin, d1)
+    if keep[0] > new[0]:
+        keep, new = new, keep
+    p = bisect_left(faces, new[0], key=itemgetter(0))
+    faces[f] = keep
+    across = {m.face_of[t0], m.face_of[t1]} - {f}
+    for g in across:
+        faces[g] = _orbit(twin, faces[g][0])
+    faces.insert(p, new)
+    face_of = [g if g < p else g + 1 for g in m.face_of] + [0] * 6
+    for g in [f, p] + [g if g < p else g + 1 for g in across]:
+        for d in faces[g]:
+            face_of[d] = g
+    out = CombMap(tuple(rot), tuple(twin), tuple(face_of), tuple(faces))
+    e += 2  # m0 -> m1
     fa, fb = out.face_of[e], out.face_of[out.twin[e]]
     if out.face_size(fa) == spec.s + 3 and out.face_size(fb) == spec.k - spec.s + 1:
         small, big = fa, fb
@@ -159,6 +216,19 @@ def truncate(m: CombMap, spec: TruncationSpec) -> TruncationResult:
     return TruncationResult(out, e, small, big, m, spec.face)
 
 
+def _orbit(twin: List[int], d: int) -> Tuple[int, ...]:
+    """The face orbit of ``d`` under ``twin``, from its smallest dart."""
+    orbit = [d]
+    t = twin[d]
+    x = (t - t % 3) + (t % 3 - 1) % 3  # prev(twin(d))
+    while x != d:
+        orbit.append(x)
+        t = twin[x]
+        x = (t - t % 3) + (t % 3 - 1) % 3
+    i = orbit.index(min(orbit))
+    return tuple(orbit[i:] + orbit[:i])
+
+
 def truncate_along_edge(m: CombMap, dart: int) -> TruncationResult:
     """The s = 1 truncation determined by its middle edge alone.
 
@@ -167,6 +237,7 @@ def truncate_along_edge(m: CombMap, dart: int) -> TruncationResult:
     (1; t0, t2) with t0, t2 the sizes of the faces across the outer two run
     edges.
     """
+    _check_dart(m, dart, InvalidRun)
     return truncate(m, TruncationSpec(m, m.face_prev(dart), 1))
 
 
@@ -182,6 +253,7 @@ def can_straighten(m: CombMap, dart: int) -> bool:
     (module docstring); elsewhere, e.g. across a 2-edge cut, the two can
     differ and the neighbour-set answer stands.
     """
+    _check_dart(m, dart, NotDefined)
     if m.f0 == 4:
         return False
     x, y = m.tail(dart), m.head(dart)

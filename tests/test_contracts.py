@@ -26,3 +26,23 @@ def test_public_names_have_docstrings():
     missing = [name for name in fullerkit.__all__
                if not (getattr(fullerkit, name).__doc__ or "").strip()]
     assert missing == []
+
+
+def test_only_truncate_calls_the_map_constructor_directly():
+    # CombMap.__init__ trusts its fields; outside maps.py only the
+    # truncation patch path may call it, and it builds valid maps only
+    calls = []
+    for path in SOURCES:
+        if path.name == "maps.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for fn in ast.walk(tree):  # outer functions first: innermost wins
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        calls += ["%s:%s" % (path.name, owner.get(node, "<module>"))
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "CombMap"]
+    assert calls == ["surgery.py:truncate"]

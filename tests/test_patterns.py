@@ -74,6 +74,21 @@ def test_match_darts_are_consistent(barrel):
                     assert barrel.face_of[barrel.twin[d]] == res.faces[g]
 
 
+def test_dart_at_equals_face_walk(small_fullerenes):
+    # dart_at reads the cached position index; the walk is the reference
+    pat = road(1)
+    mirrored = set()
+    for m in small_fullerenes:
+        for res in match_pattern(m, pat, all_embeddings=True):
+            mirrored.add(res.mirrored)
+            for name, cyc in pat.faces.items():
+                for slot in range(len(cyc)):
+                    walk = m.face_walk(res.origin[name], slot + 1,
+                                       res.mirrored)
+                    assert res.dart_at(m, name, slot) == walk[-1]
+    assert mirrored == {False, True}
+
+
 def test_match_completeness_against_brute_force(barrel):
     # brute force: try every injective face assignment and every per-face
     # alignment of the pattern cycles against the actual neighbour cycles

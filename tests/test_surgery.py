@@ -1,11 +1,17 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fullerkit.belts import find_k_belts
+from fullerkit.growth import seed_dodecahedron
 from fullerkit.maps import CombMap, MapError
-from fullerkit.surgery import (IsSimplex, NotDefined, SpecOutOfRange,
+from fullerkit.surgery import (InvalidRun, IsSimplex, NotDefined,
+                               SpecOutOfRange, TruncationResult,
                                TruncationSpec, can_straighten, edge_faces,
                                flag_effects, is_flag, straighten, truncate,
                                truncate_along_edge)
+
+MAP_FIELDS = ("rotations", "twin", "face_of", "faces")
 
 
 def tetrahedron():
@@ -18,6 +24,129 @@ def all_specs(m):
             k = m.face_size(m.face_of[e])
             for s in range(0, k - 1):
                 yield TruncationSpec(m, e, s)
+
+
+def reference_truncate(m, spec):
+    """The cut rebuilt from scratch: rotations copied and patched, then
+    every check and every face orbit redone by ``from_rotations``."""
+    if m.face_of[spec.start_dart] != spec.face:
+        raise InvalidRun("start dart not on the stated face")
+    n = m.f0
+    d0 = spec.run[0]
+    d1 = spec.run[-1]
+    u0, v0 = m.tail(d0), m.head(d0)
+    u1, v1 = m.tail(d1), m.head(d1)
+    m0, m1 = n, n + 1
+    rot = [list(r) for r in m.rotations]
+    rot[u0][rot[u0].index(v0)] = m0
+    rot[v0][rot[v0].index(u0)] = m0
+    rot[u1][rot[u1].index(v1)] = m1
+    rot[v1][rot[v1].index(u1)] = m1
+    rot.append([u0, v0, m1])
+    rot.append([u1, v1, m0])
+    out = CombMap.from_rotations(rot)
+    e = out.dart(m0, m1)
+    fa, fb = out.face_of[e], out.face_of[out.twin[e]]
+    if (out.face_size(fa) == spec.s + 3
+            and out.face_size(fb) == spec.k - spec.s + 1):
+        small, big = fa, fb
+    elif (out.face_size(fb) == spec.s + 3
+            and out.face_size(fa) == spec.k - spec.s + 1):
+        small, big = fb, fa
+        e = out.twin[e]
+    else:
+        raise MapError("truncation produced unexpected face sizes")
+    return TruncationResult(out, e, small, big, m, spec.face)
+
+
+def assert_same_map(a, b):
+    for name in MAP_FIELDS:
+        assert getattr(a, name) == getattr(b, name), name
+
+
+def test_truncate_matches_rebuilt_reference(polytopes, joined_maps):
+    # polytopes include small_fullerenes; every dart and every s is cut
+    cuts = refused = 0
+    for m in polytopes + joined_maps:
+        for d in range(3 * m.f0):
+            for s in range(m.face_size(m.face_of[d]) - 1):
+                spec = TruncationSpec(m, d, s)
+                try:
+                    ref = reference_truncate(m, spec)
+                except (ValueError, MapError) as exc:
+                    # the rebuild fails on a run whose two end edges are
+                    # one edge (ValueError from .index), or on a face that
+                    # borders itself (face sizes)
+                    want = MapError if isinstance(exc, MapError) else InvalidRun
+                    with pytest.raises(want):
+                        truncate(m, spec)
+                    refused += 1
+                    continue
+                res = truncate(m, spec)
+                assert_same_map(res.map, ref.map)
+                assert_same_map(res.map,
+                                CombMap.from_rotations(res.map.rotations))
+                assert ((res.new_edge, res.small_face, res.big_face)
+                        == (ref.new_edge, ref.small_face, ref.big_face))
+                assert res.face_map == ref.face_map
+                cuts += 1
+    assert cuts > 12000
+    assert refused > 0
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_truncation_chain_equals_rebuild(data):
+    # each patched map is the input of the next cut, so drift between
+    # patched maps would show as a mismatch further down the chain
+    m = seed_dodecahedron()
+    for _ in range(data.draw(st.integers(1, 8))):
+        d = data.draw(st.integers(0, 3 * m.f0 - 1))
+        s = data.draw(st.integers(0, m.face_size(m.face_of[d]) - 2))
+        m = truncate(m, TruncationSpec(m, d, s)).map
+        assert_same_map(m, CombMap.from_rotations(m.rotations))
+
+
+def test_truncate_rejects_spec_of_another_map(dodecahedron, barrel):
+    kept = 0
+    for spec in all_specs(dodecahedron):
+        try:
+            res = truncate(barrel, spec)
+        except InvalidRun:
+            continue
+        # accepted only where the spec is, field for field, the barrel's own
+        own = TruncationSpec(barrel, spec.start_dart, spec.s)
+        assert (own.face, own.run, own.signature) == (spec.face, spec.run,
+                                                      spec.signature)
+        assert_same_map(res.map, truncate(barrel, own).map)
+        kept += 1
+    assert kept < 240
+
+
+def test_truncate_rejects_altered_spec(dodecahedron):
+    spec = TruncationSpec(dodecahedron, 0, 1)
+    spec.run = spec.run[1:] + spec.run[:1]
+    with pytest.raises(InvalidRun):
+        truncate(dodecahedron, spec)
+    spec = TruncationSpec(dodecahedron, 0, 1)
+    spec.s = 3
+    with pytest.raises(InvalidRun):
+        truncate(dodecahedron, spec)
+
+
+@pytest.mark.parametrize("which", ["-1", "-3n", "3n", "10**6"])
+def test_darts_outside_the_map_are_refused(dodecahedron, which):
+    m = dodecahedron
+    d = {"-1": -1, "-3n": -3 * m.f0, "3n": 3 * m.f0, "10**6": 10 ** 6}[which]
+    bound = "dart %d outside 0..%d" % (d, 3 * m.f0 - 1)
+    with pytest.raises(InvalidRun, match=bound):
+        TruncationSpec(m, d, 1)
+    with pytest.raises(InvalidRun, match=bound):
+        truncate_along_edge(m, d)
+    with pytest.raises(NotDefined, match=bound):
+        can_straighten(m, d)
+    with pytest.raises(NotDefined, match=bound):
+        straighten(m, d)
 
 
 def reference_face_map(src, res):
