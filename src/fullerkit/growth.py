@@ -11,11 +11,13 @@ matched right-hand-side site.
 
 from __future__ import annotations
 
+from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .belts import NotFullerene
 from .maps import CombMap, MapError
 from .patterns import MatchResult, PatchPattern, _embeddings, match_pattern
+from .rulefile import GrowthRule, parse_file
 from .spiral import wind
 from .surgery import TruncationSpec, straighten, truncate
 from .winding import PatchBuilder
@@ -195,65 +197,8 @@ def unmirror(m: CombMap, match: MatchResult) -> Tuple[CombMap, Dict[str, int]]:
         origins[n] = 3 * (t // 3) + (2 - t % 3)
     return mm, origins
 
+
 # -- growth rules -----------------------------------------------------------
-
-TruncStep = Tuple[str, str, int, int, str, str]       # TRUNC name slot len small big
-StraightenStep = Tuple[str, str, int, str]            # STRAIGHTEN name slot merged
-
-
-class GrowthRule:
-    """One growth operation: patterns plus the scripts realizing them.
-
-    Attributes:
-        id: operation letter a-g.
-        params: chain-length parameters (empty, (k,) or (k1, k2)).
-        lhs, rhs: patch patterns before and after the operation.
-        script: truncation steps rewriting an LHS match into the RHS.
-        inverse_script: straightening steps rewriting an RHS match back.
-    """
-
-    def __init__(self, rule_id: str, params: Tuple[int, ...],
-                 lhs: PatchPattern, rhs: PatchPattern,
-                 script: List[TruncStep],
-                 inverse_script: List[StraightenStep]) -> None:
-        self.id = rule_id
-        self.params = params
-        self.lhs = lhs
-        self.rhs = rhs
-        self.script = script
-        self.inverse_script = inverse_script
-        self._validate()
-
-    @property
-    def key(self) -> str:
-        if self.params:
-            return "%s%s" % (self.id, "_".join(str(p) for p in self.params))
-        return self.id
-
-    @property
-    def delta_p6(self) -> int:
-        return len(self.script)
-
-    def _validate(self) -> None:
-        def hexes(pat: PatchPattern) -> int:
-            return sum(1 for n in pat.faces if pat.sizes[n] == 6)
-        if not hexes(self.rhs) > hexes(self.lhs):
-            raise ValueError("rule %s: rhs must gain hexagons" % self.key)
-        lw = any(self.lhs.is_wild(n) for n in self.lhs.faces)
-        rw = any(self.rhs.is_wild(n) for n in self.rhs.faces)
-        if not lw and not rw:
-            a = self.lhs.contact_sequence()
-            b = self.rhs.contact_sequence()
-            # the walks start at arbitrary slots: compare up to rotation
-            same = len(a) == len(b) and any(
-                b[r:] + b[:r] == a for r in range(len(b)))
-            if not same:
-                raise ValueError(
-                    "rule %s: lhs/rhs boundary contact mismatch" % self.key)
-
-    def __repr__(self) -> str:
-        return "GrowthRule(%s)" % self.key
-
 
 def apply_rule(m: CombMap, rule: GrowthRule, at: MatchResult) -> CombMap:
     """Replace the matched LHS patch by the rule's RHS patch.
@@ -325,29 +270,15 @@ def _check_match(m: CombMap, pat: PatchPattern, at: MatchResult) -> None:
 # -- rule catalog ------------------------------------------------------------
 
 _RULES: Optional[List[GrowthRule]] = None
-_CATALOG: Optional[Dict[str, PatchPattern]] = None
-
-
-def _load_data() -> None:
-    global _RULES, _CATALOG
-    if _RULES is not None:
-        return
-    from importlib import resources
-    from .rulefile import parse_file
-    text = (resources.files("fullerkit") / "data" / "rules.txt").read_text()
-    _CATALOG, _RULES = parse_file(text)
 
 
 def load_rules() -> List[GrowthRule]:
     """The packaged growth-rule catalog (rules a-g, chain rules per length)."""
-    _load_data()
+    global _RULES
+    if _RULES is None:
+        path = resources.files("fullerkit") / "data" / "rules.txt"
+        _RULES = parse_file(path.read_text())[1]
     return list(_RULES)
-
-
-def load_fragment_catalog() -> Dict[str, PatchPattern]:
-    """Named guaranteed-fragment patterns shipped alongside the rules."""
-    _load_data()
-    return dict(_CATALOG)
 
 
 def rules_by_id(rule_id: str) -> List[GrowthRule]:

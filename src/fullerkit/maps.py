@@ -33,38 +33,6 @@ class Disconnected(MapError):
     """The underlying graph is not connected."""
 
 
-class ValidationReport:
-    """Outcome of the structural checks on a map.
-
-    Connectivity and Euler's formula need no field: ``from_rotations``
-    raises ``Disconnected`` or ``NonPlanar`` without them.  Nor does the
-    face-count identity: a cubic plane map without loops or parallel edges
-    has no 1- or 2-gons, so Euler's formula reads
-    ``3*p3 + 2*p4 + p5 - 12 == sum((k - 6) * p_k for k >= 7)``.
-
-    Attributes:
-        face_vector: mapping face size -> count.
-        simple: no face borders itself and no two faces share two edges.
-        three_connected: no vertex pair disconnects the graph; for a cubic
-            map this equals ``simple`` (see :meth:`CombMap.validate`).
-    """
-
-    def __init__(self, face_vector: Dict[int, int], simple: bool,
-                 three_connected: bool) -> None:
-        self.face_vector = face_vector
-        self.simple = simple
-        self.three_connected = three_connected
-
-    @property
-    def ok(self) -> bool:
-        return self.simple and self.three_connected
-
-    def __repr__(self) -> str:
-        return ("ValidationReport(face_vector={0}, simple={1}, "
-                "three_connected={2})".format(
-                    self.face_vector, self.simple, self.three_connected))
-
-
 class CombMap:
     """Immutable cubic planar map given by per-vertex rotations.
 
@@ -331,31 +299,26 @@ class CombMap:
 
     # -- validation ---------------------------------------------------------
 
-    def validate(self) -> ValidationReport:
-        """Structural report; construction already guarantees most checks.
+    def validate(self) -> bool:
+        """True iff the map is simple and 3-connected.
 
-        A cubic graph's vertex and edge connectivity agree, and a minimal
-        edge cut of a plane graph is a cycle of its dual.  So the map is
-        3-connected iff no face borders itself and no two faces share two
-        edges, which is the ``simple`` check.
+        ``from_rotations`` has already checked connectivity and Euler's
+        formula.  A cubic plane map without loops or parallel edges has no
+        1- or 2-gons, so the face-count identity
+        ``3*p3 + 2*p4 + p5 - 12 == sum((k - 6) * p_k for k >= 7)`` needs
+        no check either.  A cubic graph's vertex and edge connectivity
+        agree, and a minimal edge cut of a plane graph is a cycle of its
+        dual.  So the map is 3-connected iff no face borders itself and no
+        two faces share two edges, which is what is checked.
         """
-        simple = all(f not in cyc and len(set(cyc)) == len(cyc)
-                     for f, cyc in enumerate(self.face_cycles()))
-        return ValidationReport(self.face_vector(), simple, simple)
+        return all(f not in cyc and len(set(cyc)) == len(cyc)
+                   for f, cyc in enumerate(self.face_cycles()))
 
     def is_fullerene(self) -> bool:
         pk = self.face_vector()
         return set(pk) <= {5, 6} and pk.get(5, 0) == 12
 
-    # -- relabeling and reflection ------------------------------------------
-
-    def relabel(self, perm: Sequence[int]) -> "CombMap":
-        """New map with vertex ``v`` renamed ``perm[v]``."""
-        n = self.f0
-        rot: List[Tuple[int, int, int]] = [(0, 0, 0)] * n
-        for v, nbrs in enumerate(self.rotations):
-            rot[perm[v]] = tuple(perm[w] for w in nbrs)
-        return CombMap.from_rotations(rot)
+    # -- reflection ---------------------------------------------------------
 
     def mirror(self) -> "CombMap":
         """Reflection: every rotation list reversed."""

@@ -16,7 +16,6 @@ darts in each orientation, whatever the size of the map.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .maps import CombMap
@@ -315,63 +314,6 @@ def _embeddings(m: CombMap, pat: PatchPattern, anchor: str,
                 out.append(MatchResult({n: fid[x] for n, x in order},
                                        {n: orb[x][org[x]] for n, x in order},
                                        mirrored))
-    return out
-
-
-def extract_patch(m: CombMap, face_ids: Sequence[int],
-                  names: Optional[Dict[int, str]] = None) -> PatchPattern:
-    """Pattern describing the given faces of a map, with 'B' marks outside.
-
-    Face cycles are read in the map's orientation starting from an arbitrary
-    slot (deterministic: each face starts at its lowest dart id, as
-    :meth:`CombMap.face_cycles` does).
-    """
-    idset = set(face_ids)
-    if names is None:
-        names = {f: "F%d" % f for f in face_ids}
-    cycles = m.face_cycles()
-    return PatchPattern({names[f]: [names[g] if g in idset else B
-                                    for g in cycles[f]] for f in face_ids})
-
-
-def shortest_thick_path(m: CombMap, a: int, b: int) -> List[int]:
-    """A shortest dual-graph path from face a to face b, min-turn preferred.
-
-    Among all shortest face paths the one minimizing the number of turns is
-    returned (a turn at an interior face is an entry/exit edge pair that is
-    not opposite in an even-gon); ties break toward lexicographically small
-    face ids.
-    """
-    if a == b:
-        return [a]
-    best = _all_shortest_paths(m, a, b)
-    scored = sorted((path_turns(m, p), p) for p in best)
-    return scored[0][1]
-
-
-def _all_shortest_paths(m: CombMap, a: int, b: int) -> List[List[int]]:
-    dist = {a: 0}
-    q = deque([a])
-    while q:
-        f = q.popleft()
-        if f == b:
-            break
-        for g in m.face_neighbors(f):
-            if g not in dist:
-                dist[g] = dist[f] + 1
-                q.append(g)
-    out: List[List[int]] = []
-
-    def back(path: List[int]) -> None:
-        f = path[-1]
-        if f == a:
-            out.append(path[::-1])
-            return
-        for g in m.face_neighbors(f):
-            if dist.get(g, -1) == dist[f] - 1:
-                back(path + [g])
-
-    back([b])
     return out
 
 

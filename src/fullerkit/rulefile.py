@@ -22,7 +22,9 @@ A file holds any number of sections:
 A face line is ``name size entry entry ...`` where size is an integer or
 ``*`` (wildcard: the entries are a contiguous arc and the size is free) and
 each entry is a face name or ``B`` for a boundary edge.  ``#`` starts a
-comment; blank lines are ignored.
+comment; blank lines are ignored.  A rule section reads into a
+:class:`GrowthRule`, whose steps are :data:`TruncStep` and
+:data:`StraightenStep` tuples.
 """
 
 from __future__ import annotations
@@ -38,6 +40,64 @@ class RuleFileError(Exception):
     def __init__(self, line_no: int, message: str) -> None:
         super().__init__("line %d: %s" % (line_no, message))
         self.line_no = line_no
+
+
+TruncStep = Tuple[str, str, int, int, str, str]       # TRUNC name slot len small big
+StraightenStep = Tuple[str, str, int, str]            # STRAIGHTEN name slot merged
+
+
+class GrowthRule:
+    """One growth operation: patterns plus the scripts realizing them.
+
+    Attributes:
+        id: operation letter a-g.
+        params: chain-length parameters (empty, (k,) or (k1, k2)).
+        lhs, rhs: patch patterns before and after the operation.
+        script: truncation steps rewriting an LHS match into the RHS.
+        inverse_script: straightening steps rewriting an RHS match back.
+    """
+
+    def __init__(self, rule_id: str, params: Tuple[int, ...],
+                 lhs: PatchPattern, rhs: PatchPattern,
+                 script: List[TruncStep],
+                 inverse_script: List[StraightenStep]) -> None:
+        self.id = rule_id
+        self.params = params
+        self.lhs = lhs
+        self.rhs = rhs
+        self.script = script
+        self.inverse_script = inverse_script
+        self._validate()
+
+    @property
+    def key(self) -> str:
+        if self.params:
+            return "%s%s" % (self.id, "_".join(str(p) for p in self.params))
+        return self.id
+
+    @property
+    def delta_p6(self) -> int:
+        return len(self.script)
+
+    def _validate(self) -> None:
+        def hexes(pat: PatchPattern) -> int:
+            return sum(1 for n in pat.faces if pat.sizes[n] == 6)
+        if not hexes(self.rhs) > hexes(self.lhs):
+            raise ValueError("rule %s: rhs must gain hexagons" % self.key)
+        lw = any(self.lhs.is_wild(n) for n in self.lhs.faces)
+        rw = any(self.rhs.is_wild(n) for n in self.rhs.faces)
+        if not lw and not rw:
+            a = self.lhs.contact_sequence()
+            b = self.rhs.contact_sequence()
+            # the walks start at arbitrary slots: compare up to rotation
+            same = len(a) == len(b) and any(
+                b[r:] + b[:r] == a for r in range(len(b)))
+            if not same:
+                raise ValueError(
+                    "rule %s: lhs/rhs boundary contact mismatch" % self.key)
+
+    def __repr__(self) -> str:
+        return "GrowthRule(%s)" % self.key
 
 
 def _logical_lines(text: str) -> List[Tuple[int, List[str]]]:
@@ -81,9 +141,8 @@ def _build_pattern(header_ln: int,
         raise RuleFileError(header_ln, "invalid pattern: %s" % exc)
 
 
-def parse_file(text: str) -> Tuple[Dict[str, PatchPattern], List["GrowthRule"]]:
+def parse_file(text: str) -> Tuple[Dict[str, PatchPattern], List[GrowthRule]]:
     """Parse a pattern/rule file; returns (named patterns, growth rules)."""
-    from .growth import GrowthRule
     lines = _logical_lines(text)
     patterns: Dict[str, PatchPattern] = {}
     rules: List[GrowthRule] = []
@@ -175,7 +234,7 @@ def format_pattern_block(pat: PatchPattern) -> List[str]:
     return out
 
 
-def format_rules(rules: List["GrowthRule"]) -> str:
+def format_rules(rules: List[GrowthRule]) -> str:
     out: List[str] = []
     for r in rules:
         head = "rule %s" % r.id

@@ -96,7 +96,7 @@ def wind(sizes: Sequence[int]) -> Optional[CombMap]:
         m = pb.to_map()
     except (WindingError, MapError):
         return None
-    if not m.validate().ok:
+    if not m.validate():
         return None
     return m
 

@@ -22,7 +22,8 @@ A cut of a valid map is valid by construction: subdividing two edges of a
 face and joining the midpoints across it keeps the map cubic, connected and
 planar.  So ``truncate`` builds its output by copying and patching its
 input, not by a rebuild, and calls the trusted ``CombMap`` constructor; it
-checks only that the spec is a run of the map.  ``straighten`` still rebuilds through ``from_rotations``.
+checks only that the spec is a run of the map.  ``straighten`` still
+rebuilds through ``from_rotations``.
 """
 
 from __future__ import annotations
@@ -227,18 +228,6 @@ def _orbit(twin: List[int], d: int) -> Tuple[int, ...]:
         x = (t - t % 3) + (t % 3 - 1) % 3
     i = orbit.index(min(orbit))
     return tuple(orbit[i:] + orbit[:i])
-
-
-def truncate_along_edge(m: CombMap, dart: int) -> TruncationResult:
-    """The s = 1 truncation determined by its middle edge alone.
-
-    The cut face is the one on the left of ``dart``; the run consists of the
-    face edges before, at, and after the dart.  The derived signature is
-    (1; t0, t2) with t0, t2 the sizes of the faces across the outer two run
-    edges.
-    """
-    _check_dart(m, dart, InvalidRun)
-    return truncate(m, TruncationSpec(m, m.face_prev(dart), 1))
 
 
 def edge_faces(m: CombMap, dart: int) -> Tuple[int, int]:

@@ -1,17 +1,17 @@
 """Structure checks for fullerenes and for surgery intermediates.
 
-Each check is executed by exhaustive search (face census, belt search,
-fragment search) and reports a witness when it fails, so a report can be
-re-checked in isolation.
+Each check is executed by exhaustive search (face census, belt search) and
+reports a witness when it fails, so a report can be re-checked in
+isolation.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-from .belts import NotFullerene, enclosed_faces, find_k_belts
+from .belts import enclosed_faces, find_k_belts
 from .maps import CombMap
-from .patterns import match_pattern, path_turns
+from .patterns import path_turns
 
 
 class CheckResult:
@@ -113,59 +113,3 @@ def verify_intermediate(m: CombMap) -> TheoremReport:
     else:
         checks.append(_no_belts(4, belts4))
     return TheoremReport(checks)
-
-
-class FamilyReport:
-    """Nanotube-family classification.
-
-    family_one_k / family_two_k hold the ring or screw-step count when the
-    map belongs to the family, else None.  The dodecahedron is the k = 0
-    member of both families, so both fields are 0 for it.
-    """
-
-    def __init__(self, family_one_k: Optional[int],
-                 family_two_k: Optional[int]) -> None:
-        self.family_one_k = family_one_k
-        self.family_two_k = family_two_k
-
-    @property
-    def kind(self) -> str:
-        if self.family_one_k is not None and self.family_two_k is not None:
-            return "both"
-        if self.family_one_k is not None:
-            return "family_one"
-        if self.family_two_k is not None:
-            return "family_two"
-        return "none"
-
-    def __repr__(self) -> str:
-        return "FamilyReport(one=%r, two=%r)" % (self.family_one_k,
-                                                 self.family_two_k)
-
-
-def classify_nanotube(m: CombMap) -> FamilyReport:
-    """Detect membership in the two nanotube families.
-
-    Family one members carry a pentagon fully surrounded by pentagons (the
-    cap); family two members carry three pentagons around a vertex
-    alternating with three more.  A fragment hit is cross-checked by the
-    hexagon count (5k resp. 3k) and by isomorphism with the constructed
-    member, which rebuilds the map layer by layer from the fragment.
-    """
-    from .growth import (rules_by_id, seed_family_one, seed_family_two)
-    if not m.is_fullerene():
-        raise NotFullerene("nanotube classification expects a fullerene")
-    p6 = m.face_vector().get(6, 0)
-    one_k: Optional[int] = None
-    two_k: Optional[int] = None
-    cap = rules_by_id("a")[0].lhs
-    if p6 % 5 == 0 and match_pattern(m, cap):
-        k = p6 // 5
-        if m.is_isomorphic(seed_family_one(k)):
-            one_k = k
-    screw = rules_by_id("b")[0].lhs
-    if p6 % 3 == 0 and match_pattern(m, screw):
-        k = p6 // 3
-        if m.is_isomorphic(seed_family_two(k)):
-            two_k = k
-    return FamilyReport(one_k, two_k)

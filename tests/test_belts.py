@@ -1,10 +1,11 @@
 import pytest
 
-from fullerkit.belts import (NotFullerene, NotSimpleCycle, border_loops,
-                             belt_boundary_cycles, classify_five_belts,
-                             enclosed_faces, find_k_belts, split_by_cycle)
+from fullerkit.belts import (NotFullerene, classify_five_belts, enclosed_faces,
+                             find_k_belts)
 from fullerkit.growth import seed_family_one
 from fullerkit.maps import CombMap
+from paper_lemmas import (NotSimpleCycle, belt_boundary_cycles, belt_sides,
+                          split_by_cycle)
 
 
 def reference_k_belts(m, k):
@@ -82,8 +83,7 @@ def test_belt_memo_equals_a_fresh_search(polytopes, joined_maps):
 
 def reference_enclosed_faces(m, belt):
     """The single-face sides of the belt, found by flooding the sphere."""
-    ana = border_loops(m, belt)
-    return sorted(next(iter(side)) for side in (ana.side1, ana.side2)
+    return sorted(next(iter(side)) for side in belt_sides(m, belt)
                   if len(side) == 1)
 
 
@@ -191,9 +191,7 @@ def test_belt_region_is_annulus(dodecahedron):
     belt = find_k_belts(dodecahedron, 5)[0]
     cycles = belt_boundary_cycles(dodecahedron, belt)
     assert len(cycles) == 2
-    ana = border_loops(dodecahedron, belt)
-    assert ana.kind == "surrounds-facet"
-    assert len(ana.side1) == 1 or len(ana.side2) == 1
+    assert any(len(side) == 1 for side in belt_sides(dodecahedron, belt))
     # the belt encloses a pentagon: one boundary cycle has 5 edges
     assert sorted(len(c) for c in cycles)[0] == 5
 
@@ -201,7 +199,7 @@ def test_belt_region_is_annulus(dodecahedron):
 @pytest.mark.parametrize("faces,cycles", [([0], 1), (range(12), 0)])
 def test_border_loops_rejects_non_annulus(dodecahedron, faces, cycles):
     with pytest.raises(NotSimpleCycle, match="%d boundary cycles" % cycles):
-        border_loops(dodecahedron, list(faces))
+        belt_sides(dodecahedron, list(faces))
 
 
 def test_classify_five_belts_requires_fullerene():

@@ -46,3 +46,27 @@ def test_only_truncate_calls_the_map_constructor_directly():
                   and isinstance(node.func, ast.Name)
                   and node.func.id == "CombMap"]
     assert calls == ["surgery.py:truncate"]
+
+
+def test_no_function_local_package_imports():
+    # an import inside a function hides a module cycle from the top of the
+    # file; every package import sits at module level
+    def in_package(module):
+        return module == "fullerkit" or module.startswith("fullerkit.")
+
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    local = node.level > 0 or in_package(node.module)
+                elif isinstance(node, ast.Import):
+                    local = any(in_package(a.name) for a in node.names)
+                else:
+                    local = False
+                if local:
+                    found.append("%s:%s" % (path.name, fn.name))
+    assert found == []

@@ -1,16 +1,18 @@
+from collections import Counter
+
 import pytest
 
 import fullerkit.growth as growth
 from fullerkit.growth import (NotAMatch, apply_rule, decompose_rule,
                               detect_growth_rules, enumerate_maps,
-                              invert_rule, load_fragment_catalog, load_rules,
-                              rules_by_id, seed, seed_barrel,
-                              seed_dodecahedron, seed_family_one,
+                              invert_rule, load_rules, rules_by_id, seed,
+                              seed_barrel, seed_dodecahedron, seed_family_one,
                               seed_family_two)
 from fullerkit.maps import MapError
 from fullerkit.patterns import MatchResult, match_pattern
 from fullerkit.spiral import generate_fullerenes
 from fullerkit.surgery import truncate
+from paper_lemmas import fragment_catalog
 
 EXPECTED_KEYS = {
     "a", "b", "c", "d", "e",
@@ -250,8 +252,20 @@ def test_enumeration_matches_reference():
                for code in reference)
 
 
+# OEIS A007894: fullerene isomers with n vertices, mirror images identified.
+A007894 = {20: 1, 22: 0, 24: 1, 26: 1, 28: 2, 30: 3, 32: 6, 34: 6, 36: 15,
+           38: 17, 40: 40, 42: 45, 44: 89, 46: 116, 48: 199}
+
+
+def test_enumeration_counts_match_oeis_past_the_oracle():
+    # the suite cross-checks against the spiral oracle only up to C40; the
+    # growth closure to 14 hexagons reaches C48
+    counts = Counter(m.f0 for m in enumerate_maps(14).values())
+    assert counts == {n: c for n, c in A007894.items() if c}
+
+
 def test_fragment_catalog_occurs_after_growth():
-    catalog = load_fragment_catalog()
+    catalog = fragment_catalog()
     assert len(catalog) == 7
     outputs = []
     for rule in load_rules():

@@ -9,6 +9,7 @@ from fullerkit.maps import (AsymmetricAdjacency, CombMap, Disconnected,
                             MapError, NonCubic, NonPlanar, _bfs_word)
 from fullerkit.patterns import match_pattern
 from fullerkit.spiral import generate_fullerenes
+from paper_lemmas import relabel
 
 
 def tetrahedron():
@@ -60,7 +61,7 @@ def test_canonical_code_invariant_under_relabel(dodecahedron, rng):
     perm = list(range(m.f0))
     for _ in range(5):
         rng.shuffle(perm)
-        assert m.relabel(perm).canonical_code() == m.canonical_code()
+        assert relabel(m, perm).canonical_code() == m.canonical_code()
 
 
 def test_canonical_code_invariant_under_mirror(small_fullerenes):
@@ -127,7 +128,7 @@ def test_canonical_code_matches_reference(polytopes, rng):
     for m in list(maps):
         perm = list(range(m.f0))
         rng.shuffle(perm)
-        maps.append(m.mirror().relabel(perm))
+        maps.append(relabel(m.mirror(), perm))
     assert_matches_reference(maps)
 
 
@@ -149,7 +150,7 @@ def test_canonical_code_invariant_on_large_maps(rng):
         perm = list(range(m.f0))
         for _ in range(3):
             rng.shuffle(perm)
-            for image in (m.relabel(perm), m.mirror().relabel(perm)):
+            for image in (relabel(m, perm), relabel(m.mirror(), perm)):
                 assert image.canonical_code() == m.canonical_code()
                 assert image.is_chiral() == m.is_chiral()
 
@@ -179,13 +180,11 @@ def test_three_connected(polytopes, joined_maps):
     for maps, expected in ((polytopes, True), (joined_maps, False)):
         for m in maps:
             assert two_cut_free(m) == expected
-            assert m.validate().three_connected == expected
+            assert m.validate() == expected
 
 
 def test_validate_report(dodecahedron):
-    rep = dodecahedron.validate()
-    assert rep.ok
-    assert rep.face_vector == {5: 12}
+    assert dodecahedron.validate() is True
 
 
 def test_face_structure(dodecahedron):

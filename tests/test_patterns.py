@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fullerkit.belts import find_k_belts
-from fullerkit.growth import (load_fragment_catalog, load_rules, rules_by_id,
-                              seed_family_one, seed_family_two)
+from fullerkit.growth import (load_rules, rules_by_id, seed_family_one,
+                              seed_family_two)
 from fullerkit.patterns import (B, MatchResult, PatchPattern, PatternError,
-                                _all_shortest_paths, extract_patch,
-                                match_pattern, path_turns,
-                                shortest_thick_path)
+                                match_pattern, path_turns)
+from paper_lemmas import (_all_shortest_paths, extract_patch,
+                          fragment_catalog, shortest_thick_path)
 
 
 def road(k):
@@ -381,7 +381,7 @@ def fixture_maps(polytopes, joined_maps):
 
 def test_catalog_patterns_match_as_the_reference(fixture_maps):
     pats = [p for r in load_rules() for p in (r.lhs, r.rhs)]
-    pats += list(load_fragment_catalog().values())
+    pats += list(fragment_catalog().values())
     compared = sum(assert_same_matches(m, pat)
                    for m in fixture_maps for pat in pats)
     assert compared > 1000

@@ -8,8 +8,7 @@ from fullerkit.maps import CombMap, MapError
 from fullerkit.surgery import (InvalidRun, IsSimplex, NotDefined,
                                SpecOutOfRange, TruncationResult,
                                TruncationSpec, can_straighten, edge_faces,
-                               flag_effects, is_flag, straighten, truncate,
-                               truncate_along_edge)
+                               flag_effects, is_flag, straighten, truncate)
 
 MAP_FIELDS = ("rotations", "twin", "face_of", "faces")
 
@@ -141,8 +140,6 @@ def test_darts_outside_the_map_are_refused(dodecahedron, which):
     bound = "dart %d outside 0..%d" % (d, 3 * m.f0 - 1)
     with pytest.raises(InvalidRun, match=bound):
         TruncationSpec(m, d, 1)
-    with pytest.raises(InvalidRun, match=bound):
-        truncate_along_edge(m, d)
     with pytest.raises(NotDefined, match=bound):
         can_straighten(m, d)
     with pytest.raises(NotDefined, match=bound):
@@ -231,7 +228,8 @@ def test_complementary_run_equivalence(dodecahedron, barrel):
 
 
 def test_truncate_along_edge_signature(dodecahedron):
-    res = truncate_along_edge(dodecahedron, 0)
+    m = dodecahedron
+    res = truncate(m, TruncationSpec(m, m.face_prev(0), 1))
     assert res.map.face_vector() == {4: 1, 5: 10, 6: 2}
 
 

@@ -14,13 +14,13 @@ from typing import Dict, List, Tuple
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from fullerkit.growth import (GrowthRule, StraightenStep, TruncStep,
-                              _initial_state, apply_rule, run_straighten_step,
+from fullerkit.growth import (_initial_state, apply_rule, run_straighten_step,
                               run_trunc_step, seed_barrel, seed_dodecahedron,
                               seed_family_one, unmirror)
 from fullerkit.maps import CombMap
 from fullerkit.patterns import B, MatchResult, PatchPattern, match_pattern
-from fullerkit.rulefile import format_pattern_block, format_rules, parse_file
+from fullerkit.rulefile import (GrowthRule, StraightenStep, TruncStep,
+                                format_pattern_block, format_rules, parse_file)
 
 OUT_PATH = os.path.join(os.path.dirname(__file__), "..", "src", "fullerkit",
                         "data", "rules.txt")
