@@ -2,9 +2,9 @@
 
 Subcommands pipe planar_code streams through stdin/stdout (or --in/--out),
 so generation, growth, verification and rendering compose with ordinary
-shell pipelines.  Exit codes: 0 success / all checks passed, 1 a check or
-operation failed or the input was malformed (one line on stderr), 2 usage
-error.
+shell pipelines; gen and enumerate read no maps and take only
+--out.  Exit codes: 0 success / all checks passed, 1 a check or operation
+failed or the input was malformed (one line on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -199,18 +199,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="fullerkit", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
+    def output(sp):
+        sp.add_argument("--out", dest="outfile", default=None,
+                        help="write output to this file, not stdout")
+
     def common(sp):
         sp.add_argument("--in", dest="infile", default=None,
                         help="read planar_code from this file, not stdin")
-        sp.add_argument("--out", dest="outfile", default=None,
-                        help="write output to this file, not stdout")
+        output(sp)
 
     sp = sub.add_parser("gen", help="emit a seed fullerene")
     sp.add_argument("--family", required=True,
                     choices=["dodeca", "barrel", "one", "two"])
     sp.add_argument("--k", type=int, default=None,
                     help="size of family one or two (default 0)")
-    common(sp)
+    output(sp)
     sp.set_defaults(func=cmd_gen)
 
     sp = sub.add_parser("grow", help="apply a growth operation")
@@ -221,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("enumerate", help="closure of the dodecahedron")
     sp.add_argument("--max-p6", type=int, required=True)
-    common(sp)
+    output(sp)
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("verify", help="check the fullerene contract")

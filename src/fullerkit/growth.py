@@ -12,7 +12,7 @@ matched right-hand-side site.
 from __future__ import annotations
 
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .belts import NotFullerene
 from .maps import CombMap, MapError
@@ -307,11 +307,19 @@ def enumerate_maps(max_p6: int) -> Dict[bytes, CombMap]:
     """The closure of the dodecahedron under the rules, up to max_p6 hexagons.
 
     Works generation by generation: each generation applies one rule, at
-    every LHS site, to every map of the previous generation, skipping rules
-    that would pass max_p6.  A generation is not a p6 level, since rules add
-    one or more hexagons.  The result maps canonical code to the first map
-    produced with that code; its order is the order of discovery, starting
-    with the dodecahedron.
+    every LHS site up to symmetry (see :func:`_one_site_per_orbit`), to
+    every map of the previous generation, skipping rules that would pass
+    max_p6.  A generation is not a p6 level, since rules add one or more
+    hexagons.  The result maps canonical code to the first map produced
+    with that code; its order is the order of discovery, starting with the
+    dodecahedron.
+
+    Skipping sites leaves the result as it would be with every site
+    applied.  A skipped site is the image, under an automorphism of the
+    parent, of a site of the same rule applied before it.  ``apply_rule``
+    is built from ``twin``/``next`` and dart walks alone, so the two
+    children are isomorphic: the skipped child's code was already seen,
+    and it would neither have been kept nor have joined the frontier.
     """
     if max_p6 < 0:
         raise NegativeParameter("max_p6 must be >= 0")
@@ -323,13 +331,37 @@ def enumerate_maps(max_p6: int) -> Dict[bytes, CombMap]:
         parents, frontier = frontier, []
         for m in parents:
             p6 = m.face_vector().get(6, 0)
+            auts = m.automorphisms()
             for rule in rules:
                 if p6 + rule.delta_p6 > max_p6:
                     continue
-                for at in match_pattern(m, rule.lhs):
+                for at in _one_site_per_orbit(m, rule.lhs, auts):
                     child = apply_rule(m, rule, at)
                     code = child.canonical_code()
                     if code not in seen:
                         seen[code] = child
                         frontier.append(child)
     return seen
+
+
+def _one_site_per_orbit(m: CombMap, pat: PatchPattern,
+                        auts: Sequence[Sequence[int]]) -> Iterator[MatchResult]:
+    """The sites of ``match_pattern(m, pat)``, in order, less every site
+    that one of ``auts`` maps onto a site yielded before it.
+
+    A site is keyed by its orientation and its origin darts in pattern
+    face order; ``auts`` are orientation-preserving, so the image of a key
+    is ``(mirrored, phi(origins))``.  A face set is no key: the
+    representative that ``match_pattern`` picks for ``phi(F)`` may differ
+    from ``phi`` of the one for ``F`` by a self-symmetry of the pattern,
+    which a rule's script need not respect.
+    """
+    names = tuple(pat.faces)
+    covered: Set[Tuple[bool, Tuple[int, ...]]] = set()
+    for at in match_pattern(m, pat):
+        origins = tuple(at.origin[n] for n in names)
+        if (at.mirrored, origins) in covered:
+            continue
+        covered.update((at.mirrored, tuple(phi[d] for d in origins))
+                       for phi in auts)
+        yield at

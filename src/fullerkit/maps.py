@@ -44,7 +44,7 @@ class CombMap:
     """
 
     __slots__ = ("rotations", "twin", "face_of", "faces", "_cycles", "_pos",
-                 "_belts", "_canon", "_canon2")
+                 "_belts", "_canon", "_canon2", "_aut_roots")
 
     def __init__(self, rotations: Tuple[Tuple[int, int, int], ...],
                  twin: Tuple[int, ...], face_of: Tuple[int, ...],
@@ -59,6 +59,8 @@ class CombMap:
         self._belts: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
         self._canon: Optional[bytes] = None
         self._canon2: Optional[Tuple[bytes, bytes]] = None
+        # forward-orientation roots whose BFS word ties the minimum
+        self._aut_roots: Tuple[int, ...] = ()
 
     # -- construction -------------------------------------------------------
 
@@ -351,7 +353,8 @@ class CombMap:
             mroots = [d + 2 - 2 * (d % 3)
                       for d, x in enumerate(colour) if x == mc]
             mrot = [(a[2], a[1], a[0]) for a in rot]
-            self._canon2 = (_min_word(rot, roots), _min_word(mrot, mroots))
+            word, self._aut_roots = _min_word(rot, roots)
+            self._canon2 = (word, _min_word(mrot, mroots)[0])
         return self._canon2
 
     def canonical_code(self) -> bytes:
@@ -366,6 +369,8 @@ class CombMap:
         invariant under isomorphism, so each oriented code is an invariant;
         a BFS word from any one dart determines the rooted oriented map, so
         equal codes mean isomorphic maps.  Mirror images compare equal.
+        The search also finds the map's orientation-preserving automorphism
+        group for free: see :meth:`automorphisms`.
         """
         if self._canon is None:
             a, b = self._oriented_codes()
@@ -377,6 +382,39 @@ class CombMap:
         a, b = self._oriented_codes()
         return a != b
 
+    def automorphisms(self) -> List[Tuple[int, ...]]:
+        """Aut+, the orientation-preserving automorphisms, as dart maps.
+
+        Each permutation ``phi`` has ``phi[d]`` the image of dart ``d``; it
+        commutes with ``twin`` and ``next_dart``, and the identity comes
+        first.  They are read off the forward code's search: two roots with
+        equal BFS words root the same oriented map, so there is one
+        automorphism sending the first tied root of :func:`_min_word` to
+        each other tied root.  Conversely an automorphism keeps colours and
+        words, so it carries that root to a tied root, and a nontrivial one
+        fixes no dart of a connected map.  So the tied roots are exactly
+        one Aut+-orbit, one root per automorphism (60 for the
+        dodecahedron).  The map caches only the roots.
+        """
+        self._oriented_codes()
+        twin, step = self.twin, self.next_dart
+        r0 = self._aut_roots[0]
+        out = []
+        for root in self._aut_roots:
+            # an automorphism is fixed by one dart's image: spread it
+            phi = [-1] * len(twin)
+            phi[r0] = root
+            stack = [r0]
+            while stack:
+                d = stack.pop()
+                e = phi[d]
+                for a, b in ((twin[d], twin[e]), (step(d), step(e))):
+                    if phi[a] < 0:
+                        phi[a] = b
+                        stack.append(a)
+            out.append(tuple(phi))
+        return out
+
     def is_isomorphic(self, other: "CombMap") -> bool:
         return self.canonical_code() == other.canonical_code()
 
@@ -385,23 +423,33 @@ class CombMap:
 
 
 def _min_word(rot: Sequence[Tuple[int, int, int]],
-              roots: Sequence[int]) -> bytes:
-    """Lexicographically minimal BFS word over the given root darts.
+              roots: Sequence[int]) -> Tuple[bytes, Tuple[int, ...]]:
+    """Lexicographically minimal BFS word over the given root darts, and
+    the roots whose word ties it, in the order given.
 
     The word lists, for each vertex in discovery order, the labels of its
     three neighbours starting at the entry edge and following the rotation.
     Labels are assigned in order of first appearance.  A word rooted at
     dart ``3 * v + slot`` starts at ``v`` with neighbour ``rot[v][slot]``.
-    Maps with up to 255 vertices fit in one byte per entry.
+    Maps with up to 255 vertices fit in one byte per entry.  When ``roots``
+    is a colour class picked by an invariant rule, the tied roots are one
+    orbit of the orientation-preserving automorphism group and there is
+    one per automorphism (see :meth:`CombMap.automorphisms`).
     """
     if len(rot) > 255:
         raise MapError("canonical code supports at most 255 vertices")
     best = _bfs_word(rot, roots[0], None)
+    tied = [roots[0]]
     for root in roots[1:]:
         word = _bfs_word(rot, root, best)
-        if word is not None:
+        if word is None:
+            continue
+        if word == best:
+            tied.append(root)
+        else:
             best = word
-    return best
+            tied = [root]
+    return best, tuple(tied)
 
 
 def _bfs_word(rot: Sequence[Tuple[int, int, int]], root: int,

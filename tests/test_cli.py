@@ -47,6 +47,17 @@ def test_enumerate_has_no_jobs_option():
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["gen", "--family", "dodeca"],
+                                  ["enumerate", "--max-p6", "0"]])
+def test_commands_that_read_no_maps_reject_in(tmp_path, argv):
+    # they used to accept --in and silently ignore it
+    out = tmp_path / "out.bin"
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--in", str(tmp_path / "missing.bin"), "--out", str(out)])
+    assert e.value.code == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("family", ["dodeca", "barrel"])
 @pytest.mark.parametrize("k", ["-3", "0"])
 def test_gen_rejects_k_for_fixed_seeds(tmp_path, capsys, family, k):

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -260,8 +261,31 @@ A007894 = {20: 1, 22: 0, 24: 1, 26: 1, 28: 2, 30: 3, 32: 6, 34: 6, 36: 15,
 def test_enumeration_counts_match_oeis_past_the_oracle():
     # the suite cross-checks against the spiral oracle only up to C40; the
     # growth closure to 14 hexagons reaches C48
-    counts = Counter(m.f0 for m in enumerate_maps(14).values())
+    g = enumerate_maps(14)
+    counts = Counter(m.f0 for m in g.values())
     assert counts == {n: c for n, c in A007894.items() if c}
+    # keys, order and representatives as produced with every site applied
+    digest = hashlib.sha256(repr([(c.hex(), m.rotations)
+                                  for c, m in g.items()]).encode()).hexdigest()
+    assert digest == ("cae4d5d03fbabda248e108adeec1cb506f45ca67"
+                      "fdfc7356e4466712207ac5ed")
+
+
+def test_every_skipped_site_repeats_an_applied_child():
+    """Sites dropped by the orbit filter give children isomorphic to one
+    from a site that was applied, for the same parent and rule."""
+    skipped = 0
+    for m in enumerate_maps(8).values():
+        auts = m.automorphisms()
+        for rule in load_rules():
+            kept = list(growth._one_site_per_orbit(m, rule.lhs, auts))
+            codes = {apply_rule(m, rule, at).canonical_code() for at in kept}
+            sites = [(at.mirrored, at.origin) for at in kept]
+            for at in match_pattern(m, rule.lhs):
+                if (at.mirrored, at.origin) not in sites:
+                    skipped += 1
+                    assert apply_rule(m, rule, at).canonical_code() in codes
+    assert skipped
 
 
 def test_fragment_catalog_occurs_after_growth():

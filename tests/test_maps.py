@@ -155,6 +155,30 @@ def test_canonical_code_invariant_on_large_maps(rng):
                 assert image.is_chiral() == m.is_chiral()
 
 
+def test_automorphisms_are_the_rotation_group(polytopes, small_fullerenes,
+                                              dodecahedron):
+    """Each permutation is an orientation-preserving automorphism, the
+    identity is among them, and there are as many as darts whose BFS word
+    ties the minimum over all darts, colours ignored.  In every polytope
+    the rarest colour class is a single orbit; in some isomers up to C32
+    it is not, so there the tied roots are a proper part of it."""
+    assert all(m in polytopes for m in small_fullerenes)
+    for m in polytopes + list(enumerate_maps(6).values()):
+        darts = range(3 * m.f0)
+        auts = m.automorphisms()
+        assert tuple(darts) in auts
+        assert len(set(auts)) == len(auts)
+        for phi in auts:
+            assert sorted(phi) == list(darts)
+            assert all(phi[m.twin[d]] == m.twin[phi[d]] and
+                       phi[m.next_dart(d)] == m.next_dart(phi[d])
+                       for d in darts)
+        best = all_roots_word(m.rotations)
+        assert len(auts) == sum(_bfs_word(m.rotations, d, None) == best
+                                for d in darts)
+    assert len(dodecahedron.automorphisms()) == 60
+
+
 def connected_without(m, a, b):
     start = next(v for v in range(m.f0) if v not in (a, b))
     seen = {a, b, start}
