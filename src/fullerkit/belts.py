@@ -19,9 +19,10 @@ reads enclosure off neighbour sets on any map, with no flood of the sphere.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
 from .maps import CombMap
+from .patterns import path_turns
 
 
 class NotFullerene(Exception):
@@ -29,10 +30,11 @@ class NotFullerene(Exception):
 
 
 class FiveBeltReport:
-    """The 5-belts of a fullerene, each with its kind ('pentagon' or
-    'hexagon ring'); ``kinds[i]`` belongs to ``belts[i]``."""
+    """The 5-belts of a fullerene, each with its kind ('pentagon',
+    'hexagon ring' or None); ``kinds[i]`` belongs to ``belts[i]``."""
 
-    def __init__(self, belts: List[List[int]], kinds: List[str]) -> None:
+    def __init__(self, belts: List[List[int]],
+                 kinds: List[Optional[str]]) -> None:
         self.belts = belts
         self.kinds = kinds
 
@@ -98,11 +100,19 @@ def classify_five_belts(m: CombMap) -> FiveBeltReport:
 
     Kinds: 'pentagon' (the belt surrounds a single pentagon) and 'hexagon
     ring' (a nanotube ring of five hexagons meeting neighbours along
-    opposite edges).
+    opposite edges, so a walk round it never turns).  A belt of neither
+    kind, which no fullerene has, gets the kind None.
     """
     if not m.is_fullerene():
         raise NotFullerene("input is not a fullerene")
     belts = find_k_belts(m, 5)
-    kinds = ["pentagon" if enclosed_faces(m, belt) else "hexagon ring"
-             for belt in belts]
-    return FiveBeltReport(belts, kinds)
+    return FiveBeltReport(belts, [_five_belt_kind(m, belt) for belt in belts])
+
+
+def _five_belt_kind(m: CombMap, belt: List[int]) -> Optional[str]:
+    if any(m.face_size(g) == 5 for g in enclosed_faces(m, belt)):
+        return "pentagon"
+    if (all(m.face_size(f) == 6 for f in belt)
+            and path_turns(m, belt + belt[:2]) == 0):
+        return "hexagon ring"
+    return None

@@ -13,6 +13,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from .belts import NotFullerene
 from .growth import (NegativeParameter, NotAMatch, ResultNotFullerene,
                      apply_rule, decompose_rule, enumerate_maps, invert_rule,
                      rules_by_id, seed)
@@ -31,8 +32,8 @@ class CliFailure(Exception):
 
 
 ERRORS = (CliFailure, BadHeader, TruncatedRecord, ValidationFailure, MapError,
-          NegativeParameter, NotAMatch, ResultNotFullerene, NotDefined,
-          IsSimplex, RuleFileError)
+          NegativeParameter, NotAMatch, NotFullerene, ResultNotFullerene,
+          NotDefined, IsSimplex, RuleFileError)
 
 
 def _read_file(path: str, mode: str):

@@ -12,12 +12,12 @@ matched right-hand-side site.
 from __future__ import annotations
 
 from importlib import resources
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .belts import NotFullerene
 from .maps import CombMap, MapError
 from .patterns import MatchResult, PatchPattern, _embeddings, match_pattern
-from .rulefile import GrowthRule, parse_file
+from .rulefile import GrowthRule, StraightenStep, TruncStep, parse_file
 from .spiral import wind
 from .surgery import TruncationSpec, straighten, truncate
 from .winding import PatchBuilder
@@ -129,73 +129,59 @@ def seed(which: str, k: int = 0) -> CombMap:
     raise ValueError("unknown seed %r" % which)
 
 
-# -- script engine ----------------------------------------------------------
+# -- script runner ----------------------------------------------------------
 
-class ScriptState:
-    """A map plus named handles (face origin darts) evolving under a script."""
+def run_script(m: CombMap, at: MatchResult,
+               script: Sequence[Union[TruncStep, StraightenStep]]
+               ) -> Tuple[List[Tuple[CombMap, Optional[TruncationSpec]]],
+                          CombMap, Dict[str, int]]:
+    """Run TRUNC and STRAIGHTEN steps at a site: the one script runner.
 
-    def __init__(self, m: CombMap, origins: Dict[str, int]) -> None:
-        self.map = m
-        self.origins = dict(origins)
+    Handles name faces by an origin dart with the face on its left; they
+    start as ``at.origin``, carried to ``m.mirror()`` at a mirrored site.
+    A step acts at the dart ``slot`` steps along its face, backwards for a
+    negative slot.  TRUNC cuts a run of ``run_len`` edges there, of a
+    permitted signature, and names the two pieces.  STRAIGHTEN deletes the
+    edge there and names the merged face; handles on the face across it,
+    or leaving a removed vertex, are dropped.
 
-    def face_of(self, name: str) -> int:
-        return self.map.face_of[self.origins[name]]
-
-    def dart_at(self, name: str, slot: int) -> int:
-        """Dart at the given slot; negative slots walk backwards, so scripts
-        can address runs relative to slot 0 independently of face size."""
-        return self.map.face_walk(self.origins[name], abs(slot) + 1,
-                                  slot < 0)[-1]
-
-
-def run_trunc_step(state: ScriptState, name: str, slot: int, run_len: int,
-                   small_name: str, big_name: str) -> Tuple[ScriptState, TruncationSpec]:
-    m = state.map
-    start = state.dart_at(name, slot)
-    spec = TruncationSpec(m, start, run_len - 2)
-    res = truncate(m, spec)
-    origins = dict(state.origins)
-    del origins[name]
-    origins[small_name] = res.new_edge
-    origins[big_name] = res.map.twin[res.new_edge]
-    return ScriptState(res.map, origins), spec
-
-
-def run_straighten_step(state: ScriptState, name: str, slot: int,
-                        merged_name: str) -> ScriptState:
-    m = state.map
-    d = state.dart_at(name, slot)
-    other = m.face_of[m.twin[d]]
-    # name of the face on the other side of the edge, if it has one
-    other_names = [n for n in state.origins
-                   if n != name and state.face_of(n) == other]
-    # two darts past the edge the walk has left both of its ends, so this
-    # dart survives the straightening
-    keep = state.dart_at(name, (slot + 2) % m.face_size(state.face_of(name)))
-    res = straighten(m, d)
-    origins: Dict[str, int] = {}
-    for n, dart in state.origins.items():
-        if n in other_names or n == name:
-            continue
-        nd = res.map_dart(dart)
-        if nd is not None:
-            origins[n] = nd
-    origins[merged_name] = res.map_dart(keep)
-    return ScriptState(res.map, origins)
-
-
-def unmirror(m: CombMap, match: MatchResult) -> Tuple[CombMap, Dict[str, int]]:
-    """Host and origins with the match expressed in forward orientation."""
-    if not match.mirrored:
-        return m, dict(match.origin)
-    mm = m.mirror()
-    # a dart with the face on its left becomes, in the mirror map, the
-    # reversed dart (the twin) re-indexed through the reversed rotation
-    origins = {}
-    for n, d in match.origin.items():
-        t = m.twin[d]
-        origins[n] = 3 * (t // 3) + (2 - t % 3)
-    return mm, origins
+    Returns, per step, the map before it and its TruncationSpec (None for
+    a straightening); then the final map and handles.
+    """
+    if at.mirrored:
+        # a dart with the face on its left becomes, in the mirror map, the
+        # reversed dart (the twin) re-indexed through the reversed rotation
+        origins = {n: 3 * (m.twin[d] // 3) + 2 - m.twin[d] % 3
+                   for n, d in at.origin.items()}
+        m = m.mirror()
+    else:
+        origins = dict(at.origin)
+    steps = []
+    for step in script:
+        name, slot = step[1], step[2]
+        d = m.face_walk(origins.pop(name), abs(slot) + 1, slot < 0)[-1]
+        if step[0] == "TRUNC":
+            spec = TruncationSpec(m, d, step[3] - 2)
+            if not is_permitted(spec.signature):
+                raise ResultNotFullerene(
+                    "script step signature %r not permitted" % (spec.signature,))
+            res = truncate(m, spec)
+            origins[step[4]] = res.new_edge
+            origins[step[5]] = res.map.twin[res.new_edge]
+        else:
+            spec = None
+            across = m.face_of[m.twin[d]]
+            # two darts past the edge the walk has left both of its ends, so
+            # this dart survives the straightening
+            keep = m.face_walk(d, 3)[-1]
+            res = straighten(m, d)
+            origins = {n: nd for n, x in origins.items()
+                       if m.face_of[x] != across
+                       and (nd := res.map_dart(x)) is not None}
+            origins[step[3]] = res.map_dart(keep)
+        steps.append((m, spec))
+        m = res.map
+    return steps, m, origins
 
 
 # -- growth rules -----------------------------------------------------------
@@ -203,21 +189,18 @@ def unmirror(m: CombMap, match: MatchResult) -> Tuple[CombMap, Dict[str, int]]:
 def apply_rule(m: CombMap, rule: GrowthRule, at: MatchResult) -> CombMap:
     """Replace the matched LHS patch by the rule's RHS patch.
 
-    Implemented as the rule's truncation script; every step signature is
-    checked against the permitted seven, and the result is checked to be a
-    fullerene with p6 increased by the script length.
+    Implemented as the rule's truncation script; the result is checked to
+    be a fullerene with p6 increased by the script length.  Raises
+    NotFullerene if ``m`` is none, NotAMatch if ``at`` is no LHS site.
     """
+    fv = m.face_vector()
+    if set(fv) - {5, 6} or fv.get(5, 0) != 12:
+        raise NotFullerene("rule %s expects a fullerene" % rule.key)
     _check_match(m, rule.lhs, at)
-    st = _initial_state(m, at)
-    for (_, name, slot, rl, small, big) in rule.script:
-        st, spec = run_trunc_step(st, name, slot, rl, small, big)
-        if not is_permitted(spec.signature):
-            raise ResultNotFullerene(
-                "script step signature %r not permitted" % (spec.signature,))
-    out = st.map
+    out = run_script(m, at, rule.script)[1]
     if not out.is_fullerene():
         raise ResultNotFullerene("rule %s output is not a fullerene" % rule.key)
-    if out.face_vector().get(6, 0) != m.face_vector().get(6, 0) + rule.delta_p6:
+    if out.face_vector().get(6, 0) != fv.get(6, 0) + rule.delta_p6:
         raise ResultNotFullerene("rule %s: unexpected hexagon delta" % rule.key)
     return out
 
@@ -230,29 +213,19 @@ def decompose_rule(m: CombMap, rule: GrowthRule,
     ``apply_rule(m, rule, at)``.
     """
     _check_match(m, rule.lhs, at)
-    st = _initial_state(m, at)
-    out: List[Tuple[CombMap, TruncationSpec]] = []
-    for (_, name, slot, rl, small, big) in rule.script:
-        before = st.map
-        st, spec = run_trunc_step(st, name, slot, rl, small, big)
-        out.append((before, spec))
-    return out
+    return run_script(m, at, rule.script)[0]
 
 
 def invert_rule(m: CombMap, rule: GrowthRule, at_rhs: MatchResult) -> CombMap:
-    """Run the rule's straightening script at an RHS match."""
+    """Run the rule's straightening script at an RHS match.  Raises
+    NotFullerene if ``m`` is none, NotAMatch if ``at_rhs`` is no RHS site."""
+    if not m.is_fullerene():
+        raise NotFullerene("rule %s inverse expects a fullerene" % rule.key)
     _check_match(m, rule.rhs, at_rhs)
-    st = _initial_state(m, at_rhs)
-    for (_, name, slot, merged) in rule.inverse_script:
-        st = run_straighten_step(st, name, slot, merged)
-    out = st.map
+    out = run_script(m, at_rhs, rule.inverse_script)[1]
     if not out.is_fullerene():
         raise ResultNotFullerene("rule %s inverse left the class" % rule.key)
     return out
-
-
-def _initial_state(m: CombMap, at: MatchResult) -> ScriptState:
-    return ScriptState(*unmirror(m, at))
 
 
 def _check_match(m: CombMap, pat: PatchPattern, at: MatchResult) -> None:

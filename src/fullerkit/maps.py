@@ -115,21 +115,15 @@ class CombMap:
                         stack.append(w)
             if not all(seen):
                 raise Disconnected("graph is not connected")
-        # face orbits of prev o twin
+        # face orbits, each from its smallest dart, numbered in that order
         face_of = [-1] * (3 * n)
         faces: List[Tuple[int, ...]] = []
         for d0 in range(3 * n):
-            if face_of[d0] >= 0:
-                continue
-            fid = len(faces)
-            orbit = []
-            d = d0
-            while face_of[d] < 0:
-                face_of[d] = fid
-                orbit.append(d)
-                t = twin[d]
-                d = (t - t % 3) + (t % 3 - 1) % 3  # prev(twin(d))
-            faces.append(tuple(orbit))
+            if face_of[d0] < 0:
+                fid, orbit = len(faces), _face_orbit(twin, d0)
+                for d in orbit:
+                    face_of[d] = fid
+                faces.append(orbit)
         f0, f1, f2 = n, 3 * n // 2, len(faces)
         if f0 - f1 + f2 != 2:
             raise NonPlanar("Euler count %d != 2" % (f0 - f1 + f2))
@@ -420,6 +414,18 @@ class CombMap:
 
     def __repr__(self) -> str:
         return "CombMap(f0=%d, f1=%d, f2=%d)" % (self.f0, self.f1, self.f2)
+
+
+def _face_orbit(twin: Sequence[int], d: int) -> Tuple[int, ...]:
+    """The face orbit of ``d`` under ``prev o twin``, starting at ``d``."""
+    orbit = [d]
+    t = twin[d]
+    x = (t - t % 3) + (t % 3 - 1) % 3  # prev(twin(d))
+    while x != d:
+        orbit.append(x)
+        t = twin[x]
+        x = (t - t % 3) + (t % 3 - 1) % 3
+    return tuple(orbit)
 
 
 def _min_word(rot: Sequence[Tuple[int, int, int]],

@@ -33,7 +33,7 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .belts import find_k_belts
-from .maps import CombMap, MapError
+from .maps import CombMap, MapError, _face_orbit
 
 
 class InvalidRun(Exception):
@@ -186,19 +186,20 @@ def truncate(m: CombMap, spec: TruncationSpec) -> TruncationResult:
     twin = list(m.twin)
     twin[d0], twin[t0], twin[d1], twin[t1] = e, e + 1, e + 3, e + 4
     twin += (d0, t0, e + 5, d1, t1, e + 2)
-    # the cut face splits into the orbits of d0 and d1; the piece holding
-    # its first dart keeps its id and the other is inserted at its place in
-    # first-dart order.  The faces across the run ends each gain a dart.
+    # the cut face splits into the orbits of d0 and d1, each walked from
+    # its smallest dart; the piece holding its first dart keeps its id and
+    # the other is inserted at its place in first-dart order.  The faces
+    # across the run ends each gain a dart numbered past every old one, so
+    # their first darts stay first.
     f = spec.face
     faces = list(m.faces)
-    keep, new = _orbit(twin, d0), _orbit(twin, d1)
-    if keep[0] > new[0]:
-        keep, new = new, keep
+    keep, new = sorted(_face_orbit(twin, min(_face_orbit(twin, d)))
+                       for d in (d0, d1))
     p = bisect_left(faces, new[0], key=itemgetter(0))
     faces[f] = keep
     across = {m.face_of[t0], m.face_of[t1]} - {f}
     for g in across:
-        faces[g] = _orbit(twin, faces[g][0])
+        faces[g] = _face_orbit(twin, faces[g][0])
     faces.insert(p, new)
     face_of = [g if g < p else g + 1 for g in m.face_of] + [0] * 6
     for g in [f, p] + [g if g < p else g + 1 for g in across]:
@@ -215,19 +216,6 @@ def truncate(m: CombMap, spec: TruncationSpec) -> TruncationResult:
     else:
         raise MapError("truncation produced unexpected face sizes")
     return TruncationResult(out, e, small, big, m, spec.face)
-
-
-def _orbit(twin: List[int], d: int) -> Tuple[int, ...]:
-    """The face orbit of ``d`` under ``twin``, from its smallest dart."""
-    orbit = [d]
-    t = twin[d]
-    x = (t - t % 3) + (t % 3 - 1) % 3  # prev(twin(d))
-    while x != d:
-        orbit.append(x)
-        t = twin[x]
-        x = (t - t % 3) + (t % 3 - 1) % 3
-    i = orbit.index(min(orbit))
-    return tuple(orbit[i:] + orbit[:i])
 
 
 def edge_faces(m: CombMap, dart: int) -> Tuple[int, int]:

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from typing import List
 
-from .belts import enclosed_faces, find_k_belts
+from .belts import classify_five_belts, enclosed_faces, find_k_belts
 from .maps import CombMap
-from .patterns import path_turns
 
 
 class CheckResult:
@@ -74,18 +73,10 @@ def verify_fullerene(m: CombMap) -> TheoremReport:
     checks.append(_no_belts(3, find_k_belts(m, 3)))
     checks.append(_no_belts(4, find_k_belts(m, 4)))
     if all(c.passed for c in checks):
-        bad_belt = None
-        for belt in find_k_belts(m, 5):
-            if any(m.face_size(g) == 5 for g in enclosed_faces(m, belt)):
-                continue
-            # a hexagon ring goes straight through every face
-            if (all(m.face_size(f) == 6 for f in belt)
-                    and path_turns(m, belt + belt[:2]) == 0):
-                continue
-            bad_belt = belt
-            break
-        checks.append(CheckResult("five-belt-kinds", bad_belt is None,
-                                  bad_belt))
+        five = classify_five_belts(m)
+        bad = [b for b, kind in zip(five.belts, five.kinds) if kind is None]
+        checks.append(CheckResult("five-belt-kinds", not bad,
+                                  bad[0] if bad else None))
     return TheoremReport(checks)
 
 

@@ -120,6 +120,17 @@ def test_decompose_emits_script_intermediates(tmp_path):
     assert counts[-1] - counts[0] == 2 * (len(chain) - 1)
 
 
+@pytest.mark.parametrize("rule", ["a", "b", "d"])
+def test_grow_on_an_intermediate_blames_the_input(tmp_path, capsys, rule):
+    _, seeds = run(tmp_path, "gen", "--family", "dodeca")
+    _, mids = run(tmp_path, "decompose", "--rule", rule, infile=seeds)
+    capsys.readouterr()
+    code, _ = run(tmp_path, "grow", "--rule", rule, infile=mids)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "fullerkit: rule %s expects a fullerene\n" % rule)
+
+
 def test_grow_then_invert_roundtrip(tmp_path):
     _, seeds = run(tmp_path, "gen", "--family", "barrel")
     _, grown = run(tmp_path, "grow", "--rule", "c", infile=seeds)

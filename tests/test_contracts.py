@@ -10,6 +10,7 @@ from pathlib import Path
 import fullerkit
 
 SOURCES = sorted(Path(fullerkit.__file__).parent.glob("*.py"))
+TOOLS = sorted((Path(__file__).parent.parent / "tools").rglob("*.py"))
 
 
 def test_package_has_no_assert_statements():
@@ -69,4 +70,19 @@ def test_no_function_local_package_imports():
                     local = False
                 if local:
                     found.append("%s:%s" % (path.name, fn.name))
+    assert found == []
+
+
+def test_tools_import_only_public_package_names():
+    # a private name is no interface: the package may change it freely
+    found = []
+    for path in TOOLS:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[0] == "fullerkit"):
+                names = node.module.split(".") + [a.name for a in node.names]
+                found += ["%s:%s" % (path.name, name) for name in names
+                          if name.startswith("_")]
+    assert TOOLS
     assert found == []

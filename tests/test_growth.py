@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 import fullerkit.growth as growth
+from fullerkit.belts import NotFullerene
 from fullerkit.growth import (NotAMatch, apply_rule, decompose_rule,
                               detect_growth_rules, enumerate_maps,
                               invert_rule, load_rules, rules_by_id, seed,
@@ -137,6 +138,38 @@ def test_apply_after_invert_is_identity(barrel):
     assert restored.is_isomorphic(barrel)
     again = apply_rule(restored, rule, match_pattern(restored, rule.lhs)[0])
     assert again.canonical_code() == out.canonical_code()
+
+
+def test_rules_apply_at_mirrored_sites():
+    # match_pattern keeps the unmirrored site of each face set, so only
+    # the full embedding list reaches the mirrored path of run_script
+    applied = 0
+    for m in enumerate_maps(4).values():
+        code, p6 = m.canonical_code(), m.face_vector().get(6, 0)
+        for rule in load_rules():
+            for at in match_pattern(m, rule.lhs, all_embeddings=True):
+                if not at.mirrored:
+                    continue
+                out = apply_rule(m, rule, at)
+                assert out.is_fullerene()
+                assert out.face_vector().get(6, 0) == p6 + rule.delta_p6
+                assert any(invert_rule(out, rule, back).canonical_code() == code
+                           for back in match_pattern(out, rule.rhs))
+                applied += 1
+    assert applied
+
+
+def test_operations_reject_a_non_fullerene(dodecahedron):
+    # an intermediate of rule a's script has a quadrangle, yet it holds
+    # sites of rule a's LHS and rule c's RHS: the input is at fault
+    rule_a, rule_c = rules_by_id("a")[0], rules_by_id("c")[0]
+    site = match_pattern(dodecahedron, rule_a.lhs)[0]
+    mid = decompose_rule(dodecahedron, rule_a, site)[2][0]
+    assert mid.face_vector().get(4) == 1
+    with pytest.raises(NotFullerene):
+        apply_rule(mid, rule_a, match_pattern(mid, rule_a.lhs)[0])
+    with pytest.raises(NotFullerene):
+        invert_rule(mid, rule_c, match_pattern(mid, rule_c.rhs)[0])
 
 
 def test_apply_rejects_foreign_match(dodecahedron):

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from fullerkit.growth import (_initial_state, apply_rule, run_straighten_step,
-                              run_trunc_step, seed_barrel, seed_dodecahedron,
-                              seed_family_one, unmirror)
+from fullerkit.growth import (apply_rule, run_script, seed_barrel,
+                              seed_dodecahedron, seed_family_one)
 from fullerkit.maps import CombMap
 from fullerkit.patterns import B, MatchResult, PatchPattern, match_pattern
 from fullerkit.rulefile import (GrowthRule, StraightenStep, TruncStep,
@@ -37,22 +36,18 @@ def derive_inverse_script(m: CombMap, rule_lhs: PatchPattern,
     isomorphic at every match.  The derived script is verified to restore
     the original map.
     """
-    st = _initial_state(m, at)
-    history: List[Tuple[str, str, str]] = []
-    for (_, name, slot, rl, small, big) in script:
-        st, _spec = run_trunc_step(st, name, slot, rl, small, big)
-        history.append((small, big, name))
+    _, out, origins = run_script(m, at, script)
     inverse: List[StraightenStep] = []
-    for small, big, merged in reversed(history):
-        fbig = st.face_of(big)
-        mm = st.map
-        walk = mm.face_walk(st.origins[small], mm.face_size(st.face_of(small)))
-        slots = [i for i, d in enumerate(walk) if mm.face_of[mm.twin[d]] == fbig]
+    for (_, merged, _, _, small, big) in reversed(script):
+        fbig = out.face_of[origins[big]]
+        walk = out.face_walk(origins[small],
+                             out.face_size(out.face_of[origins[small]]))
+        slots = [i for i, d in enumerate(walk) if out.face_of[out.twin[d]] == fbig]
         assert slots, "result faces of a script step are not adjacent"
-        inverse.append(("STRAIGHTEN", small, slots[0], merged))
-        st = run_straighten_step(st, small, slots[0], merged)
-    host, _ = unmirror(m, at)
-    assert st.map.is_isomorphic(host), "inverse script failed to restore host"
+        step = ("STRAIGHTEN", small, slots[0], merged)
+        inverse.append(step)
+        _, out, origins = run_script(out, MatchResult({}, origins, False), [step])
+    assert out.is_isomorphic(m), "inverse script failed to restore host"
     return inverse
 
 
@@ -63,16 +58,13 @@ def rhs_pattern(m: CombMap, rule_lhs: PatchPattern, script: List[TruncStep],
     Wildcard faces of the LHS stay wildcards: their extracted cycles are cut
     down to the contiguous arc of named neighbours.
     """
-    st = _initial_state(m, at)
-    for (_, name, slot, rl, small, big) in script:
-        st, _spec = run_trunc_step(st, name, slot, rl, small, big)
+    _, out, origins = run_script(m, at, script)
     wild = {n for n in rule_lhs.faces if rule_lhs.is_wild(n)}
-    out = st.map
-    name_of = {st.face_of(n): n for n in st.origins}
+    name_of = {out.face_of[d]: n for n, d in origins.items()}
     faces: Dict[str, List[str]] = {}
-    for n in st.origins:
-        walk = out.face_walk(st.origins[n], out.face_size(st.face_of(n)))
-        faces[n] = [name_of.get(out.face_of[out.twin[d]], B) for d in walk]
+    for n, d in origins.items():
+        walk = out.face_walk(d, out.face_size(out.face_of[d]))
+        faces[n] = [name_of.get(out.face_of[out.twin[w]], B) for w in walk]
     for n in wild:
         faces[n] = _named_arc(faces[n])
     # deterministic order: sized faces first so the anchor is sized
