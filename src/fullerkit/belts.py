@@ -6,10 +6,16 @@ non-consecutive faces do not intersect at all (for k = 3 the condition is
 that the three faces have no common vertex).  Faces at a common vertex of
 a cubic map share an edge there, so a k-belt is a chordless k-cycle of the
 dual graph, for k = 3 one not around a vertex (a cyclic k-edge cut, Doslic
-2003).  On a 3-connected map a belt region is an annulus: its two
-boundary edge-cycles cut the rest of the sphere into two sides.  Cutting
-the sphere along a cycle, and the loop arithmetic on either side of the
-cut, live with the tests in ``tests/paper_lemmas.py``.
+2003).  The three faces at a vertex of a face f are f and the faces across
+two consecutive edges of f, so a dual triangle on f is a vertex exactly
+when its other two faces are consecutive in f's ``face_cycles()`` row; a
+vertex lies between two consecutive edges of each of its faces on any map,
+3-connected or not.
+
+On a 3-connected map a belt region is an annulus: its two boundary
+edge-cycles cut the rest of the sphere into two sides.  Cutting the sphere
+along a cycle, and the loop arithmetic on either side of the cut, live
+with the tests in ``tests/paper_lemmas.py``.
 
 Every belt face touches both boundary cycles, so a side that is a single
 face has exactly the belt as its neighbour set; conversely a face off the
@@ -48,8 +54,11 @@ def find_k_belts(m: CombMap, k: int) -> List[List[int]]:
 
     A belt is returned as the face sequence rotated to start at its smallest
     face id, in the direction that minimizes the sequence.  The search
-    walks chordless dual k-cycles from their smallest face (module docstring)
-    and runs once per map and k; every call returns fresh lists.
+    walks chordless dual paths from their smallest face s and closes each
+    at a common neighbour of s and its face k - 2, so a face k - 2 that
+    shares no neighbour with s ends its branch; a 3-cycle is dropped when
+    its other two faces are consecutive in s's row (module docstring).  It
+    runs once per map and k; every call returns fresh lists.
     """
     if k < 3:
         return []
@@ -60,27 +69,38 @@ def find_k_belts(m: CombMap, k: int) -> List[List[int]]:
 
 
 def _search_k_belts(m: CombMap, k: int) -> List[List[int]]:
-    nbrs: List[Set[int]] = [set(cyc) for cyc in m.face_cycles()]
-    corners = ({frozenset(m.face_of[3 * v:3 * v + 3]) for v in range(m.f0)}
-               if k == 3 else set())
+    rows = m.face_cycles()
+    nbrs: List[Set[int]] = [set(row) for row in rows]
     out: List[List[int]] = []
 
-    def extend(path: List[int]) -> None:
-        last = path[-1]
-        if len(path) == k:
-            # each cycle is walked both ways; keep the minimal direction
-            if (path[0] in nbrs[last] and path[1] < last
-                    and frozenset(path) not in corners):
-                out.append(path)
-            return
-        # no chords; path[0] is a neighbour of the face closing the cycle
-        placed = path[1:-1] if len(path) + 1 == k else path[:-1]
-        for g in nbrs[last]:
-            if g > path[0] and g not in path and nbrs[g].isdisjoint(placed):
-                extend(path + [g])
+    def extend(path: List[int], ends: Set[int], corners) -> None:
+        # path[0] is the cycle's smallest face and ``ends`` its neighbours
+        # above it; a face may meet no placed face but its predecessor,
+        # which also keeps it off the path
+        placed = path[:-1]
+        for g in nbrs[path[-1]]:
+            if g <= path[0] or not nbrs[g].isdisjoint(placed):
+                continue
+            if len(path) + 2 < k:
+                extend(path + [g], ends, corners)
+                continue
+            # g is face k - 2; the last face h is a common neighbour of g
+            # and path[0] that meets no face of path[1:] and, for k = 3,
+            # has no vertex in common with them; h above face 1 keeps one
+            # of the two directions of each cycle
+            second = path[1] if len(path) > 1 else g
+            inner = path[1:]
+            for h in nbrs[g] & ends:
+                if (h > second and nbrs[h].isdisjoint(inner)
+                        and (g, h) not in corners and (h, g) not in corners):
+                    out.append(path + [g, h])
 
     for f in range(m.f2):
-        extend([f])
+        row = rows[f]
+        # three faces meet at a vertex of f exactly when the other two are
+        # consecutive in f's row
+        corners = set(zip(row, row[1:] + row[:1])) if k == 3 else set()
+        extend([f], {g for g in nbrs[f] if g > f}, corners)
     out.sort()
     return out
 

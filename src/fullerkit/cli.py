@@ -77,7 +77,12 @@ def _write_text(text: str, args) -> None:
 
 
 def _sites(m: CombMap, rule_id: str, rhs: bool = False):
-    """(rule, match) pairs of the rule's LHS pattern, or its RHS pattern."""
+    """(rule, match) pairs of the rule's LHS pattern, or its RHS pattern.
+    Raises NotFullerene, as the rule itself would, before any site is
+    picked, so that a map with no sites is blamed and not the index."""
+    if not m.is_fullerene():
+        raise NotFullerene("rule %s%s expects a fullerene"
+                           % (rule_id, " inverse" if rhs else ""))
     sites = []
     for rule in sorted(rules_by_id(rule_id), key=lambda r: r.key):
         for at in match_pattern(m, rule.rhs if rhs else rule.lhs):

@@ -26,6 +26,15 @@ F - j - 2 glues before the closing face, so one with n2 > 2(F - j - 2) can
 never close, and since ``wind`` follows the same runs as the search, no
 sequence with that prefix winds.  The cut therefore removes only sequences
 that ``wind`` rejects, and the output is the same with or without it.
+
+A second cut holds for sequences that start with a hexagon.  Such a
+sequence that ends with a pentagon is larger than its reversal, which
+starts with the pentagon, so the mirror filter skips it at its leaf.  A
+sequence that starts with a hexagon is therefore only kept if it ends with
+one, and its remaining pentagons must fit before the last face: a prefix
+of j + 1 faces with p pentagons needs 12 - p <= F - 2 - j.  The cut removes
+only leaves that the mirror filter drops, so it too leaves the output as
+it is.
 """
 
 from __future__ import annotations
@@ -107,14 +116,15 @@ def generate_fullerenes(face_count: int) -> List[CombMap]:
     Searches the size sequences with 12 pentagons depth first, pentagon
     before hexagon, so complete sequences come in lexicographic order.  A
     prefix is abandoned when its next face cannot be glued, when it holds
-    more than 12 pentagons or leaves too few places for the rest, or when
-    the glue would leave more degree-2 boundary vertices than the remaining
-    faces can close: each later glue lowers their number n2 by at most 2, so
-    a prefix of j + 1 faces with n2 > 2(face_count - j - 2) has no winding
-    completion (see the module docstring).  Complete
-    sequences larger than their reversal are skipped (the two wind to
-    reflected maps); the rest go to ``wind``.  Returns the first map found
-    per canonical code.
+    more than 12 pentagons or leaves too few places for the rest (one fewer
+    after a first hexagon, since the last face must then be a hexagon too),
+    or when the glue would leave more degree-2 boundary vertices than the
+    remaining faces can close: each later glue lowers their number n2 by at
+    most 2, so a prefix of j + 1 faces with n2 > 2(face_count - j - 2) has
+    no winding completion (see the module docstring).  Complete sequences
+    larger than their reversal are skipped (the two wind to reflected maps);
+    the rest go to ``wind``.  Returns the first map found per canonical
+    code.
     """
     if face_count < 12:
         return []
@@ -150,12 +160,13 @@ def generate_fullerenes(face_count: int) -> List[CombMap]:
         # degree-2 vertices, which faces j + 1 .. face_count - 2 must bring
         # down to 0 at 2 per face
         max_size = 2 * (face_count - j - 2) - pb.vdeg.count(2) + length + 3
+        # positions j + 1 .. face_count - 1 remain for the other pentagons,
+        # less the last one after a hexagon (module docstring)
+        room = face_count - 1 - j - (sizes[0] == 6)
         kids = []
         for s in (5, 6):
             p = pents + (s == 5)
-            # positions j + 1 .. face_count - 1 remain for 12 - p pentagons
-            if (p <= 12 and 12 - p <= face_count - 1 - j
-                    and length < s <= max_size):
+            if p <= 12 and 12 - p <= room and length < s <= max_size:
                 kids.append((s, p))
         for i, (s, p) in enumerate(kids):
             # glue fails before it mutates, so the last child may reuse pb

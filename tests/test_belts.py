@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 from fullerkit.belts import (NotFullerene, classify_five_belts, enclosed_faces,
                              find_k_belts)
-from fullerkit.growth import seed_family_one
+from fullerkit.growth import (enumerate_maps, seed_dodecahedron,
+                              seed_family_one, seed_family_two)
 from fullerkit.maps import CombMap
+from fullerkit.surgery import TruncationSpec, truncate
 from paper_lemmas import (NotSimpleCycle, belt_boundary_cycles, belt_sides,
                           split_by_cycle)
 
@@ -64,6 +68,65 @@ def test_belts_match_reference(polytopes, joined_maps):
         for k in range(3, 7):
             belts = find_k_belts(m, k)
             assert belts == reference_k_belts(m, k)
+            if belts:
+                seen.add(k)
+    assert seen == {3, 4, 5, 6}
+
+
+def walk_k_belts(m, k):
+    """Reference: the neighbour walk that ``find_k_belts`` replaced.  Each
+    step tries every neighbour of the last face, the cycle is closed by
+    testing that the last face touches the first, and 3-belts are told
+    from vertices by a set holding the three faces of every vertex."""
+    nbrs = [set(cyc) for cyc in m.face_cycles()]
+    corners = ({frozenset(m.face_of[3 * v:3 * v + 3]) for v in range(m.f0)}
+               if k == 3 else set())
+    out = []
+
+    def extend(path):
+        last = path[-1]
+        if len(path) == k:
+            if (path[0] in nbrs[last] and path[1] < last
+                    and frozenset(path) not in corners):
+                out.append(path)
+            return
+        placed = path[1:-1] if len(path) + 1 == k else path[:-1]
+        for g in nbrs[last]:
+            if g > path[0] and g not in path and nbrs[g].isdisjoint(placed):
+                extend(path + [g])
+
+    for f in range(m.f2):
+        extend([f])
+    out.sort()
+    return out
+
+
+def truncation_chain(seed, steps=8):
+    """The maps of a seeded chain of s = 0 and s = 1 cuts from the
+    dodecahedron; the cuts leave triangles and quadrangles, so 3- and
+    4-belts."""
+    rng = random.Random(seed)
+    m = seed_dodecahedron()
+    out = []
+    for _ in range(steps):
+        m = truncate(m, TruncationSpec(m, rng.randrange(3 * m.f0),
+                                       rng.choice((0, 1)))).map
+        out.append(m)
+    return out
+
+
+def test_belts_match_the_walk_they_replace(joined_maps, joined_intermediate):
+    maps = list(enumerate_maps(6).values())
+    maps += [seed_family_one(k) for k in range(7)]
+    maps += [seed_family_two(k) for k in range(7)]
+    for seed in (1, 2, 3):
+        maps += truncation_chain(seed)
+    maps += joined_maps + [joined_intermediate]
+    seen = set()
+    for m in maps:
+        for k in range(3, 7):
+            belts = find_k_belts(m, k)
+            assert belts == walk_k_belts(m, k)
             if belts:
                 seen.add(k)
     assert seen == {3, 4, 5, 6}

@@ -2,6 +2,7 @@ import pytest
 
 from fullerkit.cli import main
 from fullerkit.growth import seed_dodecahedron
+from fullerkit.maps import CombMap
 from fullerkit.planarcode import read_planar_code, write_planar_code
 
 
@@ -129,6 +130,27 @@ def test_grow_on_an_intermediate_blames_the_input(tmp_path, capsys, rule):
     assert code == 1
     assert capsys.readouterr().err == (
         "fullerkit: rule %s expects a fullerene\n" % rule)
+
+
+CUBE = CombMap.from_rotations([
+    [1, 3, 4], [0, 5, 2], [1, 6, 3], [2, 7, 0],
+    [0, 7, 5], [1, 4, 6], [2, 5, 7], [3, 6, 4]])
+
+
+@pytest.mark.parametrize("command,message", [
+    ("grow", "rule c expects a fullerene"),
+    ("decompose", "rule c expects a fullerene"),
+    ("invert", "rule c inverse expects a fullerene"),
+])
+def test_rule_on_a_map_without_sites_blames_the_input(tmp_path, capsys,
+                                                      command, message):
+    # the cube has no site of any rule: the error names the input, not the
+    # site index
+    src = tmp_path / "cube.bin"
+    src.write_bytes(write_planar_code([CUBE]))
+    code, _ = run(tmp_path, command, "--rule", "c", infile=src)
+    assert code == 1
+    assert capsys.readouterr().err == "fullerkit: %s\n" % message
 
 
 def test_grow_then_invert_roundtrip(tmp_path):

@@ -182,3 +182,35 @@ def test_degree_two_cut_keeps_every_fullerene_sequence(fc, monkeypatch):
     uncut = [s for s in reference_search(fc) if s <= s[::-1]]
     assert set(map(tuple, wound)) <= set(map(tuple, uncut))
     assert all(wind(s) is None for s in uncut if s not in wound)
+
+
+def hexagon_first_cut(prefix, face_count):
+    """Whether the hexagon-first cut drops a prefix: it starts with a
+    hexagon and leaves its other pentagons no place before the last face."""
+    return (len(prefix) > 1 and prefix[0] == 6
+            and 12 - prefix.count(5) > face_count - 1 - len(prefix))
+
+
+@pytest.mark.parametrize("fc", range(12, 18))
+def test_hexagon_first_cut_keeps_every_kept_sequence(fc, monkeypatch):
+    # every sequence the uncut search winds and the mirror filter keeps
+    # passes the cut at each of its prefixes
+    reached = []
+    leaves = reference_search(fc, lambda pb, sizes: reached.append(
+        list(sizes)))
+    kept = [s for s in leaves if s <= s[::-1] and wind(s) is not None]
+    assert kept or fc == 13
+    for s in kept:
+        assert not any(hexagon_first_cut(s[:j], fc) for j in range(2, fc))
+    # the search visits no prefix the cut drops, and the uncut search does
+    # (at F = 12 the pentagon count alone already ends every hexagon start)
+    visited = []
+
+    def recording_next_run(pb):
+        visited.append(list(pb.sizes))
+        return _next_run(pb)
+
+    monkeypatch.setattr(spiral, "_next_run", recording_next_run)
+    generate_fullerenes(fc)
+    assert not any(hexagon_first_cut(p, fc) for p in visited)
+    assert any(hexagon_first_cut(p, fc) for p in reached) == (fc > 12)
