@@ -235,7 +235,7 @@ def _check_match(m: CombMap, pat: PatchPattern, at: MatchResult) -> None:
     d0 = at.origin[anchor]
     if not 0 <= d0 < len(m.face_of):
         raise NotAMatch("dart %d is not a dart of this map" % d0)
-    found = _embeddings(m, pat, anchor, [d0], at.mirrored)
+    found = _embeddings(m, pat, anchor, 0, [d0], at.mirrored)
     if not found or found[0].origin != at.origin:
         raise NotAMatch("not a match of this pattern at the given site")
 
@@ -293,11 +293,18 @@ def enumerate_maps(max_p6: int) -> Dict[bytes, CombMap]:
     is built from ``twin``/``next`` and dart walks alone, so the two
     children are isomorphic: the skipped child's code was already seen,
     and it would neither have been kept nor have joined the frontier.
+
+    A child repeats a kept map exactly when its forward oriented word is
+    one of the kept maps' two oriented words (see
+    :meth:`CombMap.oriented_word`), so only a new child pays for its
+    mirror word and canonical code.
     """
     if max_p6 < 0:
         raise NegativeParameter("max_p6 must be >= 0")
     start = seed_dodecahedron()
     seen: Dict[bytes, CombMap] = {start.canonical_code(): start}
+    # both oriented words of every map kept
+    words = {start.oriented_word(), start.oriented_word(True)}
     frontier: List[CombMap] = [start]
     rules = load_rules()
     while frontier:
@@ -310,9 +317,10 @@ def enumerate_maps(max_p6: int) -> Dict[bytes, CombMap]:
                     continue
                 for at in _one_site_per_orbit(m, rule.lhs, auts):
                     child = apply_rule(m, rule, at)
-                    code = child.canonical_code()
-                    if code not in seen:
-                        seen[code] = child
+                    word = child.oriented_word()
+                    if word not in words:
+                        seen[child.canonical_code()] = child
+                        words.update((word, child.oriented_word(True)))
                         frontier.append(child)
     return seen
 

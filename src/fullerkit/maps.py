@@ -9,8 +9,11 @@ All maps are immutable after construction; surgery returns fresh maps.
 
 from __future__ import annotations
 
-from collections import Counter
+from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
+
+# A dart's colour: the sizes of the faces (left, right, back, ahead)
+Colour = Tuple[int, int, int, int]
 
 
 class MapError(Exception):
@@ -44,7 +47,7 @@ class CombMap:
     """
 
     __slots__ = ("rotations", "twin", "face_of", "faces", "_cycles", "_pos",
-                 "_belts", "_canon", "_canon2", "_aut_roots")
+                 "_belts", "_colours", "_canon", "_words", "_aut_roots")
 
     def __init__(self, rotations: Tuple[Tuple[int, int, int], ...],
                  twin: Tuple[int, ...], face_of: Tuple[int, ...],
@@ -57,8 +60,10 @@ class CombMap:
         self._pos: Optional[Tuple[int, ...]] = None
         # k -> the k-belts, filled by belts.find_k_belts
         self._belts: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
+        self._colours: Optional[Dict[Colour, array]] = None
         self._canon: Optional[bytes] = None
-        self._canon2: Optional[Tuple[bytes, bytes]] = None
+        # minimal BFS word of the map, then of its mirror image
+        self._words: List[Optional[bytes]] = [None, None]
         # forward-orientation roots whose BFS word ties the minimum
         self._aut_roots: Tuple[int, ...] = ()
 
@@ -323,42 +328,73 @@ class CombMap:
 
     # -- canonical form -----------------------------------------------------
 
-    def _oriented_codes(self) -> Tuple[bytes, bytes]:
-        """Minimal BFS words of the map and of its mirror image.
+    def colour_classes(self) -> Dict[Colour, array]:
+        """The darts by colour, each class in increasing dart order.
 
-        Each word is rooted only at the darts of the rarest colour class of
-        its orientation; see :meth:`canonical_code`.
+        The colour of a dart from ``v`` to ``w`` is the tuple of face sizes
+        ``(left, right, back, ahead)``: the faces on its two sides, the third
+        face at ``v`` and the third face at ``w``.  So along a ``k``-gon
+        whose neighbours across its darts have sizes ``e[0], e[1], ...``,
+        the dart at slot ``s`` has colour ``(k, e[s], e[s - 1], e[s + 1])``.
+        Built in one pass on first use and cached, one array of darts per
+        class: the canonical code roots its words at a class, and the
+        pattern matcher anchors at one.
         """
-        if self._canon2 is None:
-            rot, twin = self.rotations, self.twin
+        if self._colours is None:
+            twin = self.twin
             sizes = [len(orbit) for orbit in self.faces]
             left = [sizes[f] for f in self.face_of]
             # back[3v + i] = left[3v + (i + 1) % 3]: the third face at v
             back = left[1:] + left[:1]
             back[2::3] = left[0::3]
-            colour = list(zip(left, [left[t] for t in twin], back,
-                              [back[t] for t in twin]))
-            count = Counter(colour)
-            c = min(count, key=lambda x: (count[x], x))
-            # the mirror colour of dart 3v + i is its colour with left and
-            # right swapped, carried by the mirror dart 3v + (2 - i)
-            mc = min(count, key=lambda x: (count[x], (x[1], x[0], x[2], x[3])))
-            roots = [d for d, x in enumerate(colour) if x == c]
-            mroots = [d + 2 - 2 * (d % 3)
-                      for d, x in enumerate(colour) if x == mc]
-            mrot = [(a[2], a[1], a[0]) for a in rot]
-            word, self._aut_roots = _min_word(rot, roots)
-            self._canon2 = (word, _min_word(mrot, mroots)[0])
-        return self._canon2
+            classes: Dict[Colour, List[int]] = {}
+            for d, x in enumerate(zip(left, [left[t] for t in twin], back,
+                                      [back[t] for t in twin])):
+                c = classes.get(x)
+                if c is None:
+                    classes[x] = [d]
+                else:
+                    c.append(d)
+            self._colours = {x: array("i", c) for x, c in classes.items()}
+        return self._colours
+
+    def oriented_word(self, mirrored: bool = False) -> bytes:
+        """Minimal BFS word of the map, or of its mirror image.
+
+        Two maps are isomorphic by an orientation-preserving map exactly
+        when their forward words are equal, and by a reflection exactly
+        when one's forward word is the other's mirror word.  Each word is
+        built on first use; see :meth:`canonical_code`.
+        """
+        return self._word(mirrored)
+
+    def _word(self, mirrored: bool) -> bytes:
+        """:meth:`oriented_word` under the name the class's own methods
+        call, so that a profile charges their words to them.  The forward
+        search also keeps its tied roots for :meth:`automorphisms`."""
+        word = self._words[mirrored]
+        if word is None:
+            classes = self.colour_classes()
+            if mirrored:
+                # the mirror colour of dart 3v + i is its colour with left and
+                # right swapped, carried by the mirror dart 3v + (2 - i)
+                mc = min(classes, key=lambda x: (len(classes[x]),
+                                                 (x[1], x[0], x[2], x[3])))
+                mrot = [(a[2], a[1], a[0]) for a in self.rotations]
+                word = _min_word(mrot, [d + 2 - 2 * (d % 3)
+                                        for d in classes[mc]])[0]
+            else:
+                c = min(classes, key=lambda x: (len(classes[x]), x))
+                word, self._aut_roots = _min_word(self.rotations, classes[c])
+            self._words[mirrored] = word
+        return word
 
     def canonical_code(self) -> bytes:
         """Isomorphism invariant: the smaller of the two oriented codes.
 
-        The colour of a dart from ``v`` to ``w`` is the tuple of face sizes
-        ``(left, right, back, ahead)``: the faces on its two sides, the third
-        face at ``v`` and the third face at ``w``.  Each orientation's code is
-        the minimal BFS word (see :func:`_min_word`) over the darts of its
-        rarest colour class, ties broken by the colour tuple; the mirror
+        Each orientation's code is the minimal BFS word (see
+        :func:`_min_word`) over the darts of its rarest colour class (see
+        :meth:`colour_classes`), ties broken by the colour tuple; the mirror
         image swaps ``left`` and ``right``.  The rule that picks the class is
         invariant under isomorphism, so each oriented code is an invariant;
         a BFS word from any one dart determines the rooted oriented map, so
@@ -367,14 +403,13 @@ class CombMap:
         group for free: see :meth:`automorphisms`.
         """
         if self._canon is None:
-            a, b = self._oriented_codes()
+            a, b = self._word(False), self._word(True)
             self._canon = a if a <= b else b
         return self._canon
 
     def is_chiral(self) -> bool:
         """True if the map admits no orientation-reversing automorphism."""
-        a, b = self._oriented_codes()
-        return a != b
+        return self._word(False) != self._word(True)
 
     def automorphisms(self) -> List[Tuple[int, ...]]:
         """Aut+, the orientation-preserving automorphisms, as dart maps.
@@ -390,7 +425,7 @@ class CombMap:
         one Aut+-orbit, one root per automorphism (60 for the
         dodecahedron).  The map caches only the roots.
         """
-        self._oriented_codes()
+        self._word(False)
         twin, step = self.twin, self.next_dart
         r0 = self._aut_roots[0]
         out = []

@@ -2,20 +2,26 @@
 
 A pattern is a disk-shaped combinatorial map fragment: named faces with
 fixed sizes and cyclic neighbour lists in which ``B`` marks a boundary edge
-(an edge to a face outside the fragment).  Matching anchors one pattern face
-on a map dart and extends deterministically through the rotation structure,
-in both orientations.  Each pattern compiles, once per anchor face and
-orientation, into a flat program: one step per internal pattern edge in
-breadth-first order, then the ``B`` slots to check.  A run addresses darts
-by their position in the face orbit (:meth:`CombMap.face_positions`), so an
-attempt builds no list or dict.  The anchor is the fixed-size pattern face
-whose size has the fewest darts in the map, and only those darts are tried:
-on a fullerene, a pattern with a pentagon tries at most the 60 pentagon
-darts in each orientation, whatever the size of the map.
+(an edge to a face outside the fragment).  Matching anchors one slot of a
+pattern face on a map dart and extends deterministically through the
+rotation structure, in both orientations.  Each pattern compiles, once per
+anchor face and orientation, into a flat program: one step per internal
+pattern edge, binding the most constrained face first, then the ``B`` slots
+to check.  A run addresses darts by their position in the face orbit
+(:meth:`CombMap.face_positions`), so an attempt builds no list or dict.
+The anchor is the slot whose partial dart colour, the face sizes
+``(left, right, back, ahead)`` that the pattern fixes around it, has the
+fewest darts in the map (see :meth:`CombMap.colour_classes`), and only
+those darts are tried.  On a fullerene a pattern with two adjacent
+pentagons tries at most the darts between two pentagons, and none at all
+when the pentagons are isolated.
 """
 
 from __future__ import annotations
 
+from array import array
+from functools import lru_cache
+from itertools import chain, product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .maps import CombMap
@@ -56,8 +62,12 @@ class PatchPattern:
             for name, cyc in self.faces.items()}
         self._check()
         self.first = next(n for n in self.faces if not self.is_wild(n))
+        # what the match programs share, see _frame
+        self._shared: Optional[_Frame] = None
         # anchor name -> match programs, see _compile
         self._programs: Dict[str, _Compiled] = {}
+        # mirrored -> anchor slots by partial colour, see _anchors
+        self._anchors: Dict[bool, Tuple[Tuple[_Partial, str, int], ...]] = {}
 
     def is_wild(self, name: str) -> bool:
         return self.sizes[name] is None
@@ -194,16 +204,29 @@ def match_pattern(m: CombMap, pat: PatchPattern,
     the pattern's self-symmetries.  Embeddings are listed unmirrored first,
     then by the origin dart of ``pat.first``; the representative of an
     occurrence is the first of its embeddings in that order.
+
+    Which anchor the search starts from changes neither the list nor its
+    order.  An embedding puts the anchor slot on exactly one map dart, and
+    that dart's colour agrees with the slot's partial colour, so every
+    embedding is found once from any anchor.  Two embeddings of one
+    orientation with the same origin for ``pat.first`` are the same
+    embedding, since every other face is bound from it; so the sort key is
+    unique, and the first of an occurrence is the same whatever the anchor.
     """
-    count = m.face_vector()
-    anchor = min((n for n in pat.faces if not pat.is_wild(n)),
-                 key=lambda n: pat.sizes[n] * count.get(pat.sizes[n], 0))
-    size = pat.sizes[anchor]
-    if size not in count:
-        return []
-    darts = [d for orbit in m.faces if len(orbit) == size for d in orbit]
-    found = (_embeddings(m, pat, anchor, darts, False)
-             + _embeddings(m, pat, anchor, darts, True))
+    table = _partial_classes(m)
+    found: List[MatchResult] = []
+    for mirrored in (False, True):
+        best = None
+        for colour, name, slot in _anchors(pat, mirrored):
+            n, darts = table.get(colour, _ABSENT)
+            if best is None or n < best[0]:
+                best = (n, darts, name, slot)
+                if not n:
+                    break
+        n, darts, name, slot = best
+        if n:
+            found += _embeddings(m, pat, name, slot,
+                                 chain.from_iterable(darts), mirrored)
     first = pat.first
     found.sort(key=lambda res: (res.mirrored, res.origin[first]))
     if all_embeddings:
@@ -218,68 +241,171 @@ def match_pattern(m: CombMap, pat: PatchPattern,
     return results
 
 
-# One step per internal pattern edge, in breadth-first order from the anchor:
-# (source face, slot, target face, back-slot, size, wild?, new?).  Faces are
-# pattern indices and slots are signed by the orientation.  The target's map
-# face must have the given size, or at least that many darts when it is a
-# wildcard (its arc length).  A new target is bound so that its back-slot
-# lies on the twin of the source slot's dart; an old one must already sit
-# there.  Then each (face, slot) of the B list must lead off the matched set.
-_Step = Tuple[int, int, int, int, int, bool, bool]
-_Program = Tuple[Tuple[_Step, ...], Tuple[Tuple[int, int], ...]]
-_Compiled = Tuple[Tuple[Tuple[str, int], ...], _Program, _Program]
+# A partial dart colour: (left, right, back, ahead) face sizes, as in
+# CombMap.colour_classes, with None where the pattern leaves a size free.
+_Partial = Tuple[int, Optional[int], Optional[int], Optional[int]]
+
+
+_ABSENT: Tuple[int, Tuple[array, ...]] = (0, ())
+
+
+@lru_cache(maxsize=1)
+def _partial_classes(m: CombMap
+                     ) -> Dict[_Partial, Tuple[int, Tuple[array, ...]]]:
+    """Per partial colour that some dart of the map has, the number of such
+    darts and their colour classes (see :meth:`CombMap.colour_classes`).
+
+    Kept for the last map only: callers match one map against a list of
+    patterns in turn, and a map keeps no table once it is done with.
+    """
+    lists: Dict[_Partial, List[array]] = {}
+    for (a, b, c, d), darts in m.colour_classes().items():
+        for key in product((a,), (b, None), (c, None), (d, None)):
+            lists.setdefault(key, []).append(darts)
+    return {key: (sum(map(len, classes)), tuple(classes))
+            for key, classes in lists.items()}
+
+
+def _anchors(pat: PatchPattern, mirrored: bool
+             ) -> Tuple[Tuple[_Partial, str, int], ...]:
+    """Per partial colour of a fixed-face slot in the given orientation, the
+    first (face, slot) that has it; built on first use.
+
+    The slot ``s`` of a ``k``-gon whose entries have sizes ``e`` lies on a
+    map dart of colour ``(k, e[s], e[s - 1], e[s + 1])``, or with back and
+    ahead swapped when the embedding is mirrored.  ``B`` and wildcard
+    entries fix no size.
+    """
+    anchors = pat._anchors.get(mirrored)
+    if anchors is None:
+        sizes = pat.sizes
+        seen: Dict[_Partial, Tuple[str, int]] = {}
+        for name, cyc in pat.faces.items():
+            k = sizes[name]
+            if k is None:
+                continue
+            e = [None if g == B else sizes[g] for g in cyc]
+            for s in range(k):
+                back, ahead = e[s - 1], e[(s + 1) % k]
+                if mirrored:
+                    back, ahead = ahead, back
+                seen.setdefault((k, e[s], back, ahead), (name, s))
+        anchors = pat._anchors[mirrored] = tuple(
+            (colour, name, s) for colour, (name, s) in seen.items())
+    return anchors
+
+
+# One step per internal pattern edge, binds first (see _compile):
+# (source face, slot, target face, back-slot, size).  Faces are pattern
+# indices and slots are signed by the orientation.  A size of 0 checks that
+# the target, already bound, has its back-slot on the twin of the source
+# slot's dart.  Otherwise the target is bound so that it does, and its map
+# face must have that size, or at least minus that many darts when the size
+# is negative: a wildcard's arc length.  Then each (face, slot) of the B list
+# must lead off the matched set.
+_Step = Tuple[int, int, int, int, int]
+_Slots = Tuple[Tuple[int, int], ...]
+_Program = Tuple[Tuple[_Step, ...], _Slots]
+_Compiled = Tuple[_Program, _Program]
+_Frame = Tuple[Dict[str, List[str]], Tuple[_Slots, _Slots],
+               Tuple[Tuple[str, int], ...]]
+
+
+def _frame(pat: PatchPattern) -> _Frame:
+    """What the match programs of a pattern share, built on first use: each
+    face's pattern neighbours, the B slots as (face index, slot) unmirrored
+    and mirrored, and (name, index) in breadth-first order from
+    ``pat.first``, the key order of ``MatchResult.faces`` and ``.origin``."""
+    if pat._shared is None:
+        index = {n: i for i, n in enumerate(pat.faces)}
+        nbrs = {n: [g for g in cyc if g != B] for n, cyc in pat.faces.items()}
+        bslots = tuple(
+            tuple((index[n], sgn * i) for n, cyc in pat.faces.items()
+                  for i, g in enumerate(cyc) if g == B)
+            for sgn in (1, -1))
+        order = tuple((n, index[n]) for n in _bfs(nbrs, [pat.first]))
+        pat._shared = (nbrs, bslots, order)
+    return pat._shared
 
 
 def _compile(pat: PatchPattern, anchor: str) -> _Compiled:
-    """The faces in breadth-first order from ``anchor`` as (name, index)
-    pairs, then its program unmirrored and mirrored; built on first use."""
+    """The program from ``anchor``, unmirrored and mirrored; built on first
+    use.
+
+    Faces are bound one at a time, each over an edge from a bound face,
+    most constrained first: the face nearest to a face of the anchor's
+    size (to a pentagon, when the anchor is one), then the one with the
+    most bound neighbours, then the first in breadth-first order from the
+    anchor.  Of a face's edges to the faces bound before it, the first
+    binds it and the others are checked after every face is bound, so each
+    internal edge is emitted once and a wrong face size, which is how most
+    attempts fail, is met before any check.
+    """
     compiled = pat._programs.get(anchor)
     if compiled is None:
-        index = {n: i for i, n in enumerate(pat.faces)}
-        order = [anchor]
-        steps = []
-        for name in order:  # order grows while it is walked
-            for i, g in enumerate(pat.faces[name]):
-                if g == B:
-                    continue
-                new = g not in order
-                if new:
-                    order.append(g)
-                steps.append((index[name], i, index[g],
-                              pat.faces[g].index(name), len(pat.faces[g]),
-                              pat.is_wild(g), new))
-        bslots = [(index[n], i) for n, cyc in pat.faces.items()
-                  for i, g in enumerate(cyc) if g == B]
-        forward, backward = (
-            (tuple((src, sgn * i, dst, sgn * j, k, wild, new)
-                   for src, i, dst, j, k, wild, new in steps),
-             tuple((src, sgn * i) for src, i in bslots))
-            for sgn in (1, -1))
+        faces, sizes = pat.faces, pat.sizes
+        nbrs, bslots, order = _frame(pat)
+        index = dict(order)
+        rank = {n: i for i, n in enumerate(_bfs(nbrs, [anchor]))}
+        dist = _bfs(nbrs, [n for n in faces if sizes[n] == sizes[anchor]])
+        bound: Set[str] = set()
+        frontier: Dict[str, int] = {}  # unbound face -> bound neighbours
+        binds: List[_Step] = []
+        checks: List[_Step] = []
+        g = anchor
+        while True:
+            bound.add(g)
+            for h in nbrs[g]:
+                if h not in bound:
+                    frontier[h] = frontier.get(h, 0) + 1
+            if not frontier:
+                break
+            g = min(frontier, key=lambda h: (dist[h], -frontier[h], rank[h]))
+            del frontier[g]
+            edges = [(index[h], faces[h].index(g), index[g], j)
+                     for j, h in enumerate(faces[g]) if h != B and h in bound]
+            k = len(faces[g])
+            binds.append(edges[0] + (-k if pat.is_wild(g) else k,))
+            checks.extend(e + (0,) for e in edges[1:])
+        steps = binds + checks
         compiled = pat._programs[anchor] = (
-            tuple((n, index[n]) for n in order), forward, backward)
+            (tuple(steps), bslots[0]),
+            (tuple((src, -i, dst, -j, k) for src, i, dst, j, k in steps),
+             bslots[1]))
     return compiled
 
 
-def _embeddings(m: CombMap, pat: PatchPattern, anchor: str,
+def _bfs(nbrs: Dict[str, List[str]], roots: List[str]) -> Dict[str, int]:
+    """Face -> distance from the nearest of ``roots``, in breadth-first
+    order."""
+    depth = dict.fromkeys(roots, 0)
+    order = list(depth)
+    for name in order:  # order grows while it is walked
+        for g in nbrs[name]:
+            if g not in depth:
+                depth[g] = depth[name] + 1
+                order.append(g)
+    return depth
+
+
+def _embeddings(m: CombMap, pat: PatchPattern, anchor: str, slot: int,
                 darts: Iterable[int], mirrored: bool) -> List[MatchResult]:
-    """Embeddings with slot 0 of ``anchor`` on one of the given darts.
+    """Embeddings with slot ``slot`` of ``anchor`` on one of the given darts.
 
     Each dart yields at most one embedding: the program binds every other
-    face from the anchor's position.  A face's origin is kept as its
-    orbit tuple and the position of the origin dart in it, so slot ``i``
-    of the face is ``orbit[(position + i) % len(orbit)]``, ``- i`` when
-    mirrored.
+    face from the anchor's position.  A face's origin is kept as its orbit
+    tuple and the position of the origin dart in it, so slot ``i`` of the
+    face is ``orbit[(position + i) % len(orbit)]``, ``- i`` when mirrored.
     """
-    from_anchor, forward, backward = _compile(pat, anchor)
-    steps, bslots = backward if mirrored else forward
-    a = from_anchor[0][1]
+    steps, bslots = _compile(pat, anchor)[mirrored]
+    order = _frame(pat)[2]
+    a = dict(order)[anchor]
     size = pat.sizes[anchor]
-    order = _compile(pat, pat.first)[0]
+    shift = -slot if mirrored else slot
     faces, face_of, twin = m.faces, m.face_of, m.twin
     pos = m.face_positions()
-    # per pattern face: map face, its orbit, origin position; overwritten by
+    # per pattern face: its orbit and origin position, both overwritten by
     # every attempt before they are read
-    fid = [0] * len(order)
     orb: List[Tuple[int, ...]] = [()] * len(order)
     org = [0] * len(order)
     out: List[MatchResult] = []
@@ -288,32 +414,33 @@ def _embeddings(m: CombMap, pat: PatchPattern, anchor: str,
         o = faces[f]
         if len(o) != size:
             continue
-        fid[a], orb[a], org[a] = f, o, pos[d0]
+        orb[a], org[a] = o, pos[d0] - shift
         used = {f}
-        for src, i, dst, j, k, wild, new in steps:
+        for src, i, dst, j, k in steps:
             so = orb[src]
             t = twin[so[(org[src] + i) % len(so)]]
-            g = face_of[t]
-            go = faces[g]
-            kg = len(go)
-            if (kg < k) if wild else (kg != k):
-                break
-            if new:
-                if g in used:
+            if k:
+                g = face_of[t]
+                go = faces[g]
+                kg = len(go)
+                if (kg != k if k > 0 else kg < -k) or g in used:
                     break
                 used.add(g)
-                fid[dst], orb[dst], org[dst] = g, go, (pos[t] - j) % kg
-            elif fid[dst] != g or (org[dst] + j) % kg != pos[t]:
-                break
+                orb[dst], org[dst] = go, pos[t] - j
+            else:
+                do = orb[dst]
+                if do[(org[dst] + j) % len(do)] != t:
+                    break
         else:
             for src, i in bslots:
                 so = orb[src]
                 if face_of[twin[so[(org[src] + i) % len(so)]]] in used:
                     break
             else:
-                out.append(MatchResult({n: fid[x] for n, x in order},
-                                       {n: orb[x][org[x]] for n, x in order},
-                                       mirrored))
+                out.append(MatchResult(
+                    {n: face_of[orb[x][0]] for n, x in order},
+                    {n: orb[x][org[x] % len(orb[x])] for n, x in order},
+                    mirrored))
     return out
 
 

@@ -69,6 +69,19 @@ def test_canonical_code_invariant_under_mirror(small_fullerenes):
         assert m.mirror().canonical_code() == m.canonical_code()
 
 
+def test_oriented_words_swap_under_mirror(polytopes, rng):
+    for m in polytopes:
+        fwd, back = m.oriented_word(), m.oriented_word(True)
+        assert m.canonical_code() == min(fwd, back)
+        assert m.is_chiral() == (fwd != back)
+        image = m.mirror()
+        assert image.oriented_word() == back
+        assert image.oriented_word(True) == fwd
+        perm = list(range(m.f0))
+        rng.shuffle(perm)
+        assert relabel(m, perm).oriented_word() == fwd
+
+
 def test_isomorphism_distinguishes(dodecahedron, barrel):
     assert dodecahedron.is_isomorphic(dodecahedron.mirror())
     assert not dodecahedron.is_isomorphic(barrel)

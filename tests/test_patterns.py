@@ -1,3 +1,4 @@
+import random
 from collections import deque
 from itertools import permutations
 
@@ -5,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fullerkit import patterns
 from fullerkit.belts import find_k_belts
-from fullerkit.growth import (load_rules, rules_by_id, seed_family_one,
-                              seed_family_two)
+from fullerkit.growth import (load_rules, rules_by_id, seed_dodecahedron,
+                              seed_family_one, seed_family_two)
 from fullerkit.patterns import (B, MatchResult, PatchPattern, PatternError,
                                 match_pattern, path_turns)
+from fullerkit.spiral import wind
 from paper_lemmas import (_all_shortest_paths, extract_patch,
                           fragment_catalog, shortest_thick_path)
+from test_maps import grown
 
 
 def road(k):
@@ -421,3 +425,110 @@ def test_random_patches_match_as_the_reference(fixture_maps, data):
                                      max_size=2))
     for host in hosts:
         assert_same_matches(host, pat)
+
+
+# -- anchors and programs -----------------------------------------------------
+
+def catalog_patterns():
+    return [p for r in load_rules() for p in (r.lhs, r.rhs)]
+
+
+def slot_colour(pat, name, slot, mirrored):
+    """The partial colour of a pattern slot, read off its entry list:
+    (size, right, back, ahead), back and ahead swapped when mirrored."""
+    cyc = pat.faces[name]
+    k = len(cyc)
+    size = [None if g == B else pat.sizes[g] for g in cyc]
+    back, ahead = size[slot - 1], size[(slot + 1) % k]
+    if mirrored:
+        back, ahead = ahead, back
+    return (k, size[slot], back, ahead)
+
+
+def test_every_anchor_gives_the_reference_matches(fixture_maps,
+                                                  monkeypatch):
+    # every embedding, so that the representatives follow from the order
+    compared = 0
+    for pat in catalog_patterns():
+        anchors = [(n, s) for n, cyc in pat.faces.items()
+                   if not pat.is_wild(n) for s in range(len(cyc))]
+        for m in fixture_maps:
+            want = as_rows(reference_match_pattern(m, pat, True))
+            for name, slot in anchors:
+                monkeypatch.setattr(patterns, "_anchors", lambda p, mirrored: (
+                    (slot_colour(p, name, slot, mirrored), name, slot),))
+                assert as_rows(match_pattern(m, pat, True)) == want
+                compared += len(want)
+    assert compared > 10000
+
+
+def test_each_program_binds_each_face_and_checks_each_edge_once():
+    for pat in catalog_patterns() + [road(3)]:
+        names = list(pat.faces)
+        edges = {frozenset((n, g)) for n, cyc in pat.faces.items()
+                 for g in cyc if g != B}
+        for anchor in names:
+            if pat.is_wild(anchor):
+                continue
+            for sgn, (steps, bslots) in zip((1, -1),
+                                            patterns._compile(pat, anchor)):
+                bound = [anchor]
+                checked = []
+                for src, i, dst, j, k in steps:
+                    s, d = names[src], names[dst]
+                    assert pat.faces[s][sgn * i] == d
+                    assert pat.faces[d][sgn * j] == s
+                    assert s in bound
+                    if k:
+                        assert d not in bound
+                        assert k == (-1 if pat.is_wild(d) else 1) * len(
+                            pat.faces[d])
+                        bound.append(d)
+                    else:
+                        assert d in bound
+                    checked.append(frozenset((s, d)))
+                assert sorted(bound) == sorted(names)
+                assert len(checked) == len(set(checked))
+                assert set(checked) == edges
+                assert sorted((names[f], sgn * i) for f, i in bslots) == \
+                    sorted((n, i) for n, cyc in pat.faces.items()
+                           for i, g in enumerate(cyc) if g == B)
+
+
+def c60():
+    """C60-Ih, wound from its Fowler-Manolopoulos spiral."""
+    pents = {1, 7, 9, 11, 13, 15, 18, 20, 22, 24, 26, 32}
+    return wind([5 if i in pents else 6 for i in range(1, 33)])
+
+
+def test_large_maps_match_as_the_reference():
+    big = grown(seed_dodecahedron(), 151, random.Random(7))
+    c60_map = c60()
+    for m in (seed_family_one(14), seed_family_two(22), big, c60_map):
+        compared = sum(assert_same_matches(m, pat)
+                       for pat in catalog_patterns())
+        assert compared > 0
+    # in the regime analysed at scale most pentagon darts meet hexagons only
+    for m in (big, c60_map):
+        pent = {x: len(darts) for x, darts in m.colour_classes().items()
+                if x[0] == 5}
+        assert 2 * pent.get((5, 6, 6, 6), 0) > sum(pent.values())
+
+
+def test_absent_rarest_colour_matches_nothing():
+    # C60 has isolated pentagons: no dart has a pentagon on both sides
+    m = c60()
+    assert not any(x[:2] == (5, 5) for x in m.colour_classes())
+    cap = rules_by_id("a")[0].lhs
+    assert match_pattern(m, cap) == []
+    assert reference_match_pattern(m, cap) == []
+    assert match_pattern(m, PatchPattern({"A": [B] * 7})) == []
+
+
+def test_fixed_face_with_only_free_neighbours(fixture_maps):
+    # every slot of P has partial colour (5, None, None, None)
+    pat = PatchPattern({"P": ["W", B, B, B, B], "W": ["P"]}, wildcard={"W"})
+    assert {c for c, _, _ in patterns._anchors(pat, False)} == {
+        (5, None, None, None)}
+    compared = sum(assert_same_matches(m, pat) for m in fixture_maps)
+    assert compared > 100
