@@ -10,6 +10,7 @@ All maps are immutable after construction; surgery returns fresh maps.
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 # A dart's colour: the sizes of the faces (left, right, back, ahead)
@@ -47,7 +48,7 @@ class CombMap:
     """
 
     __slots__ = ("rotations", "twin", "face_of", "faces", "_cycles", "_pos",
-                 "_belts", "_colours", "_canon", "_words", "_aut_roots")
+                 "_belts", "_colours", "_words", "_aut_roots")
 
     def __init__(self, rotations: Tuple[Tuple[int, int, int], ...],
                  twin: Tuple[int, ...], face_of: Tuple[int, ...],
@@ -61,7 +62,6 @@ class CombMap:
         # k -> the k-belts, filled by belts.find_k_belts
         self._belts: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
         self._colours: Optional[Dict[Colour, array]] = None
-        self._canon: Optional[bytes] = None
         # minimal BFS word of the map, then of its mirror image
         self._words: List[Optional[bytes]] = [None, None]
         # forward-orientation roots whose BFS word ties the minimum
@@ -93,20 +93,16 @@ class CombMap:
                 if not 0 <= w < n:
                     raise NonCubic("vertex %d lists unknown vertex %d" % (v, w))
             rot.append(nbrs)
-        dart_at: Dict[Tuple[int, int], int] = {}
+        # the twin of the dart from v to w leaves w at v's slot in rot[w]
+        twin: List[int] = []
         for v, nbrs in enumerate(rot):
-            for i, w in enumerate(nbrs):
-                key = (v, w)
-                if key in dart_at:
-                    raise NonCubic("parallel edge %d-%d" % (v, w))
-                dart_at[key] = 3 * v + i
-        twin = [0] * (3 * n)
-        for (v, w), d in dart_at.items():
-            e = dart_at.get((w, v))
-            if e is None:
-                raise AsymmetricAdjacency(
-                    "vertex %d lists %d but not conversely" % (v, w))
-            twin[d] = e
+            for w in nbrs:
+                try:
+                    twin.append(3 * w + rot[w].index(v))
+                except ValueError:
+                    raise AsymmetricAdjacency(
+                        "vertex %d lists %d but not conversely" % (v, w)
+                    ) from None
         # connectivity
         if n:
             seen = [False] * n
@@ -140,40 +136,35 @@ class CombMap:
 
         This is the inverse of :meth:`face_cycles`.  Each face lists the faces
         across its boundary edges in cyclic order; any two faces may share at
-        most one edge, so the pairing of dual darts is forced.
+        most one edge, so the pairing of dual darts is forced: the dart of f
+        towards g pairs with the dart of g at f's place in its cycle.
 
         Raises:
-            MapError: the cycles are inconsistent or a corner orbit does not
+            MapError: a face lists an unknown face or one neighbour twice,
+                the cycles are inconsistent, or a corner orbit does not
                 have length 3 (the primal graph would not be cubic).
         """
-        offs: List[int] = []
-        total = 0
-        for cyc in cycles:
-            offs.append(total)
-            total += len(cyc)
-        flat: List[int] = [g for cyc in cycles for g in cyc]
+        nf = len(cycles)
+        offs = list(accumulate(map(len, cycles), initial=0))
         owner: List[int] = []
+        twin: List[int] = []
         for f, cyc in enumerate(cycles):
+            if len(set(cyc)) != len(cyc):
+                raise MapError("face %d lists a neighbour twice" % f)
             owner.extend([f] * len(cyc))
-        pair_at: Dict[Tuple[int, int], int] = {}
-        for d, g in enumerate(flat):
-            key = (owner[d], g)
-            if key in pair_at:
-                raise MapError("faces %d and %d share more than one edge"
-                               % (owner[d], g))
-            pair_at[key] = d
-        twin = [0] * total
-        for d, g in enumerate(flat):
-            e = pair_at.get((g, owner[d]))
-            if e is None:
-                raise MapError("face %d lists %d but not conversely"
-                               % (owner[d], g))
-            twin[d] = e
+            for g in cyc:
+                if not 0 <= g < nf:
+                    raise MapError("face %d lists unknown face %d" % (f, g))
+                try:
+                    twin.append(offs[g] + cycles[g].index(f))
+                except ValueError:
+                    raise MapError("face %d lists %d but not conversely"
+                                   % (f, g)) from None
         # corner orbits of the dual map are the primal vertices
         deg = [len(cyc) for cyc in cycles]
-        corner_of = [-1] * total
+        corner_of = [-1] * len(twin)
         corners: List[Tuple[int, int, int]] = []
-        for d0 in range(total):
+        for d0 in range(len(twin)):
             if corner_of[d0] >= 0:
                 continue
             vid = len(corners)
@@ -402,10 +393,7 @@ class CombMap:
         The search also finds the map's orientation-preserving automorphism
         group for free: see :meth:`automorphisms`.
         """
-        if self._canon is None:
-            a, b = self._word(False), self._word(True)
-            self._canon = a if a <= b else b
-        return self._canon
+        return min(self._word(False), self._word(True))
 
     def is_chiral(self) -> bool:
         """True if the map admits no orientation-reversing automorphism."""

@@ -9,7 +9,6 @@ system, so reading a written stream reproduces the map exactly.
 
 from __future__ import annotations
 
-import io
 from typing import BinaryIO, Iterable, List, Union
 
 from .maps import CombMap, MapError
@@ -34,42 +33,34 @@ class ValidationFailure(Exception):
 
 
 def read_planar_code(src: Union[bytes, BinaryIO]) -> List[CombMap]:
-    """Parse a planar_code stream into validated maps."""
-    if isinstance(src, bytes):
-        src = io.BytesIO(src)
-    head = src.read(len(HEADER))
-    if head != HEADER:
-        raise BadHeader("expected %r, got %r" % (HEADER, head))
+    """Parse planar_code bytes, or a binary stream read whole, into maps."""
+    data = src if isinstance(src, bytes) else src.read()
+    if not data.startswith(HEADER):
+        raise BadHeader("expected %r, got %r" % (HEADER, data[:len(HEADER)]))
     maps: List[CombMap] = []
-    index = 0
-    while True:
-        first = src.read(1)
-        if not first:
-            return maps
-        n = first[0]
+    i = len(HEADER)
+    while i < len(data):
+        index, n = len(maps), data[i]
         if n == 0:
             raise ValidationFailure(index, "vertex count 0")
+        i += 1
         rotations: List[List[int]] = []
         for _ in range(n):
-            nbrs: List[int] = []
-            while True:
-                b = src.read(1)
-                if not b:
-                    raise TruncatedRecord("record %d ends mid-vertex" % index)
-                if b[0] == 0:
-                    break
-                if b[0] > n:
-                    raise ValidationFailure(
-                        index, "neighbour %d out of range" % b[0])
-                nbrs.append(b[0] - 1)
-            rotations.append(nbrs)
-        if any(len(r) != 3 for r in rotations):
-            raise ValidationFailure(index, "vertex of degree != 3")
+            j = data.find(0, i)
+            nbrs = data[i:j] if j >= 0 else data[i:]
+            # a neighbour out of range counts before a missing terminator
+            if nbrs and max(nbrs) > n:
+                raise ValidationFailure(index, "neighbour %d out of range"
+                                        % next(b for b in nbrs if b > n))
+            if j < 0:
+                raise TruncatedRecord("record %d ends mid-vertex" % index)
+            rotations.append([b - 1 for b in nbrs])
+            i = j + 1
         try:
             maps.append(CombMap.from_rotations(rotations))
         except MapError as exc:
             raise ValidationFailure(index, str(exc))
-        index += 1
+    return maps
 
 
 def write_planar_code(maps: Iterable[CombMap], sort: bool = True) -> bytes:

@@ -53,11 +53,11 @@ def _next_run(pb: PatchBuilder) -> Optional[Tuple[int, int]]:
     Runs are taken in the order of ``PatchBuilder.runs``, in one walk of the
     boundary that starts at its first degree-2 vertex.
     """
-    earliest = next((f for f, c in enumerate(pb.open_count) if c > 0), None)
-    if earliest is None:
-        return None
-    last = len(pb.sizes) - 1
     vdeg, boundary = pb.vdeg, pb.boundary
+    if not boundary:
+        return None
+    earliest = min(boundary)[0]
+    last = len(pb.cycles) - 1
     b = len(boundary)
     if 2 not in vdeg:
         return 0, b
@@ -94,7 +94,7 @@ def wind(sizes: Sequence[int]) -> Optional[CombMap]:
     pb = PatchBuilder(sizes[0])
     for s in sizes[1:-1]:
         run = _next_run(pb)
-        if run is None or run[1] >= s:
+        if run is None:
             return None
         try:
             pb.glue(s, *run)

@@ -284,24 +284,3 @@ def is_flag(m: CombMap) -> bool:
     """Flag simple polytope: not the simplex and free of 3-belts."""
     return m.f0 > 4 and not find_k_belts(m, 3)
 
-
-class FlagReport:
-    def __init__(self, input_flag: bool, output_flag: bool,
-                 four_belts_through_pair: List[List[int]]) -> None:
-        self.input_flag = input_flag
-        self.output_flag = output_flag
-        self.four_belts_through_pair = four_belts_through_pair
-
-
-def flag_effects(m: CombMap, dart: int) -> FlagReport:
-    """Straighten along the edge and report flagness on both sides.
-
-    Also collects the 4-belts containing both faces of the edge, so that the
-    relation between their existence and output flagness can be tabulated
-    empirically.
-    """
-    f1, f2 = edge_faces(m, dart)
-    belts4 = [belt for belt in find_k_belts(m, 4)
-              if f1 in belt and f2 in belt]
-    out = straighten(m, dart).map
-    return FlagReport(is_flag(m), is_flag(out), belts4)

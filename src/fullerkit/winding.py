@@ -28,15 +28,14 @@ class PatchBuilder:
     Attributes:
         cycles: per-face cyclic neighbour lists; ``None`` marks an open edge.
         boundary: boundary edge positions as (face, slot) pairs, in cyclic
-            order around the patch.
+            order around the patch.  These are exactly the open edges, so a
+            face is open when it owns a boundary edge.
         vdeg: ``vdeg[i]`` is the degree of the boundary vertex between edge
             ``i - 1`` and edge ``i``.
     """
 
     def __init__(self, first_size: int) -> None:
         self.cycles: List[List[Optional[int]]] = [[None] * first_size]
-        self.sizes: List[int] = [first_size]
-        self.open_count: List[int] = [first_size]
         self.boundary: List[Tuple[int, int]] = [(0, i) for i in range(first_size)]
         self.vdeg: List[int] = [2] * first_size
         self.closed = False
@@ -49,8 +48,6 @@ class PatchBuilder:
         """
         pb = PatchBuilder.__new__(PatchBuilder)
         pb.cycles = [c[:] for c in self.cycles]
-        pb.sizes = self.sizes[:]
-        pb.open_count = self.open_count[:]
         pb.boundary = self.boundary
         pb.vdeg = self.vdeg
         pb.closed = self.closed
@@ -117,11 +114,8 @@ class PatchBuilder:
         # the new face traverses the shared edges opposite to the boundary
         # walk, so the covered owners appear reversed in its cycle
         self.cycles.append(list(reversed(owners)) + [None] * (size - length))
-        self.sizes.append(size)
-        self.open_count.append(size - length)
         for f, slot in covered:
             self.cycles[f][slot] = new_id
-            self.open_count[f] -= 1
         # splice the new open edges into the boundary in place of the run
         new_edges = [(new_id, length + j) for j in range(size - length)]
         self.boundary = new_edges + edges[length:]
@@ -145,11 +139,8 @@ class PatchBuilder:
             raise WindingError("closing face would share two edges with one face")
         new_id = len(self.cycles)
         self.cycles.append(list(reversed(owners)))
-        self.sizes.append(size)
-        self.open_count.append(0)
         for f, slot in self.boundary:
             self.cycles[f][slot] = new_id
-            self.open_count[f] -= 1
         self.boundary = []
         self.vdeg = []
         self.closed = True

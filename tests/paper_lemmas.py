@@ -1,5 +1,5 @@
-"""The paper's analyses that only the tests check: sphere cuts, thick paths
-and the two nanotube families.
+"""The paper's analyses that only the tests check: sphere cuts, thick paths,
+the two nanotube families and flagness across an edge merge.
 
 Cutting the sphere along a simple edge-cycle leaves two disks; the faces
 met while walking round the cycle on either side form the bordering loops,
@@ -12,11 +12,12 @@ from collections import deque
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Set
 
-from fullerkit.belts import NotFullerene
+from fullerkit.belts import NotFullerene, find_k_belts
 from fullerkit.growth import rules_by_id, seed_family_one, seed_family_two
 from fullerkit.maps import CombMap
 from fullerkit.patterns import B, PatchPattern, match_pattern, path_turns
 from fullerkit.rulefile import parse_file
+from fullerkit.surgery import edge_faces, is_flag, straighten
 
 
 # -- cutting the sphere -------------------------------------------------------
@@ -277,6 +278,33 @@ def classify_nanotube(m: CombMap) -> FamilyReport:
         if m.is_isomorphic(seed_family_two(k)):
             two_k = k
     return FamilyReport(one_k, two_k)
+
+
+# -- flagness across an edge merge --------------------------------------------
+
+class FlagReport:
+    """Flagness before and after one merge, and the 4-belts through both of
+    the merged faces."""
+
+    def __init__(self, input_flag: bool, output_flag: bool,
+                 four_belts_through_pair: List[List[int]]) -> None:
+        self.input_flag = input_flag
+        self.output_flag = output_flag
+        self.four_belts_through_pair = four_belts_through_pair
+
+
+def flag_effects(m: CombMap, dart: int) -> FlagReport:
+    """Straighten along the edge and report flagness on both sides.
+
+    Also collects the 4-belts containing both faces of the edge, so that the
+    relation between their existence and output flagness can be tabulated
+    empirically.
+    """
+    f1, f2 = edge_faces(m, dart)
+    belts4 = [belt for belt in find_k_belts(m, 4)
+              if f1 in belt and f2 in belt]
+    out = straighten(m, dart).map
+    return FlagReport(is_flag(m), is_flag(out), belts4)
 
 
 # -- relabelling and the fragment catalog -------------------------------------

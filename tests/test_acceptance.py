@@ -22,9 +22,10 @@ from fullerkit.growth import (apply_rule, decompose_rule, detect_growth_rules,
 from fullerkit.patterns import match_pattern
 from fullerkit.planarcode import read_planar_code, write_planar_code
 from fullerkit.spiral import generate_fullerenes
-from fullerkit.surgery import (TruncationSpec, can_straighten, flag_effects,
-                               is_flag, straighten, truncate)
+from fullerkit.surgery import (TruncationSpec, can_straighten, is_flag,
+                               straighten, truncate)
 from fullerkit.verify import verify_intermediate
+from paper_lemmas import flag_effects
 
 SEED = 20260823
 

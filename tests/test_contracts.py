@@ -8,6 +8,8 @@ import ast
 from pathlib import Path
 
 import fullerkit
+from fullerkit.maps import CombMap
+from fullerkit.winding import PatchBuilder
 
 SOURCES = sorted(Path(fullerkit.__file__).parent.glob("*.py"))
 TOOLS = sorted((Path(__file__).parent.parent / "tools").rglob("*.py"))
@@ -86,3 +88,40 @@ def test_tools_import_only_public_package_names():
                           if name.startswith("_")]
     assert TOOLS
     assert found == []
+
+
+def test_comb_map_slots_are_set_in_init_and_read_elsewhere():
+    # a slot that nothing reads outside the constructor holds a fact that
+    # is stored but never used
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in SOURCES}
+    cls = next(node for node in trees["maps.py"].body
+               if isinstance(node, ast.ClassDef) and node.name == "CombMap")
+    init = next(node for node in cls.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "__init__")
+    in_init = set(map(id, ast.walk(init)))
+    assigned = set()
+    for node in ast.walk(init):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        assigned |= {t.attr for t in targets
+                     if isinstance(t, ast.Attribute)
+                     and isinstance(t.value, ast.Name)
+                     and t.value.id == "self"}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load) and id(node) not in in_init}
+    assert assigned == set(CombMap.__slots__)
+    assert set(CombMap.__slots__) - read == set()
+
+
+def test_patch_builder_copy_sets_what_init_sets():
+    # copy builds through __new__, so a field it leaves out would be missing
+    # from every copy
+    pb = PatchBuilder(5)
+    assert vars(pb.copy()) == vars(pb)
+    pb.glue(6, 0, 1)
+    pb.glue(5, *pb.runs()[0])
+    assert vars(pb.copy()) == vars(pb)

@@ -40,6 +40,14 @@ def test_asymmetric_rejected():
                                 [4, 5, 0], [5, 3, 1], [3, 4, 0]])
 
 
+def test_repeated_neighbour_rejected():
+    # a vertex that lists one neighbour twice would be a parallel edge
+    rot = [list(r) for r in tetrahedron().rotations]
+    rot[0] = [1, 1, 2]
+    with pytest.raises(NonCubic):
+        CombMap.from_rotations(rot)
+
+
 def test_nonplanar_rejected():
     # K(3,3) is cubic and connected but not planar: no rotation system on
     # the sphere exists, so every choice fails the Euler check
@@ -253,3 +261,41 @@ def test_from_face_cycles_inverts_face_cycles(polytopes, joined_maps):
     for m in joined_maps:
         with pytest.raises(MapError):
             CombMap.from_face_cycles(m.face_cycles())
+
+
+def _dodecahedron_cycles_with(dodecahedron, f, i, g):
+    """The dodecahedron's face cycles with entry ``i`` of face ``f`` set
+    to ``g``."""
+    cycles = [list(c) for c in dodecahedron.face_cycles()]
+    cycles[f][i] = g
+    return cycles
+
+
+def test_from_face_cycles_rejects_bad_face_ids(dodecahedron):
+    cycles = dodecahedron.face_cycles()
+    last = len(cycles) - 1
+    f = cycles[last][0]
+    i = cycles[f].index(last)
+    # -1 would name the last face under Python indexing, which lists f;
+    # the ids past either end would raise IndexError, not MapError
+    for g in (-1, -last - 2, last + 1):
+        with pytest.raises(MapError, match="unknown face"):
+            CombMap.from_face_cycles(
+                _dodecahedron_cycles_with(dodecahedron, f, i, g))
+
+
+def test_from_face_cycles_rejects_one_sided_listing(dodecahedron):
+    cycles = dodecahedron.face_cycles()
+    f = 0
+    g = next(h for h in range(len(cycles))
+             if h != f and h not in cycles[f])
+    with pytest.raises(MapError, match="not conversely"):
+        CombMap.from_face_cycles(
+            _dodecahedron_cycles_with(dodecahedron, f, 0, g))
+
+
+def test_from_face_cycles_rejects_repeated_neighbour(dodecahedron):
+    cycles = dodecahedron.face_cycles()
+    with pytest.raises(MapError, match="twice"):
+        CombMap.from_face_cycles(
+            _dodecahedron_cycles_with(dodecahedron, 0, 0, cycles[0][1]))

@@ -1,10 +1,12 @@
 import io
+from typing import List
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fullerkit.growth import seed_family_one, seed_family_two
+from fullerkit.maps import CombMap, MapError
 from fullerkit.planarcode import (HEADER, BadHeader, TruncatedRecord,
                                   ValidationFailure, read_planar_code,
                                   write_planar_code)
@@ -69,17 +71,69 @@ FUZZ = settings(max_examples=300, derandomize=True, database=None,
 STREAM = write_planar_code([seed_family_one(1), seed_family_two(2)])
 
 
-def read_or_documented_error(data):
+def reference_read_planar_code(src):
+    """Reference: the byte-at-a-time reader, with its own degree check."""
+    if isinstance(src, bytes):
+        src = io.BytesIO(src)
+    head = src.read(len(HEADER))
+    if head != HEADER:
+        raise BadHeader("expected %r, got %r" % (HEADER, head))
+    maps: List[CombMap] = []
+    index = 0
+    while True:
+        first = src.read(1)
+        if not first:
+            return maps
+        n = first[0]
+        if n == 0:
+            raise ValidationFailure(index, "vertex count 0")
+        rotations: List[List[int]] = []
+        for _ in range(n):
+            nbrs: List[int] = []
+            while True:
+                b = src.read(1)
+                if not b:
+                    raise TruncatedRecord("record %d ends mid-vertex" % index)
+                if b[0] == 0:
+                    break
+                if b[0] > n:
+                    raise ValidationFailure(
+                        index, "neighbour %d out of range" % b[0])
+                nbrs.append(b[0] - 1)
+            rotations.append(nbrs)
+        if any(len(r) != 3 for r in rotations):
+            raise ValidationFailure(index, "vertex of degree != 3")
+        try:
+            maps.append(CombMap.from_rotations(rotations))
+        except MapError as exc:
+            raise ValidationFailure(index, str(exc))
+        index += 1
+
+
+def outcome(reader, data):
+    """The rotations of every map read, or the documented error's class
+    (and record index, for a ValidationFailure).  Any other exception
+    propagates and fails the test."""
     try:
-        read_planar_code(data)
-    except DOCUMENTED:
-        pass
+        return [m.rotations for m in reader(data)]
+    except DOCUMENTED as exc:
+        return type(exc), getattr(exc, "index", None)
+
+
+def agrees_with_reference(data):
+    assert outcome(read_planar_code, data) == \
+        outcome(reference_read_planar_code, data)
+
+
+def test_reader_agrees_with_reference_on_stream():
+    agrees_with_reference(STREAM)
+    assert len(read_planar_code(STREAM)) == 2
 
 
 @FUZZ
 @given(st.binary(max_size=64) | st.binary(max_size=64).map(HEADER.__add__))
 def test_fuzz_arbitrary_bytes(data):
-    read_or_documented_error(data)
+    agrees_with_reference(data)
 
 
 @FUZZ
@@ -87,10 +141,10 @@ def test_fuzz_arbitrary_bytes(data):
 def test_fuzz_flipped_byte(pos, value):
     data = bytearray(STREAM)
     data[pos] = value
-    read_or_documented_error(bytes(data))
+    agrees_with_reference(bytes(data))
 
 
 @FUZZ
 @given(st.integers(0, len(STREAM)))
 def test_fuzz_cut_stream(end):
-    read_or_documented_error(STREAM[:end])
+    agrees_with_reference(STREAM[:end])

@@ -85,11 +85,11 @@ def test_prefix_search_matches_reference(fc):
 
 def reference_next_run(pb):
     """Reference: the run rule read off ``runs()`` and one ``run_faces``
-    list per run."""
-    earliest = next((f for f, c in enumerate(pb.open_count) if c > 0), None)
+    list per run.  A face is open while its cycle holds a ``None``."""
+    earliest = next((f for f, c in enumerate(pb.cycles) if None in c), None)
     if earliest is None:
         return None
-    last = len(pb.sizes) - 1
+    last = len(pb.cycles) - 1
     fallback = None
     for start, length in pb.runs():
         faces = pb.run_faces(start, length)
@@ -207,7 +207,7 @@ def test_hexagon_first_cut_keeps_every_kept_sequence(fc, monkeypatch):
     visited = []
 
     def recording_next_run(pb):
-        visited.append(list(pb.sizes))
+        visited.append([len(c) for c in pb.cycles])
         return _next_run(pb)
 
     monkeypatch.setattr(spiral, "_next_run", recording_next_run)

@@ -8,7 +8,8 @@ from fullerkit.maps import CombMap, MapError
 from fullerkit.surgery import (InvalidRun, IsSimplex, NotDefined,
                                SpecOutOfRange, TruncationResult,
                                TruncationSpec, can_straighten, edge_faces,
-                               flag_effects, is_flag, straighten, truncate)
+                               is_flag, straighten, truncate)
+from paper_lemmas import flag_effects
 
 MAP_FIELDS = ("rotations", "twin", "face_of", "faces")
 

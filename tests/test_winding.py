@@ -16,8 +16,8 @@ def test_glue_updates_boundary():
     pb.glue(5, 0, 1)
     # two pentagons sharing an edge: boundary has 8 edges
     assert len(pb.boundary) == 8
-    assert pb.open_count[0] == 4
-    assert pb.open_count[1] == 4
+    assert pb.cycles[0].count(None) == 4
+    assert pb.cycles[1].count(None) == 4
 
 
 def test_glue_rejects_covering_whole_face():
@@ -50,8 +50,7 @@ def test_to_map_requires_closed_patch():
 
 
 def _state(pb):
-    return (repr(pb.cycles), pb.sizes[:], pb.open_count[:], pb.boundary[:],
-            pb.vdeg[:])
+    return repr(pb.cycles), pb.boundary[:], pb.vdeg[:], pb.closed
 
 
 def test_copy_is_independent():
