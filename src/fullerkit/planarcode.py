@@ -32,9 +32,12 @@ class ValidationFailure(Exception):
         self.index = index
 
 
-def read_planar_code(src: Union[bytes, BinaryIO]) -> List[CombMap]:
-    """Parse planar_code bytes, or a binary stream read whole, into maps."""
-    data = src if isinstance(src, bytes) else src.read()
+def read_planar_code(src: Union[bytes, bytearray, memoryview, BinaryIO]
+                     ) -> List[CombMap]:
+    """Parse planar_code bytes (any bytes-like object), or a binary stream
+    read whole, into maps."""
+    data = (bytes(src) if isinstance(src, (bytes, bytearray, memoryview))
+            else src.read())
     if not data.startswith(HEADER):
         raise BadHeader("expected %r, got %r" % (HEADER, data[:len(HEADER)]))
     maps: List[CombMap] = []

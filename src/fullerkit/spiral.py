@@ -8,13 +8,14 @@ run that also touches the face added last.  This is the classic sequential
 
 ``generate_fullerenes`` enumerates the pentagon/hexagon size sequences for a
 given face count by a depth-first search over sequence prefixes.  The run a
-face is glued over depends only on the faces before it, so every sequence
-with a given prefix shares that prefix's partial patch, and a prefix that
-cannot be glued rules out all of its extensions at once.  Each complete
-sequence is wound by ``wind``, the survivors are validated as fullerenes and
-deduplicated by canonical code.  The generator is deliberately independent
-of the pattern-replacement machinery so that it can serve as a cross-check
-for the growth enumeration.
+face is glued over depends only on the boundary that the faces before it
+leave, so a search node is that boundary alone: its open edges and their
+vertex degrees, updated by the splice that ``PatchBuilder.glue`` makes.  A
+prefix that cannot be glued rules out all of its extensions at once.  Each
+complete sequence is wound by ``wind``, and the survivors are validated as
+fullerenes and deduplicated by forward oriented word.  The generator is
+deliberately independent of the pattern-replacement machinery so that it
+can serve as a cross-check for the growth enumeration.
 
 The search also cuts, by a degree-2 budget, prefixes that cannot complete.
 Let n2 be the number of degree-2 boundary vertices.  Gluing a face
@@ -39,25 +40,26 @@ it is.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .maps import CombMap, MapError
-from .winding import PatchBuilder, WindingError
+from .winding import PatchBuilder, WindingError, _splice
 
 
-def _next_run(pb: PatchBuilder) -> Optional[Tuple[int, int]]:
+def _next_run(boundary: Sequence[Tuple[int, int]], vdeg: Sequence[int],
+              last: int) -> Optional[Tuple[int, int]]:
     """The elementary run the next face is glued over, or None.
 
-    The run must contain an open edge of the earliest still-open face; the
-    first such run that also touches the face added last is preferred.
-    Runs are taken in the order of ``PatchBuilder.runs``, in one walk of the
-    boundary that starts at its first degree-2 vertex.
+    ``boundary`` and ``vdeg`` are a patch's open edges and boundary vertex
+    degrees, as ``PatchBuilder`` keeps them, and ``last`` is the id of the
+    face added last.  The run must contain an open edge of the earliest
+    still-open face; the first such run that also touches face ``last`` is
+    preferred.  Runs are taken in the order of ``PatchBuilder.runs``, in one
+    walk of the boundary that starts at its first degree-2 vertex.
     """
-    vdeg, boundary = pb.vdeg, pb.boundary
     if not boundary:
         return None
     earliest = min(boundary)[0]
-    last = len(pb.cycles) - 1
     b = len(boundary)
     if 2 not in vdeg:
         return 0, b
@@ -93,7 +95,7 @@ def wind(sizes: Sequence[int]) -> Optional[CombMap]:
         return None
     pb = PatchBuilder(sizes[0])
     for s in sizes[1:-1]:
-        run = _next_run(pb)
+        run = _next_run(pb.boundary, pb.vdeg, len(pb.cycles) - 1)
         if run is None:
             return None
         try:
@@ -115,21 +117,25 @@ def generate_fullerenes(face_count: int) -> List[CombMap]:
 
     Searches the size sequences with 12 pentagons depth first, pentagon
     before hexagon, so complete sequences come in lexicographic order.  A
-    prefix is abandoned when its next face cannot be glued, when it holds
-    more than 12 pentagons or leaves too few places for the rest (one fewer
-    after a first hexagon, since the last face must then be a hexagon too),
-    or when the glue would leave more degree-2 boundary vertices than the
-    remaining faces can close: each later glue lowers their number n2 by at
-    most 2, so a prefix of j + 1 faces with n2 > 2(face_count - j - 2) has
-    no winding completion (see the module docstring).  Complete sequences
-    larger than their reversal are skipped (the two wind to reflected maps);
-    the rest go to ``wind``.  Returns the first map found per canonical
-    code.
+    search node holds a prefix's boundary, its vertex degrees and their
+    number n2 of degree 2, carried down as n2 + s - l - 3.  A prefix is
+    abandoned when its next face cannot be glued, when it holds more than
+    12 pentagons or leaves too few places for the rest (one fewer after a
+    first hexagon, since the last face must then be a hexagon too), or when
+    a prefix of j + 1 faces would leave n2 > 2(face_count - j - 2), more
+    than the remaining glues can close (see the module docstring).
+    Complete sequences larger than their reversal are skipped (the two wind
+    to reflected maps); the rest go to ``wind``.  A wound map repeats a kept
+    one exactly when its forward oriented word is one of the two words of a
+    kept map (see :meth:`CombMap.oriented_word`), so only a new isomer pays
+    for its mirror word.  Returns the first map found per isomorphism class.
     """
     if face_count < 12:
         return []
     hexes = face_count - 12
-    out: Dict[bytes, CombMap] = {}
+    out: List[CombMap] = []
+    # both oriented words of every map kept
+    words: Set[bytes] = set()
     sizes: List[int] = []
 
     def leaf(pents: int) -> None:
@@ -143,44 +149,43 @@ def generate_fullerenes(face_count: int) -> List[CombMap]:
         pk = m.face_vector()
         if pk.get(5, 0) != 12 or pk.get(6, 0) != hexes:
             return
-        code = m.canonical_code()
-        if code not in out:
-            out[code] = m
+        word = m.oriented_word()
+        if word not in words:
+            out.append(m)
+            words.update((word, m.oriented_word(True)))
 
-    def extend(pb: PatchBuilder, pents: int) -> None:
+    def extend(boundary: List[Tuple[int, int]], vdeg: List[int], n2: int,
+               pents: int) -> None:
         j = len(sizes)
         if j == face_count - 1:
             leaf(pents)
             return
-        run = _next_run(pb)
+        run = _next_run(boundary, vdeg, j - 1)
         if run is None:
             return
         length = run[1]
         # the degree-2 budget: a face of size s leaves n2 + s - length - 3
         # degree-2 vertices, which faces j + 1 .. face_count - 2 must bring
         # down to 0 at 2 per face
-        max_size = 2 * (face_count - j - 2) - pb.vdeg.count(2) + length + 3
+        max_size = 2 * (face_count - j - 2) - n2 + length + 3
         # positions j + 1 .. face_count - 1 remain for the other pentagons,
         # less the last one after a hexagon (module docstring)
         room = face_count - 1 - j - (sizes[0] == 6)
-        kids = []
         for s in (5, 6):
             p = pents + (s == 5)
-            if p <= 12 and 12 - p <= room and length < s <= max_size:
-                kids.append((s, p))
-        for i, (s, p) in enumerate(kids):
-            # glue fails before it mutates, so the last child may reuse pb
-            child = pb.copy() if i + 1 < len(kids) else pb
+            if p > 12 or 12 - p > room or not length < s <= max_size:
+                continue
             try:
-                child.glue(s, *run)
+                child, child_vdeg, _ = _splice(boundary, vdeg, j, s, *run)
             except WindingError:
                 continue
             sizes.append(s)
-            extend(child, p)
+            extend(child, child_vdeg, n2 + s - length - 3, p)
             sizes.pop()
 
     for s in (5, 6):
+        root = PatchBuilder(s)
         sizes.append(s)
-        extend(PatchBuilder(s), s == 5)
+        extend(root.boundary, root.vdeg, s, s == 5)
         sizes.pop()
-    return list(out.values())
+    return out

@@ -40,19 +40,6 @@ class PatchBuilder:
         self.vdeg: List[int] = [2] * first_size
         self.closed = False
 
-    def copy(self) -> "PatchBuilder":
-        """An independent builder in the same state.
-
-        ``glue`` and ``close`` replace ``boundary`` and ``vdeg`` instead of
-        mutating them, so the copy shares those two lists.
-        """
-        pb = PatchBuilder.__new__(PatchBuilder)
-        pb.cycles = [c[:] for c in self.cycles]
-        pb.boundary = self.boundary
-        pb.vdeg = self.vdeg
-        pb.closed = self.closed
-        return pb
-
     # -- queries ------------------------------------------------------------
 
     def runs(self) -> List[Tuple[int, int]]:
@@ -84,44 +71,21 @@ class PatchBuilder:
         Returns the id of the new face.
 
         Raises:
-            WindingError: the run is not elementary, the size does not leave
-                at least one open edge, or the new face would share more than
-                one edge with some existing face.  Every such check comes
-                before any change, so a failed glue leaves the builder as it
-                was.
+            WindingError: the patch is closed, or :func:`_splice` rejects the
+                run.  Every check comes before any change, so a failed glue
+                leaves the builder as it was.
         """
         if self.closed:
             raise WindingError("patch already closed")
-        b = len(self.boundary)
-        if not 1 <= length < b:
-            raise WindingError("bad run length %d" % length)
-        if size - length < 1:
-            raise WindingError("face of size %d cannot cover %d edges"
-                               % (size, length))
-        # the boundary and its vertex degrees, rotated to begin at the run
-        start %= b
-        edges = self.boundary[start:] + self.boundary[:start]
-        degs = self.vdeg[start:] + self.vdeg[:start]
-        if degs[0] != 2 or degs[length] != 2:
-            raise WindingError("run endpoints must be degree-2 vertices")
-        if 2 in degs[1:length]:
-            raise WindingError("run interior vertex has degree 2")
-        covered = edges[:length]
-        owners = [f for f, _ in covered]
-        if len(set(owners)) != length:
-            raise WindingError("face would share two edges with one face")
         new_id = len(self.cycles)
+        self.boundary, self.vdeg, covered = _splice(
+            self.boundary, self.vdeg, new_id, size, start, length)
         # the new face traverses the shared edges opposite to the boundary
         # walk, so the covered owners appear reversed in its cycle
-        self.cycles.append(list(reversed(owners)) + [None] * (size - length))
+        self.cycles.append([f for f, _ in reversed(covered)]
+                           + [None] * (size - length))
         for f, slot in covered:
             self.cycles[f][slot] = new_id
-        # splice the new open edges into the boundary in place of the run
-        new_edges = [(new_id, length + j) for j in range(size - length)]
-        self.boundary = new_edges + edges[length:]
-        # the vertices before the first new edge and after the last one are
-        # now degree 3
-        self.vdeg = [3] + [2] * (size - length - 1) + [3] + degs[length + 1:]
         return new_id
 
     def close(self, size: int) -> int:
@@ -150,3 +114,43 @@ class PatchBuilder:
         if not self.closed:
             raise WindingError("patch is not closed")
         return CombMap.from_face_cycles(self.cycles)  # may raise MapError
+
+
+def _splice(boundary: List[Tuple[int, int]], vdeg: List[int], new_id: int,
+            size: int, start: int, length: int
+            ) -> Tuple[List[Tuple[int, int]], List[int],
+                       List[Tuple[int, int]]]:
+    """The boundary after face ``new_id`` of ``size`` edges is glued over
+    the elementary run of ``length`` edges from position ``start``.
+
+    Returns the new boundary, its vertex degrees and the covered edges, in
+    boundary order; the arguments are left as they are.
+
+    Raises:
+        WindingError: the run is not elementary, the size does not leave at
+            least one open edge, or the new face would share more than one
+            edge with some existing face.
+    """
+    b = len(boundary)
+    if not 1 <= length < b:
+        raise WindingError("bad run length %d" % length)
+    if size - length < 1:
+        raise WindingError("face of size %d cannot cover %d edges"
+                           % (size, length))
+    # the boundary and its vertex degrees, rotated to begin at the run
+    start %= b
+    edges = boundary[start:] + boundary[:start]
+    degs = vdeg[start:] + vdeg[:start]
+    if degs[0] != 2 or degs[length] != 2:
+        raise WindingError("run endpoints must be degree-2 vertices")
+    if 2 in degs[1:length]:
+        raise WindingError("run interior vertex has degree 2")
+    covered = edges[:length]
+    if len({f for f, _ in covered}) != length:
+        raise WindingError("face would share two edges with one face")
+    # the new open edges replace the run; the vertices before the first of
+    # them and after the last one are now degree 3
+    new_edges = [(new_id, length + j) for j in range(size - length)]
+    return (new_edges + edges[length:],
+            [3] + [2] * (size - length - 1) + [3] + degs[length + 1:],
+            covered)

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import fullerkit
 from fullerkit.maps import CombMap
-from fullerkit.winding import PatchBuilder
 
 SOURCES = sorted(Path(fullerkit.__file__).parent.glob("*.py"))
 TOOLS = sorted((Path(__file__).parent.parent / "tools").rglob("*.py"))
@@ -115,13 +114,3 @@ def test_comb_map_slots_are_set_in_init_and_read_elsewhere():
             and isinstance(node.ctx, ast.Load) and id(node) not in in_init}
     assert assigned == set(CombMap.__slots__)
     assert set(CombMap.__slots__) - read == set()
-
-
-def test_patch_builder_copy_sets_what_init_sets():
-    # copy builds through __new__, so a field it leaves out would be missing
-    # from every copy
-    pb = PatchBuilder(5)
-    assert vars(pb.copy()) == vars(pb)
-    pb.glue(6, 0, 1)
-    pb.glue(5, *pb.runs()[0])
-    assert vars(pb.copy()) == vars(pb)

@@ -38,6 +38,13 @@ def test_read_accepts_stream(dodecahedron):
     assert m.is_isomorphic(dodecahedron)
 
 
+@pytest.mark.parametrize("wrap", [bytearray, memoryview])
+def test_read_accepts_any_bytes_like(dodecahedron, wrap):
+    data = write_planar_code([dodecahedron])
+    (m,) = read_planar_code(wrap(data))
+    assert m.rotations == read_planar_code(data)[0].rotations
+
+
 def test_bad_header_rejected():
     with pytest.raises(BadHeader):
         read_planar_code(b">>not_planar_code<<")

@@ -1,8 +1,13 @@
+import os
+import sys
+from copy import copy
 from itertools import combinations
 
 import pytest
 
 from fullerkit import spiral
+from fullerkit.growth import enumerate_maps
+from fullerkit.maps import CombMap
 from fullerkit.spiral import _next_run, generate_fullerenes, wind
 from fullerkit.winding import PatchBuilder, WindingError
 
@@ -101,10 +106,19 @@ def reference_next_run(pb):
     return fallback
 
 
+def copied(pb):
+    """An independent builder in the state of ``pb``.  Its face cycles are
+    copied; ``glue`` replaces the boundary and degree lists rather than
+    mutating them, so those two are shared."""
+    twin = copy(pb)
+    twin.cycles = [c[:] for c in pb.cycles]
+    return twin
+
+
 def reference_search(face_count, visit=lambda pb, sizes: None):
-    """Reference: the prefix search without the degree-2 cut, a fresh copy
-    for every child, and ``reference_next_run``.  ``visit`` sees every
-    search node before its run is chosen.  Returns the complete sequences
+    """Reference: the prefix search without the degree-2 cut, a copied
+    builder for every child, and ``reference_next_run``.  ``visit`` sees
+    every search node before its run is chosen.  Returns the complete sequences
     that reach a leaf."""
     leaves = []
     sizes = []
@@ -122,7 +136,7 @@ def reference_search(face_count, visit=lambda pb, sizes: None):
             p = pents + (s == 5)
             if p > 12 or 12 - p > face_count - 1 - j or run[1] >= s:
                 continue
-            child = pb.copy()
+            child = copied(pb)
             try:
                 child.glue(s, *run)
             except WindingError:
@@ -138,22 +152,52 @@ def reference_search(face_count, visit=lambda pb, sizes: None):
     return leaves
 
 
+def search_nodes(face_count, monkeypatch):
+    """Run ``generate_fullerenes`` and return every search node that asks
+    ``_next_run`` for its run, as (prefix, boundary, vdeg, n2).  The prefix
+    and the carried n2 are read off the frame of the search step; the calls
+    that ``wind`` makes on the leaves are left out."""
+    nodes = []
+
+    def recording_next_run(boundary, vdeg, last):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "extend":
+            node = caller.f_locals
+            nodes.append((list(node["sizes"]), boundary, vdeg, node["n2"]))
+        return _next_run(boundary, vdeg, last)
+
+    monkeypatch.setattr(spiral, "_next_run", recording_next_run)
+    generate_fullerenes(face_count)
+    monkeypatch.undo()
+    return nodes
+
+
 @pytest.mark.parametrize("fc", range(12, 18))
-def test_boundary_degree_identity_and_one_pass_run(fc):
+def test_boundary_degree_identity_and_one_pass_run(fc, monkeypatch):
     # on the boundary of a pentagon/hexagon disk n2 - n3 = 6 - p5, and the
     # one-pass run choice agrees with the runs()/run_faces reading
-    nodes = 0
+    states = {}
 
     def visit(pb, sizes):
-        nonlocal nodes
         n2, n3 = pb.vdeg.count(2), pb.vdeg.count(3)
         assert n2 + n3 == len(pb.boundary)
         assert n2 - n3 == 6 - sizes.count(5)
-        assert _next_run(pb) == reference_next_run(pb)
-        nodes += 1
+        assert (_next_run(pb.boundary, pb.vdeg, len(pb.cycles) - 1)
+                == reference_next_run(pb))
+        states[tuple(sizes)] = pb.boundary, pb.vdeg
 
     reference_search(fc, visit)
-    assert nodes > 0
+    assert states
+    # the search's own nodes: the n2 it carries down is the count, and its
+    # boundary is the one a builder reaches on the same prefix by gluing
+    # over the runs ``wind`` picks (the reference search glues over
+    # ``reference_next_run``, equal to ``_next_run`` above), so the degree-2
+    # cut reasons about the patches that ``wind`` builds
+    searched = search_nodes(fc, monkeypatch)
+    assert searched
+    for prefix, boundary, vdeg, n2 in searched:
+        assert n2 == vdeg.count(2)
+        assert (boundary, vdeg) == states[tuple(prefix)]
 
 
 @pytest.mark.parametrize("fc", range(12, 18))
@@ -164,7 +208,8 @@ def test_degree_two_cut_keeps_every_fullerene_sequence(fc, monkeypatch):
         # the budget holds along the winding of every good sequence
         pb = PatchBuilder(sizes[0])
         for j in range(1, fc - 1):
-            pb.glue(sizes[j], *_next_run(pb))
+            pb.glue(sizes[j],
+                    *_next_run(pb.boundary, pb.vdeg, len(pb.cycles) - 1))
             assert pb.vdeg.count(2) <= 2 * (fc - j - 2)
     # and the search reaches every good sequence it does not leave to its
     # reversal, so no prefix of one is ever cut
@@ -204,13 +249,46 @@ def test_hexagon_first_cut_keeps_every_kept_sequence(fc, monkeypatch):
         assert not any(hexagon_first_cut(s[:j], fc) for j in range(2, fc))
     # the search visits no prefix the cut drops, and the uncut search does
     # (at F = 12 the pentagon count alone already ends every hexagon start)
-    visited = []
-
-    def recording_next_run(pb):
-        visited.append([len(c) for c in pb.cycles])
-        return _next_run(pb)
-
-    monkeypatch.setattr(spiral, "_next_run", recording_next_run)
-    generate_fullerenes(fc)
+    visited = [prefix for prefix, *_ in search_nodes(fc, monkeypatch)]
     assert not any(hexagon_first_cut(p, fc) for p in visited)
     assert any(hexagon_first_cut(p, fc) for p in reached) == (fc > 12)
+
+
+def test_only_kept_isomers_pay_for_a_mirror_word(monkeypatch):
+    # a leaf that repeats a kept isomer is caught by its forward word alone;
+    # ``_word`` builds the words for ``oriented_word`` and ``canonical_code``
+    mirrored = []
+    word = CombMap._word
+
+    def recording_word(m, mirror):
+        if mirror and m._words[1] is None:
+            mirrored.append(m)
+        return word(m, mirror)
+
+    monkeypatch.setattr(CombMap, "_word", recording_word)
+    wound = []
+
+    def recording_wind(sizes):
+        m = wind(sizes)
+        if m is not None:
+            wound.append(m)
+        return m
+
+    monkeypatch.setattr(spiral, "wind", recording_wind)
+    for fc in range(12, 19):
+        got = generate_fullerenes(fc)
+        assert len(got) == SMALL_COUNTS[fc] and mirrored == got
+        mirrored.clear()
+    # 14 mirror words for the 152 wound leaves of F = 12..18
+    assert sum(SMALL_COUNTS.values()) == 14 and len(wound) == 152
+
+
+@pytest.mark.skipif(os.environ.get("FULLERKIT_SLOW") != "1",
+                    reason="slow (about 30 s); set FULLERKIT_SLOW=1 to run")
+def test_oracle_matches_growth_at_c42_and_c44():
+    grown = enumerate_maps(12)
+    for fc in (23, 24):
+        n = 2 * (fc - 2)
+        want = {code for code, m in grown.items() if m.f0 == n}
+        got = {m.canonical_code() for m in generate_fullerenes(fc)}
+        assert got == want

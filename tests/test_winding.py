@@ -1,7 +1,7 @@
 import pytest
 
 from fullerkit.spiral import _next_run
-from fullerkit.winding import PatchBuilder, WindingError
+from fullerkit.winding import PatchBuilder, WindingError, _splice
 
 
 def test_single_face_boundary():
@@ -53,17 +53,6 @@ def _state(pb):
     return repr(pb.cycles), pb.boundary[:], pb.vdeg[:], pb.closed
 
 
-def test_copy_is_independent():
-    pb = PatchBuilder(5)
-    pb.glue(5, 0, 1)
-    before = _state(pb)
-    twin = pb.copy()
-    twin.glue(6, *twin.runs()[0])
-    twin.glue(5, *twin.runs()[0])
-    assert _state(pb) == before
-    assert len(twin.cycles) == 4
-
-
 def _three_faces_round_a_vertex():
     """A hexagon and two triangles round one vertex.  Each triangle has one
     open edge, and the two sit between the hexagon's last open edge and its
@@ -92,6 +81,23 @@ def test_failed_glue_leaves_builder_unchanged(size, run, message):
     assert _state(pb) == before
 
 
+def test_splice_leaves_its_arguments_as_they_are():
+    # the prefix search hands one boundary to both children of a node
+    pb = PatchBuilder(5)
+    pb.glue(5, 0, 1)
+    boundary, vdeg = pb.boundary, pb.vdeg
+    before = boundary[:], vdeg[:]
+    new, new_vdeg, covered = _splice(boundary, vdeg, 2, 6, 1, 1)
+    assert (boundary, vdeg) == before
+    assert covered == [boundary[1]]
+    assert len(new) == len(new_vdeg) == len(boundary) + 4
+    for size, run, message in [(5, (0, 1), "endpoints must be degree-2"),
+                               (6, (1, 2), "interior vertex has degree 2")]:
+        with pytest.raises(WindingError, match=message):
+            _splice(boundary, vdeg, 2, size, *run)
+        assert (boundary, vdeg) == before
+
+
 def test_failed_glue_over_one_face_twice_leaves_builder_unchanged():
     pb = _three_faces_round_a_vertex()
     start, length = next(r for r in pb.runs() if r[1] == 4)
@@ -105,7 +111,7 @@ def test_failed_glue_over_one_face_twice_leaves_builder_unchanged():
 def test_glue_after_close_leaves_builder_unchanged():
     pb = PatchBuilder(5)
     for _ in range(10):
-        pb.glue(5, *_next_run(pb))
+        pb.glue(5, *_next_run(pb.boundary, pb.vdeg, len(pb.cycles) - 1))
     pb.close(5)
     before = _state(pb)
     with pytest.raises(WindingError, match="already closed"):
