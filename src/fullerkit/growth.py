@@ -288,16 +288,20 @@ def enumerate_maps(max_p6: int) -> Dict[bytes, CombMap]:
     dodecahedron.
 
     Skipping sites leaves the result as it would be with every site
-    applied.  A skipped site is the image, under an automorphism of the
-    parent, of a site of the same rule applied before it.  ``apply_rule``
-    is built from ``twin``/``next`` and dart walks alone, so the two
-    children are isomorphic: the skipped child's code was already seen,
-    and it would neither have been kept nor have joined the frontier.
+    applied.  A skipped site gives a child isomorphic, perhaps by a
+    reflection, to the child of a site of the same rule applied before it,
+    since an automorphism of the parent, orientation preserving or not,
+    maps the one site onto the other (up to a self-symmetry of the pattern
+    that the rule's script respects).  So the skipped child's code was
+    already seen, and it would neither have been kept nor have joined the
+    frontier.
 
     A child repeats a kept map exactly when its forward oriented word is
     one of the kept maps' two oriented words (see
     :meth:`CombMap.oriented_word`), so only a new child pays for its
-    mirror word and canonical code.
+    mirror word and canonical code.  That mirror word search also finds
+    the reversing automorphisms that the child, as a parent, skips sites
+    by.
     """
     if max_p6 < 0:
         raise NegativeParameter("max_p6 must be >= 0")
@@ -311,11 +315,10 @@ def enumerate_maps(max_p6: int) -> Dict[bytes, CombMap]:
         parents, frontier = frontier, []
         for m in parents:
             p6 = m.face_vector().get(6, 0)
-            auts = m.automorphisms()
             for rule in rules:
                 if p6 + rule.delta_p6 > max_p6:
                     continue
-                for at in _one_site_per_orbit(m, rule.lhs, auts):
+                for at in _one_site_per_orbit(m, rule):
                     child = apply_rule(m, rule, at)
                     word = child.oriented_word()
                     if word not in words:
@@ -325,24 +328,63 @@ def enumerate_maps(max_p6: int) -> Dict[bytes, CombMap]:
     return seen
 
 
-def _one_site_per_orbit(m: CombMap, pat: PatchPattern,
-                        auts: Sequence[Sequence[int]]) -> Iterator[MatchResult]:
-    """The sites of ``match_pattern(m, pat)``, in order, less every site
-    that one of ``auts`` maps onto a site yielded before it.
+# Rules whose script gives one child, up to isomorphism, at every embedding
+# of one face set; see _one_site_per_orbit
+FACE_KEYED = frozenset({"a", "b", "c", "d", "g1_1", "g2_2"})
 
-    A site is keyed by its orientation and its origin darts in pattern
-    face order; ``auts`` are orientation-preserving, so the image of a key
-    is ``(mirrored, phi(origins))``.  A face set is no key: the
-    representative that ``match_pattern`` picks for ``phi(F)`` may differ
-    from ``phi`` of the one for ``F`` by a self-symmetry of the pattern,
-    which a rule's script need not respect.
+
+def _one_site_per_orbit(m: CombMap, rule: GrowthRule) -> Iterator[MatchResult]:
+    """The sites of ``match_pattern(m, rule.lhs)``, in order, less every
+    site whose key an automorphism of ``m`` maps from the key of a site
+    yielded before it.
+
+    An automorphism ``psi`` of ``m``, orientation preserving or reversing,
+    carries an embedding of the LHS pattern to another.  ``apply_rule`` is
+    built from ``twin``/``next`` and dart walks alone, so the child at the
+    image is ``psi`` of the child, an isomorphic map (mirror images count
+    as isomorphic).  But ``match_pattern`` lists one embedding per face
+    set, and the one it lists for ``psi(F)`` may differ from ``psi`` of
+    the one for ``F`` by a self-symmetry of the pattern.  The key says when
+    that does not matter.
+
+    For a rule of ``FACE_KEYED`` a site is keyed by its face set.  Two
+    embeddings with one face set differ by a self-symmetry of the LHS
+    pattern, and for these rules the script gives isomorphic children at
+    both; so the site listed for ``psi(F)`` gives a child isomorphic to
+    that of ``psi`` of the site listed for ``F``.  ``tests/test_growth.py``
+    checks this rule by rule on every face set with several embeddings in
+    its hosts: it holds for a, b, c, d, g1_1 and g2_2, and fails for the
+    roads e and f3..f6, which an embedding and its reflection lay
+    differently.  g1_2, g1_3, g1_4 and g2_3 have no such face set there.
+
+    Every other rule keys a site by its orientation and its origin darts
+    in pattern face order.  An orientation-preserving ``psi`` maps the key
+    ``(mirrored, origins)`` to ``(mirrored, psi(origins))``.  A reversing
+    one turns an origin dart, which has its face on the left, into a dart
+    with the image face on the right, and reverses the face walks, so it
+    maps the key to ``(not mirrored, twin(psi(origins)))``.
+
+    The images come from :meth:`CombMap.dart_images`, at O(1) per origin
+    dart and automorphism.
     """
-    names = tuple(pat.faces)
-    covered: Set[Tuple[bool, Tuple[int, ...]]] = set()
-    for at in match_pattern(m, pat):
-        origins = tuple(at.origin[n] for n in names)
-        if (at.mirrored, origins) in covered:
+    names = tuple(rule.lhs.faces)
+    by_faces = rule.key in FACE_KEYED
+    twin, face_of = m.twin, m.face_of
+    covered: Set[object] = set()
+    for at in match_pattern(m, rule.lhs):
+        origins = [at.origin[n] for n in names]
+        if by_faces:
+            key: object = frozenset(at.faces.values())
+        else:
+            key = (at.mirrored, tuple(origins))
+        if key in covered:
             continue
-        covered.update((at.mirrored, tuple(phi[d] for d in origins))
-                       for phi in auts)
+        for rev, img in m.dart_images(origins):
+            if by_faces:
+                covered.add(frozenset([face_of[twin[d]] for d in img] if rev
+                                      else [face_of[d] for d in img]))
+            elif rev:
+                covered.add((not at.mirrored, tuple([twin[d] for d in img])))
+            else:
+                covered.add((at.mirrored, img))
         yield at

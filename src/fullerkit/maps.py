@@ -11,10 +11,14 @@ from __future__ import annotations
 
 from array import array
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 # A dart's colour: the sizes of the faces (left, right, back, ahead)
 Colour = Tuple[int, int, int, int]
+
+# A BFS word and its frame: per vertex its label, the vertices in label
+# order, and per vertex its entry slot; see _bfs_word
+_Frame = Tuple[bytes, List[int], List[int], List[int]]
 
 
 class MapError(Exception):
@@ -48,7 +52,7 @@ class CombMap:
     """
 
     __slots__ = ("rotations", "twin", "face_of", "faces", "_cycles", "_pos",
-                 "_belts", "_colours", "_words", "_aut_roots")
+                 "_belts", "_colours", "_words", "_frames")
 
     def __init__(self, rotations: Tuple[Tuple[int, int, int], ...],
                  twin: Tuple[int, ...], face_of: Tuple[int, ...],
@@ -64,8 +68,9 @@ class CombMap:
         self._colours: Optional[Dict[Colour, array]] = None
         # minimal BFS word of the map, then of its mirror image
         self._words: List[Optional[bytes]] = [None, None]
-        # forward-orientation roots whose BFS word ties the minimum
-        self._aut_roots: Tuple[int, ...] = ()
+        # BFS frames of the roots whose word ties the forward word, per
+        # orientation; see dart_images
+        self._frames: List[Tuple[bytes, ...]] = [(), ()]
 
     # -- construction -------------------------------------------------------
 
@@ -361,8 +366,11 @@ class CombMap:
 
     def _word(self, mirrored: bool) -> bytes:
         """:meth:`oriented_word` under the name the class's own methods
-        call, so that a profile charges their words to them.  The forward
-        search also keeps its tied roots for :meth:`automorphisms`."""
+        call, so that a profile charges their words to them.  Each search
+        also keeps the frames of its tied roots for :meth:`dart_images`:
+        the mirror search on an achiral map only, and the forward search
+        unless the map turns out to have no automorphism but the
+        identity."""
         word = self._words[mirrored]
         if word is None:
             classes = self.colour_classes()
@@ -372,11 +380,22 @@ class CombMap:
                 mc = min(classes, key=lambda x: (len(classes[x]),
                                                  (x[1], x[0], x[2], x[3])))
                 mrot = [(a[2], a[1], a[0]) for a in self.rotations]
-                word = _min_word(mrot, [d + 2 - 2 * (d % 3)
-                                        for d in classes[mc]])[0]
+                word, tied = _min_word(mrot, [d + 2 - 2 * (d % 3)
+                                              for d in classes[mc]])
+                if word == self._word(False):
+                    self._frames[1] = tuple(bytes(order + start)
+                                            for _, _, order, start in tied)
+                elif len(self._frames[0]) == 1:
+                    # the identity is the only automorphism: keep no frame
+                    self._frames[0] = ()
             else:
                 c = min(classes, key=lambda x: (len(classes[x]), x))
-                word, self._aut_roots = _min_word(self.rotations, classes[c])
+                word, tied = _min_word(self.rotations, classes[c])
+                # the first root keeps its labels, against which the other
+                # frames are read
+                _, label, _, start = tied[0]
+                self._frames[0] = (bytes(label + start),) + tuple(
+                    bytes(order + start) for _, _, order, start in tied[1:])
             self._words[mirrored] = word
         return word
 
@@ -390,8 +409,8 @@ class CombMap:
         invariant under isomorphism, so each oriented code is an invariant;
         a BFS word from any one dart determines the rooted oriented map, so
         equal codes mean isomorphic maps.  Mirror images compare equal.
-        The search also finds the map's orientation-preserving automorphism
-        group for free: see :meth:`automorphisms`.
+        The two searches also find the map's automorphisms, orientation
+        preserving and reversing, for free: see :meth:`dart_images`.
         """
         return min(self._word(False), self._word(True))
 
@@ -404,33 +423,54 @@ class CombMap:
 
         Each permutation ``phi`` has ``phi[d]`` the image of dart ``d``; it
         commutes with ``twin`` and ``next_dart``, and the identity comes
-        first.  They are read off the forward code's search: two roots with
-        equal BFS words root the same oriented map, so there is one
-        automorphism sending the first tied root of :func:`_min_word` to
-        each other tied root.  Conversely an automorphism keeps colours and
-        words, so it carries that root to a tied root, and a nontrivial one
-        fixes no dart of a connected map.  So the tied roots are exactly
-        one Aut+-orbit, one root per automorphism (60 for the
-        dodecahedron).  The map caches only the roots.
+        first.  The reversing ones are the rest of :meth:`dart_images`.
         """
-        self._word(False)
-        twin, step = self.twin, self.next_dart
-        r0 = self._aut_roots[0]
-        out = []
-        for root in self._aut_roots:
-            # an automorphism is fixed by one dart's image: spread it
-            phi = [-1] * len(twin)
-            phi[r0] = root
-            stack = [r0]
-            while stack:
-                d = stack.pop()
-                e = phi[d]
-                for a, b in ((twin[d], twin[e]), (step(d), step(e))):
-                    if phi[a] < 0:
-                        phi[a] = b
-                        stack.append(a)
-            out.append(tuple(phi))
-        return out
+        darts = range(3 * len(self.rotations))
+        return [phi for rev, phi in self.dart_images(darts) if not rev]
+
+    def dart_images(self, darts: Sequence[int]
+                    ) -> Iterator[Tuple[bool, Tuple[int, ...]]]:
+        """The images of ``darts`` under each automorphism, with whether it
+        reverses orientation: the identity and the rest of Aut+, then Aut-.
+
+        They are read off the oriented codes' searches.  Two roots with
+        equal BFS words root the same oriented map, so there is one
+        automorphism sending the first tied root ``r0`` of the forward
+        search (see :func:`_min_word`) to each other tied root.  Conversely
+        an automorphism keeps colours and words, so it carries ``r0`` to a
+        tied root, and a nontrivial one fixes no dart of a connected map.
+        So the tied roots are exactly one Aut+-orbit, one root per
+        automorphism (60 for the dodecahedron).  A reversing automorphism,
+        which only an achiral map has, carries the forward colour class
+        onto the class that the mirror search roots at, and ``r0``'s word
+        onto its mirror word; so on an achiral map, where the two words
+        agree, the mirror search's tied roots are likewise one per
+        reversing automorphism.
+
+        Each search keeps its tied roots' frames: the vertices in discovery
+        order and each one's entry slot (see :func:`_bfs_word`).  The
+        automorphism to a tied root takes the vertex labelled ``k`` from
+        ``r0`` to the ``k``-th vertex ``w`` found from that root, and the
+        dart ``t`` slots past its vertex's entry slot to the dart ``t``
+        slots past ``w``'s.  A mirror root counts slots in the reversed
+        rotation, where slot ``j`` is slot ``2 - j``.  So an image costs
+        O(1) per dart, and no permutation is built.
+        """
+        self._word(True)  # after the forward word, so both frames are set
+        yield False, tuple(darts)
+        if not self._frames[0]:
+            return
+        n = len(self.rotations)
+        first, *forward = self._frames[0]
+        # per dart: the label of its vertex from r0, and its slot counted
+        # from the vertex's entry slot
+        rel = [(first[d // 3], (d - first[n + d // 3]) % 3) for d in darts]
+        for f in forward:
+            yield False, tuple([3 * (w := f[k]) + (f[n + w] + t) % 3
+                                for k, t in rel])
+        for f in self._frames[1]:
+            yield True, tuple([3 * (w := f[k]) + 2 - (f[n + w] + t) % 3
+                               for k, t in rel])
 
     def is_isomorphic(self, other: "CombMap") -> bool:
         return self.canonical_code() == other.canonical_code()
@@ -451,10 +491,11 @@ def _face_orbit(twin: Sequence[int], d: int) -> Tuple[int, ...]:
     return tuple(orbit)
 
 
-def _min_word(rot: Sequence[Tuple[int, int, int]],
-              roots: Sequence[int]) -> Tuple[bytes, Tuple[int, ...]]:
+def _min_word(rot: Sequence[Tuple[int, int, int]], roots: Sequence[int]
+              ) -> Tuple[bytes, List[_Frame]]:
     """Lexicographically minimal BFS word over the given root darts, and
-    the roots whose word ties it, in the order given.
+    the words with their frames (see :func:`_bfs_word`) of the roots that
+    tie it, in the order given.
 
     The word lists, for each vertex in discovery order, the labels of its
     three neighbours starting at the entry edge and following the rotation.
@@ -463,27 +504,30 @@ def _min_word(rot: Sequence[Tuple[int, int, int]],
     Maps with up to 255 vertices fit in one byte per entry.  When ``roots``
     is a colour class picked by an invariant rule, the tied roots are one
     orbit of the orientation-preserving automorphism group and there is
-    one per automorphism (see :meth:`CombMap.automorphisms`).
+    one per automorphism (see :meth:`CombMap.dart_images`).
     """
     if len(rot) > 255:
         raise MapError("canonical code supports at most 255 vertices")
-    best = _bfs_word(rot, roots[0], None)
-    tied = [roots[0]]
+    found = _bfs_word(rot, roots[0], None)
+    best = found[0]
+    tied = [found]
     for root in roots[1:]:
-        word = _bfs_word(rot, root, best)
-        if word is None:
+        found = _bfs_word(rot, root, best)
+        if found is None:
             continue
-        if word == best:
-            tied.append(root)
+        if found[0] == best:
+            tied.append(found)
         else:
-            best = word
-            tied = [root]
-    return best, tuple(tied)
+            best = found[0]
+            tied = [found]
+    return best, tied
 
 
 def _bfs_word(rot: Sequence[Tuple[int, int, int]], root: int,
-              best: Optional[bytes]) -> Optional[bytes]:
-    """BFS word from one root dart, or None once it exceeds ``best``."""
+              best: Optional[bytes]) -> Optional[_Frame]:
+    """BFS word from one root dart and its frame: each vertex's label, the
+    vertices in discovery (label) order, and each vertex's entry slot, the
+    slot its word entries start at.  None once the word exceeds ``best``."""
     n = len(rot)
     root_v, root_slot = divmod(root, 3)
     label = [-1] * n
@@ -513,4 +557,4 @@ def _bfs_word(rot: Sequence[Tuple[int, int, int]], root: int,
                 if lw < c:
                     best = None  # strictly smaller; stop comparing
                 j += 1
-    return bytes(word)
+    return bytes(word), label, order, start

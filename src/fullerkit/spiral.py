@@ -12,8 +12,8 @@ face is glued over depends only on the boundary that the faces before it
 leave, so a search node is that boundary alone: its open edges and their
 vertex degrees, updated by the splice that ``PatchBuilder.glue`` makes.  A
 prefix that cannot be glued rules out all of its extensions at once.  Each
-complete sequence is wound by ``wind``, and the survivors are validated as
-fullerenes and deduplicated by forward oriented word.  The generator is
+complete sequence is wound by ``wind``, which validates the map, and the
+survivors are deduplicated by forward oriented word.  The generator is
 deliberately independent of the pattern-replacement machinery so that it
 can serve as a cross-check for the growth enumeration.
 
@@ -36,6 +36,12 @@ one, and its remaining pentagons must fit before the last face: a prefix
 of j + 1 faces with p pentagons needs 12 - p <= F - 2 - j.  The cut removes
 only leaves that the mirror filter drops, so it too leaves the output as
 it is.
+
+A wound leaf needs no face-vector check.  The search never passes 12
+pentagons, and a prefix of j + 1 faces must leave room for the rest, so
+the prefix before the last face holds 11 or 12 of them and the last face
+is chosen to make 12.  ``wind`` gives every face exactly its size in the
+sequence, so each map it returns has 12 pentagons and F - 12 hexagons.
 """
 
 from __future__ import annotations
@@ -132,7 +138,6 @@ def generate_fullerenes(face_count: int) -> List[CombMap]:
     """
     if face_count < 12:
         return []
-    hexes = face_count - 12
     out: List[CombMap] = []
     # both oriented words of every map kept
     words: Set[bytes] = set()
@@ -145,9 +150,6 @@ def generate_fullerenes(face_count: int) -> List[CombMap]:
             return
         m = wind(full)
         if m is None:
-            return
-        pk = m.face_vector()
-        if pk.get(5, 0) != 12 or pk.get(6, 0) != hexes:
             return
         word = m.oriented_word()
         if word not in words:

@@ -1,4 +1,5 @@
 import hashlib
+import os
 from collections import Counter
 
 import pytest
@@ -288,7 +289,8 @@ def test_enumeration_matches_reference():
 
 # OEIS A007894: fullerene isomers with n vertices, mirror images identified.
 A007894 = {20: 1, 22: 0, 24: 1, 26: 1, 28: 2, 30: 3, 32: 6, 34: 6, 36: 15,
-           38: 17, 40: 40, 42: 45, 44: 89, 46: 116, 48: 199}
+           38: 17, 40: 40, 42: 45, 44: 89, 46: 116, 48: 199, 50: 271,
+           52: 437, 54: 580, 56: 924, 58: 1205, 60: 1812}
 
 
 def test_enumeration_counts_match_oeis_past_the_oracle():
@@ -296,7 +298,7 @@ def test_enumeration_counts_match_oeis_past_the_oracle():
     # growth closure to 14 hexagons reaches C48
     g = enumerate_maps(14)
     counts = Counter(m.f0 for m in g.values())
-    assert counts == {n: c for n, c in A007894.items() if c}
+    assert counts == {n: c for n, c in A007894.items() if c and n <= 48}
     # keys, order and representatives as produced with every site applied
     digest = hashlib.sha256(repr([(c.hex(), m.rotations)
                                   for c, m in g.items()]).encode()).hexdigest()
@@ -304,21 +306,132 @@ def test_enumeration_counts_match_oeis_past_the_oracle():
                       "fdfc7356e4466712207ac5ed")
 
 
-def test_every_skipped_site_repeats_an_applied_child():
+# sha256 of each n's canonical codes, sorted and joined, for C20..C60
+GROWTH_DIGESTS = {
+    20: "417f365a637f46e90342f995985578224c81051123476685aaefe8f7623c0b66",
+    24: "62e4eccf6c8bd4cc4037ef2b3d797aa0a609da8f72cdf328fb58c6ab1e5ba301",
+    26: "8994fdcf08e9d10106682abc28f6ecc3afd1bf0a4e5d57f4639d5818e67e088c",
+    28: "a70625396b38644ace924d579906f769e6a618e624816822367bf3689163f649",
+    30: "1823b1b8793048b529a1f0ae26c604d024ce5c4ab8c4951f01cc40811dee70c1",
+    32: "f3bbd1aebfdcce4b4ca84b7fade6419ff4d3286fdf0517c739c3815494c23e02",
+    34: "4c699e59b722c5cdabdb80effde597b8732f285a94769b35ac61db94f2771322",
+    36: "015bc96b20aa4cf37bf478f914e7d7364ef7389f78eb2985cc64245ea6847c14",
+    38: "c625a54354e46b914b17cc17d00e65006785d66e2386d4558e44a1d478dacf85",
+    40: "276be951e7e87ff77cdd662da828cfd034b1ccc0a5e5efd9ee4a9b8c8318d103",
+    42: "2b98eddb4ef3522f0f402c7f139b2e666c25ba4af60bee4141ae47937f0fe1f1",
+    44: "9a5a251a279473efb6ed8432cd023362092e76db76247db889d4e662264f4909",
+    46: "004051014559f463f21c8589da06b24e46cd80a611deafd178c177eae7c3e3fe",
+    48: "91654edb414f49aa36cbe5e35ac90a8d232507fc84c7c6984ed31a1d52bdf9bc",
+    50: "97a7223cac7deaa43a557956353e5b76ee2d958722a779e7875ee54255d56f4d",
+    52: "417d9a9f9b4b75607fedacd31f98daa5dc9b4b4ae41495fac423b4dc8788604f",
+    54: "d7c194956d323eb7eb51b356aea5d97d7ed9e0d56316958876011ce30a363513",
+    56: "f934062057b29364e4b2d0384edab7572c33a64cb349bcd6bb0247fae035d73e",
+    58: "67635fcf1a72af845073d40fc74ee360b66f27f94f74f7216dd0652a19045c8e",
+    60: "31ca1c3945be35802a3dc439d1834bed2eabf5121284f255f216bf3c68d031e2",
+}
+
+
+@pytest.mark.skipif(os.environ.get("FULLERKIT_SLOW") != "1",
+                    reason="slow (about 30 s); set FULLERKIT_SLOW=1 to run")
+def test_growth_to_c60_is_pinned():
+    """The closure to 20 hexagons: isomer counts through C60, and each
+    size's canonical codes by digest."""
+    by_n = {}
+    for code, m in enumerate_maps(20).items():
+        by_n.setdefault(m.f0, []).append(code)
+    assert {n: len(codes) for n, codes in by_n.items()} == \
+        {n: c for n, c in A007894.items() if c}
+    assert {n: hashlib.sha256(b"".join(sorted(codes))).hexdigest()
+            for n, codes in by_n.items()} == GROWTH_DIGESTS
+
+
+def rotation_and_origin_sites(m, rule):
+    """Reference: the LHS sites less those that an orientation-preserving
+    automorphism maps onto an earlier kept site, origin darts compared."""
+    names = tuple(rule.lhs.faces)
+    auts = m.automorphisms()
+    covered = set()
+    for at in match_pattern(m, rule.lhs):
+        origins = tuple(at.origin[n] for n in names)
+        if (at.mirrored, origins) not in covered:
+            covered.update((at.mirrored, tuple(phi[d] for d in origins))
+                           for phi in auts)
+            yield at
+
+
+@pytest.fixture(scope="module")
+def isomers_to_p6_8():
+    return list(enumerate_maps(8).values())
+
+
+def test_every_skipped_site_repeats_an_applied_child(isomers_to_p6_8):
     """Sites dropped by the orbit filter give children isomorphic to one
-    from a site that was applied, for the same parent and rule."""
-    skipped = 0
-    for m in enumerate_maps(8).values():
-        auts = m.automorphisms()
+    from a site that was applied, for the same parent and rule.  The full
+    group skips strictly more sites than rotations and origin keys alone,
+    both for rules keyed by face set and for the others, and keeps no site
+    that those would skip."""
+    skipped, skipped_before = Counter(), Counter()
+    for m in isomers_to_p6_8:
         for rule in load_rules():
-            kept = list(growth._one_site_per_orbit(m, rule.lhs, auts))
+            by_faces = rule.key in growth.FACE_KEYED
+            kept = list(growth._one_site_per_orbit(m, rule))
             codes = {apply_rule(m, rule, at).canonical_code() for at in kept}
             sites = [(at.mirrored, at.origin) for at in kept]
             for at in match_pattern(m, rule.lhs):
                 if (at.mirrored, at.origin) not in sites:
-                    skipped += 1
+                    skipped[by_faces] += 1
                     assert apply_rule(m, rule, at).canonical_code() in codes
-    assert skipped
+            before = [(at.mirrored, at.origin)
+                      for at in rotation_and_origin_sites(m, rule)]
+            assert all(site in before for site in sites)
+            skipped_before[by_faces] += (len(match_pattern(m, rule.lhs))
+                                         - len(before))
+    for by_faces in (True, False):
+        assert skipped[by_faces] > skipped_before[by_faces] > 0
+
+
+def symmetric_sites(m, rule):
+    """Per LHS face set with more than one embedding, whether the children
+    at all of its embeddings are isomorphic: each child's forward word is
+    one of the first child's two oriented words."""
+    by_faces = {}
+    for at in match_pattern(m, rule.lhs, all_embeddings=True):
+        by_faces.setdefault(frozenset(at.faces.values()), []).append(at)
+    agree = []
+    for first, *rest in (ats for ats in by_faces.values() if len(ats) > 1):
+        child = apply_rule(m, rule, first)
+        words = {child.oriented_word(), child.oriented_word(True)}
+        agree.append(all(apply_rule(m, rule, at).oriented_word() in words
+                         for at in rest))
+    return agree
+
+
+# Per rule: True if every face set of several LHS embeddings gives one
+# child, False if some gives two, None if no such face set is found
+FACE_SET_VERDICT = {
+    "a": True, "b": True, "c": True, "d": True, "g1_1": True, "g2_2": True,
+    "e": False, "f3": False, "f4": False, "f5": False, "f6": False,
+    "g1_2": None, "g1_3": None, "g1_4": None, "g2_3": None,
+}
+
+
+@pytest.mark.parametrize("key", sorted(FACE_SET_VERDICT))
+def test_face_set_keys_are_sound(key, isomers_to_p6_8):
+    """The orbit filter keys a rule's sites by face set exactly when every
+    LHS embedding of one face set gives one child up to isomorphism, on
+    the rule's first host and every isomer with p6 <= 8.  Roads e and
+    f3..f6 fail it, and a rule with no symmetric site keeps origin keys."""
+    assert set(FACE_SET_VERDICT) == EXPECTED_KEYS
+    (rule,) = [r for r in load_rules() if r.key == key]
+    hosts = [_first_application(rule)[0]] + isomers_to_p6_8
+    agree = [a for m in hosts for a in symmetric_sites(m, rule)]
+    verdict = FACE_SET_VERDICT[key]
+    if verdict is None:
+        assert not agree
+    else:
+        assert agree
+        assert all(agree) == verdict
+    assert (key in growth.FACE_KEYED) == (verdict is True)
 
 
 def test_fragment_catalog_occurs_after_growth():

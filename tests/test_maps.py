@@ -8,7 +8,7 @@ from fullerkit.growth import (apply_rule, enumerate_maps, load_rules,
 from fullerkit.maps import (AsymmetricAdjacency, CombMap, Disconnected,
                             MapError, NonCubic, NonPlanar, _bfs_word)
 from fullerkit.patterns import match_pattern
-from fullerkit.spiral import generate_fullerenes
+from fullerkit.spiral import generate_fullerenes, wind
 from paper_lemmas import relabel
 
 
@@ -104,9 +104,9 @@ def all_roots_word(rot):
     """Reference: the minimal BFS word over every root dart."""
     best = None
     for root in range(3 * len(rot)):
-        word = _bfs_word(rot, root, best)
-        if word is not None:
-            best = word
+        found = _bfs_word(rot, root, best)
+        if found is not None:
+            best = found[0]
     return best
 
 
@@ -195,9 +195,47 @@ def test_automorphisms_are_the_rotation_group(polytopes, small_fullerenes,
                        phi[m.next_dart(d)] == m.next_dart(phi[d])
                        for d in darts)
         best = all_roots_word(m.rotations)
-        assert len(auts) == sum(_bfs_word(m.rotations, d, None) == best
+        assert len(auts) == sum(_bfs_word(m.rotations, d, None)[0] == best
                                 for d in darts)
     assert len(dodecahedron.automorphisms()) == 60
+
+
+def c60():
+    """C60-Ih, wound from its Fowler-Manolopoulos spiral."""
+    pents = {1, 7, 9, 11, 13, 15, 18, 20, 22, 24, 26, 32}
+    return wind([5 if i in pents else 6 for i in range(1, 33)])
+
+
+def reversing_automorphisms(m):
+    return [psi for rev, psi in m.dart_images(range(3 * m.f0)) if rev]
+
+
+def test_reversing_automorphisms(polytopes, dodecahedron):
+    """Each reversing permutation commutes with ``twin`` and takes
+    ``next_dart`` to ``prev_dart``.  There are as many as darts whose BFS
+    word in the mirror rotation ties the forward minimum over all darts:
+    as many as rotations on an achiral map, none on a chiral one."""
+    chiral = set()
+    for m in polytopes + list(enumerate_maps(8).values()):
+        darts = range(3 * m.f0)
+        revs = reversing_automorphisms(m)
+        assert len(set(revs)) == len(revs)
+        for psi in revs:
+            assert sorted(psi) == list(darts)
+            assert all(psi[m.twin[d]] == m.twin[psi[d]] and
+                       psi[m.next_dart(d)] == m.prev_dart(psi[d])
+                       for d in darts)
+        best = all_roots_word(m.rotations)
+        mrot = [r[::-1] for r in m.rotations]
+        assert len(revs) == sum(_bfs_word(mrot, d, None)[0] == best
+                                for d in darts)
+        assert len(revs) == (0 if m.is_chiral() else len(m.automorphisms()))
+        chiral.add(m.is_chiral())
+    assert chiral == {True, False}
+    c60_ih = c60()
+    assert (dodecahedron.f0, c60_ih.f0) == (20, 60)
+    for m in (dodecahedron, c60_ih):
+        assert len(m.automorphisms()) == len(reversing_automorphisms(m)) == 60
 
 
 def connected_without(m, a, b):

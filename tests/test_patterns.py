@@ -12,10 +12,9 @@ from fullerkit.growth import (load_rules, rules_by_id, seed_dodecahedron,
                               seed_family_one, seed_family_two)
 from fullerkit.patterns import (B, MatchResult, PatchPattern, PatternError,
                                 match_pattern, path_turns)
-from fullerkit.spiral import wind
 from paper_lemmas import (_all_shortest_paths, extract_patch,
                           fragment_catalog, shortest_thick_path)
-from test_maps import grown
+from test_maps import c60, grown
 
 
 def road(k):
@@ -493,12 +492,6 @@ def test_each_program_binds_each_face_and_checks_each_edge_once():
                 assert sorted((names[f], sgn * i) for f, i in bslots) == \
                     sorted((n, i) for n, cyc in pat.faces.items()
                            for i, g in enumerate(cyc) if g == B)
-
-
-def c60():
-    """C60-Ih, wound from its Fowler-Manolopoulos spiral."""
-    pents = {1, 7, 9, 11, 13, 15, 18, 20, 22, 24, 26, 32}
-    return wind([5 if i in pents else 6 for i in range(1, 33)])
 
 
 def test_large_maps_match_as_the_reference():
