@@ -15,7 +15,7 @@ from importlib import resources
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .belts import NotFullerene
-from .maps import CombMap, MapError
+from .maps import CombMap, IsomerSet, MapError, _fullerene_vector
 from .patterns import MatchResult, PatchPattern, _embeddings, match_pattern
 from .rulefile import GrowthRule, StraightenStep, TruncStep, parse_file
 from .spiral import wind
@@ -194,13 +194,14 @@ def apply_rule(m: CombMap, rule: GrowthRule, at: MatchResult) -> CombMap:
     NotFullerene if ``m`` is none, NotAMatch if ``at`` is no LHS site.
     """
     fv = m.face_vector()
-    if set(fv) - {5, 6} or fv.get(5, 0) != 12:
+    if not _fullerene_vector(fv):
         raise NotFullerene("rule %s expects a fullerene" % rule.key)
     _check_match(m, rule.lhs, at)
     out = run_script(m, at, rule.script)[1]
-    if not out.is_fullerene():
+    out_fv = out.face_vector()
+    if not _fullerene_vector(out_fv):
         raise ResultNotFullerene("rule %s output is not a fullerene" % rule.key)
-    if out.face_vector().get(6, 0) != fv.get(6, 0) + rule.delta_p6:
+    if out_fv.get(6, 0) != fv.get(6, 0) + rule.delta_p6:
         raise ResultNotFullerene("rule %s: unexpected hexagon delta" % rule.key)
     return out
 
@@ -296,19 +297,20 @@ def enumerate_maps(max_p6: int) -> Dict[bytes, CombMap]:
     already seen, and it would neither have been kept nor have joined the
     frontier.
 
-    A child repeats a kept map exactly when its forward oriented word is
-    one of the kept maps' two oriented words (see
-    :meth:`CombMap.oriented_word`), so only a new child pays for its
-    mirror word and canonical code.  That mirror word search also finds
-    the reversing automorphisms that the child, as a parent, skips sites
-    by.
+    A child repeats a kept map exactly when the BFS word from the first
+    root of its forward rarest colour class is one of the class-root
+    words of a kept map, in either orientation (see :class:`IsomerSet`).
+    So a repeat pays for one BFS word, and only a new child for its class
+    words, which also give its canonical code and the automorphisms,
+    orientation preserving and reversing, that it skips sites by as a
+    parent.
     """
     if max_p6 < 0:
         raise NegativeParameter("max_p6 must be >= 0")
     start = seed_dodecahedron()
+    kept = IsomerSet()
+    kept.add(start)
     seen: Dict[bytes, CombMap] = {start.canonical_code(): start}
-    # both oriented words of every map kept
-    words = {start.oriented_word(), start.oriented_word(True)}
     frontier: List[CombMap] = [start]
     rules = load_rules()
     while frontier:
@@ -320,10 +322,8 @@ def enumerate_maps(max_p6: int) -> Dict[bytes, CombMap]:
                     continue
                 for at in _one_site_per_orbit(m, rule):
                     child = apply_rule(m, rule, at)
-                    word = child.oriented_word()
-                    if word not in words:
+                    if kept.add(child):
                         seen[child.canonical_code()] = child
-                        words.update((word, child.oriented_word(True)))
                         frontier.append(child)
     return seen
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import accumulate
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 # A dart's colour: the sizes of the faces (left, right, back, ahead)
 Colour = Tuple[int, int, int, int]
@@ -312,8 +312,7 @@ class CombMap:
                    for f, cyc in enumerate(self.face_cycles()))
 
     def is_fullerene(self) -> bool:
-        pk = self.face_vector()
-        return set(pk) <= {5, 6} and pk.get(5, 0) == 12
+        return _fullerene_vector(self.face_vector())
 
     # -- reflection ---------------------------------------------------------
 
@@ -366,38 +365,81 @@ class CombMap:
 
     def _word(self, mirrored: bool) -> bytes:
         """:meth:`oriented_word` under the name the class's own methods
-        call, so that a profile charges their words to them.  Each search
-        also keeps the frames of its tied roots for :meth:`dart_images`:
-        the mirror search on an achiral map only, and the forward search
-        unless the map turns out to have no automorphism but the
-        identity."""
+        call, so that a profile charges their words to them."""
         word = self._words[mirrored]
         if word is None:
-            classes = self.colour_classes()
-            if mirrored:
-                # the mirror colour of dart 3v + i is its colour with left and
-                # right swapped, carried by the mirror dart 3v + (2 - i)
-                mc = min(classes, key=lambda x: (len(classes[x]),
-                                                 (x[1], x[0], x[2], x[3])))
-                mrot = [(a[2], a[1], a[0]) for a in self.rotations]
-                word, tied = _min_word(mrot, [d + 2 - 2 * (d % 3)
-                                              for d in classes[mc]])
-                if word == self._word(False):
-                    self._frames[1] = tuple(bytes(order + start)
-                                            for _, _, order, start in tied)
-                elif len(self._frames[0]) == 1:
-                    # the identity is the only automorphism: keep no frame
-                    self._frames[0] = ()
-            else:
-                c = min(classes, key=lambda x: (len(classes[x]), x))
-                word, tied = _min_word(self.rotations, classes[c])
-                # the first root keeps its labels, against which the other
-                # frames are read
-                _, label, _, start = tied[0]
-                self._frames[0] = (bytes(label + start),) + tuple(
-                    bytes(order + start) for _, _, order, start in tied[1:])
-            self._words[mirrored] = word
+            word, tied = _min_word(*self._class_roots(mirrored))
+            self._keep(mirrored, word, tied)
         return word
+
+    def _class_roots(self, mirrored: bool
+                     ) -> Tuple[Sequence[Tuple[int, int, int]], Sequence[int]]:
+        """The rotations of the map, or of its mirror image, and the darts
+        of its rarest colour class there, in class order: the roots of its
+        oriented word.  Raises MapError past 255 vertices, where a word
+        entry no longer fits one byte."""
+        if len(self.rotations) > 255:
+            raise MapError("canonical code supports at most 255 vertices")
+        classes = self.colour_classes()
+        if not mirrored:
+            c = min(classes, key=lambda x: (len(classes[x]), x))
+            return self.rotations, classes[c]
+        # the mirror colour of dart 3v + i is its colour with left and right
+        # swapped, carried by the mirror dart 3v + (2 - i)
+        mc = min(classes, key=lambda x: (len(classes[x]),
+                                         (x[1], x[0], x[2], x[3])))
+        return ([(a[2], a[1], a[0]) for a in self.rotations],
+                [d + 2 - 2 * (d % 3) for d in classes[mc]])
+
+    def _keep(self, mirrored: bool, word: bytes,
+              tied: Sequence[_Frame]) -> None:
+        """Cache an oriented word and the frames of its tied roots for
+        :meth:`dart_images`: the mirror search's on an achiral map only,
+        and the forward search's unless the map turns out to have no
+        automorphism but the identity.  The first tied root keeps its
+        labels, against which the other frames are read."""
+        self._words[mirrored] = word
+        if not mirrored:
+            _, label, _, start = tied[0]
+            self._frames[0] = (bytes(label + start),) + tuple(
+                bytes(order + start) for _, _, order, start in tied[1:])
+        elif word == self._word(False):
+            self._frames[1] = tuple(bytes(order + start)
+                                    for _, _, order, start in tied)
+        elif len(self._frames[0]) == 1:
+            self._frames[0] = ()
+
+    def _class_words(self, first: _Frame) -> List[bytes]:
+        """The full BFS word of every root of the rarest colour class, on
+        the map and then on its mirror image: the words by which a map
+        isomorphic to this one is spotted from one word of its own.
+        ``first`` is the frame of the first forward root, which
+        :meth:`IsomerSet.add` has built already.
+
+        Let ``m`` be a map, ``r`` the first root of its forward class, and
+        ``w`` the word from ``r``.  Then ``m`` is isomorphic to this map,
+        mirror images identified, exactly when ``w`` is one of these words.
+        The rule that picks a class is invariant under isomorphism.  So an
+        isomorphism that keeps orientation carries ``m``'s forward class
+        onto this map's forward class, and one that reverses it carries
+        that class onto this map's mirror class, counted in the mirror
+        image.  Either way it carries ``r`` to a root listed here and keeps
+        BFS words, so ``w`` is listed.  Conversely a BFS word from one dart
+        determines the rooted oriented map, so ``w`` listed makes ``m``
+        isomorphic to this map or to its mirror image.
+
+        Fills the oriented words and the frames as :meth:`oriented_word`
+        does: the tied roots are the roots whose word is the minimum, in
+        class order.
+        """
+        rot, roots = self._class_roots(False)
+        fwd = [first] + [_bfs_word(rot, r, None) for r in roots[1:]]
+        rot, roots = self._class_roots(True)
+        back = [_bfs_word(rot, r, None) for r in roots]
+        for mirrored, found in ((False, fwd), (True, back)):
+            word = min(f[0] for f in found)
+            self._keep(mirrored, word, [f for f in found if f[0] == word])
+        return [f[0] for f in fwd + back]
 
     def canonical_code(self) -> bytes:
         """Isomorphism invariant: the smaller of the two oriented codes.
@@ -479,6 +521,38 @@ class CombMap:
         return "CombMap(f0=%d, f1=%d, f2=%d)" % (self.f0, self.f1, self.f2)
 
 
+class IsomerSet:
+    """Maps kept up to isomorphism, mirror images identified.
+
+    A kept map holds every word of :meth:`CombMap._class_words`, so a map
+    repeats a kept one exactly when the BFS word from the first root of
+    its own forward class is among them.  A repeat pays for that one word,
+    and only a new map pays for its full set of class words, which also
+    give it its oriented words, its canonical code and its symmetries.
+    """
+
+    __slots__ = ("_words",)
+
+    def __init__(self) -> None:
+        self._words: Set[bytes] = set()
+
+    def add(self, m: CombMap) -> bool:
+        """Keep ``m`` and return True, unless it repeats a kept map.
+        Raises MapError past 255 vertices."""
+        rot, roots = m._class_roots(False)
+        first = _bfs_word(rot, roots[0], None)
+        if first[0] in self._words:
+            return False
+        self._words.update(m._class_words(first))
+        return True
+
+
+def _fullerene_vector(pk: Dict[int, int]) -> bool:
+    """Whether a census of face sizes is a fullerene's: pentagons and
+    hexagons only, and twelve pentagons."""
+    return set(pk) <= {5, 6} and pk.get(5, 0) == 12
+
+
 def _face_orbit(twin: Sequence[int], d: int) -> Tuple[int, ...]:
     """The face orbit of ``d`` under ``prev o twin``, starting at ``d``."""
     orbit = [d]
@@ -501,13 +575,12 @@ def _min_word(rot: Sequence[Tuple[int, int, int]], roots: Sequence[int]
     three neighbours starting at the entry edge and following the rotation.
     Labels are assigned in order of first appearance.  A word rooted at
     dart ``3 * v + slot`` starts at ``v`` with neighbour ``rot[v][slot]``.
-    Maps with up to 255 vertices fit in one byte per entry.  When ``roots``
+    Maps with up to 255 vertices fit in one byte per entry; the caller
+    checks the size (see :meth:`CombMap._class_roots`).  When ``roots``
     is a colour class picked by an invariant rule, the tied roots are one
     orbit of the orientation-preserving automorphism group and there is
     one per automorphism (see :meth:`CombMap.dart_images`).
     """
-    if len(rot) > 255:
-        raise MapError("canonical code supports at most 255 vertices")
     found = _bfs_word(rot, roots[0], None)
     best = found[0]
     tied = [found]

@@ -13,7 +13,7 @@ leave, so a search node is that boundary alone: its open edges and their
 vertex degrees, updated by the splice that ``PatchBuilder.glue`` makes.  A
 prefix that cannot be glued rules out all of its extensions at once.  Each
 complete sequence is wound by ``wind``, which validates the map, and the
-survivors are deduplicated by forward oriented word.  The generator is
+survivors are deduplicated by an ``IsomerSet``.  The generator is
 deliberately independent of the pattern-replacement machinery so that it
 can serve as a cross-check for the growth enumeration.
 
@@ -46,9 +46,9 @@ sequence, so each map it returns has 12 pentagons and F - 12 hexagons.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .maps import CombMap, MapError
+from .maps import CombMap, IsomerSet, MapError
 from .winding import PatchBuilder, WindingError, _splice
 
 
@@ -132,15 +132,16 @@ def generate_fullerenes(face_count: int) -> List[CombMap]:
     than the remaining glues can close (see the module docstring).
     Complete sequences larger than their reversal are skipped (the two wind
     to reflected maps); the rest go to ``wind``.  A wound map repeats a kept
-    one exactly when its forward oriented word is one of the two words of a
-    kept map (see :meth:`CombMap.oriented_word`), so only a new isomer pays
-    for its mirror word.  Returns the first map found per isomorphism class.
+    one exactly when the BFS word from the first root of its forward rarest
+    colour class is one of the class-root words of a kept map, in either
+    orientation (see :class:`IsomerSet`), so only a new isomer pays for
+    more than that one word.  Returns the first map found per isomorphism
+    class.
     """
     if face_count < 12:
         return []
     out: List[CombMap] = []
-    # both oriented words of every map kept
-    words: Set[bytes] = set()
+    kept = IsomerSet()
     sizes: List[int] = []
 
     def leaf(pents: int) -> None:
@@ -149,12 +150,8 @@ def generate_fullerenes(face_count: int) -> List[CombMap]:
         if full > full[::-1]:
             return
         m = wind(full)
-        if m is None:
-            return
-        word = m.oriented_word()
-        if word not in words:
+        if m is not None and kept.add(m):
             out.append(m)
-            words.update((word, m.oriented_word(True)))
 
     def extend(boundary: List[Tuple[int, int]], vdeg: List[int], n2: int,
                pents: int) -> None:

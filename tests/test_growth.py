@@ -5,13 +5,14 @@ from collections import Counter
 import pytest
 
 import fullerkit.growth as growth
+import fullerkit.maps as maps
 from fullerkit.belts import NotFullerene
 from fullerkit.growth import (NotAMatch, apply_rule, decompose_rule,
                               detect_growth_rules, enumerate_maps,
                               invert_rule, load_rules, rules_by_id, seed,
                               seed_barrel, seed_dodecahedron, seed_family_one,
                               seed_family_two)
-from fullerkit.maps import MapError
+from fullerkit.maps import CombMap, MapError
 from fullerkit.patterns import MatchResult, match_pattern
 from fullerkit.spiral import generate_fullerenes
 from fullerkit.surgery import truncate
@@ -388,6 +389,40 @@ def test_every_skipped_site_repeats_an_applied_child(isomers_to_p6_8):
                                          - len(before))
     for by_faces in (True, False):
         assert skipped[by_faces] > skipped_before[by_faces] > 0
+
+
+def test_only_kept_children_build_class_words(monkeypatch):
+    # at p6 <= 10 each of the 451 repeat children runs one BFS word, and
+    # only the 91 kept children and the seed build their class words
+    children, built, rots = [], [], []
+
+    def recording_apply_rule(m, rule, at):
+        children.append(apply_rule(m, rule, at))
+        return children[-1]
+
+    bfs_word = maps._bfs_word
+
+    def recording_bfs_word(rot, root, best):
+        rots.append(rot)  # kept alive, so that ids stay unique
+        return bfs_word(rot, root, best)
+
+    class_words = CombMap._class_words
+
+    def recording_class_words(m, first):
+        built.append(m)
+        return class_words(m, first)
+
+    monkeypatch.setattr(growth, "apply_rule", recording_apply_rule)
+    monkeypatch.setattr(maps, "_bfs_word", recording_bfs_word)
+    monkeypatch.setattr(CombMap, "_class_words", recording_class_words)
+    got = enumerate_maps(10)
+    assert built == list(got.values()) and len(built) == 92
+    kept = set(map(id, built))
+    repeats = [c for c in children if id(c) not in kept]
+    assert len(children) == 542 and len(repeats) == 451
+    runs = Counter(map(id, rots))
+    assert all(runs[id(c.rotations)] == 1 and c._words == [None, None]
+               for c in repeats)
 
 
 def symmetric_sites(m, rule):

@@ -6,7 +6,8 @@ from fullerkit.growth import (apply_rule, enumerate_maps, load_rules,
                               seed_dodecahedron, seed_family_one,
                               seed_family_two)
 from fullerkit.maps import (AsymmetricAdjacency, CombMap, Disconnected,
-                            MapError, NonCubic, NonPlanar, _bfs_word)
+                            IsomerSet, MapError, NonCubic, NonPlanar,
+                            _bfs_word)
 from fullerkit.patterns import match_pattern
 from fullerkit.spiral import generate_fullerenes, wind
 from paper_lemmas import relabel
@@ -137,6 +138,52 @@ def growth_children():
 def test_canonical_code_matches_reference_on_growth_children(
         growth_children):
     assert_matches_reference(growth_children)
+
+
+def fresh(m):
+    """A copy of ``m`` with every cache empty."""
+    return CombMap(m.rotations, m.twin, m.face_of, m.faces)
+
+
+def test_isomer_set_agrees_with_oriented_words(growth_children, polytopes):
+    # each map and then its mirror image, so that a repeat by reflection
+    # of a chiral map is met too
+    kept, words, seen = IsomerSet(), set(), set()
+    for m in growth_children + polytopes:
+        for x in (m, m.mirror()):
+            new = x.oriented_word() not in words
+            if new:
+                words.update((x.oriented_word(), x.oriented_word(True)))
+            assert kept.add(fresh(x)) == new
+            seen.add((new, x.is_chiral()))
+    assert seen == {(True, True), (True, False), (False, True),
+                    (False, False)}
+
+
+def test_class_words_fill_the_caches_as_oriented_words_do(growth_children,
+                                                           polytopes):
+    for m in growth_children + polytopes:
+        by_class, by_word = fresh(m), fresh(m)
+        IsomerSet().add(by_class)
+        assert None not in by_class._words
+        assert [by_word.oriented_word(), by_word.oriented_word(True)] \
+            == by_class._words
+        assert by_word._frames == by_class._frames
+        assert by_word.canonical_code() == by_class.canonical_code()
+        assert by_word.is_chiral() == by_class.is_chiral()
+        assert by_word.automorphisms() == by_class.automorphisms()
+        darts = range(3 * m.f0)
+        assert list(by_word.dart_images(darts)) \
+            == list(by_class.dart_images(darts))
+
+
+def test_words_past_255_vertices_raise_map_error():
+    m = seed_family_one(24)
+    assert m.f0 == 260
+    with pytest.raises(MapError):
+        m.canonical_code()
+    with pytest.raises(MapError):
+        IsomerSet().add(m)
 
 
 def test_canonical_code_matches_reference(polytopes, rng):

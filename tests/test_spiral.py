@@ -255,17 +255,16 @@ def test_hexagon_first_cut_keeps_every_kept_sequence(fc, monkeypatch):
 
 
 def test_only_kept_isomers_pay_for_a_mirror_word(monkeypatch):
-    # a leaf that repeats a kept isomer is caught by its forward word alone;
-    # ``_word`` builds the words for ``oriented_word`` and ``canonical_code``
+    # a leaf that repeats a kept isomer is caught by one forward BFS word;
+    # ``_class_words`` runs the mirror search of each kept isomer
     mirrored = []
-    word = CombMap._word
+    class_words = CombMap._class_words
 
-    def recording_word(m, mirror):
-        if mirror and m._words[1] is None:
-            mirrored.append(m)
-        return word(m, mirror)
+    def recording_class_words(m, first):
+        mirrored.append(m)
+        return class_words(m, first)
 
-    monkeypatch.setattr(CombMap, "_word", recording_word)
+    monkeypatch.setattr(CombMap, "_class_words", recording_class_words)
     wound = []
 
     def recording_wind(sizes):
@@ -279,8 +278,11 @@ def test_only_kept_isomers_pay_for_a_mirror_word(monkeypatch):
         got = generate_fullerenes(fc)
         assert len(got) == SMALL_COUNTS[fc] and mirrored == got
         mirrored.clear()
-    # 14 mirror words for the 152 wound leaves of F = 12..18
+    # 14 mirror searches for the 152 wound leaves of F = 12..18; a repeat
+    # builds neither oriented word
     assert sum(SMALL_COUNTS.values()) == 14 and len(wound) == 152
+    assert sum(m._words[1] is not None for m in wound) == 14
+    assert all(m._words == [None, None] for m in wound if m._words[1] is None)
 
 
 @pytest.mark.skipif(os.environ.get("FULLERKIT_SLOW") != "1",
