@@ -358,107 +358,97 @@ class CombMap:
 
         Two maps are isomorphic by an orientation-preserving map exactly
         when their forward words are equal, and by a reflection exactly
-        when one's forward word is the other's mirror word.  Each word is
-        built on first use; see :meth:`canonical_code`.
+        when one's forward word is the other's mirror word.  Both words are
+        built together on first use; see :meth:`canonical_code`.
         """
-        return self._word(mirrored)
+        return self._oriented_words()[mirrored]
 
-    def _word(self, mirrored: bool) -> bytes:
-        """:meth:`oriented_word` under the name the class's own methods
-        call, so that a profile charges their words to them."""
-        word = self._words[mirrored]
-        if word is None:
-            word, tied = _min_word(*self._class_roots(mirrored))
-            self._keep(mirrored, word, tied)
-        return word
+    def _oriented_words(self) -> List[bytes]:
+        """The forward and the mirror word, built on first use.  The class's
+        own methods call this, not :meth:`oriented_word`, so that a profile
+        charges the search to the public method that sets it off."""
+        if self._words[0] is None:
+            first = _bfs_word(self.rotations, self._class_roots()[0])
+            self._class_words(first)
+        return self._words
 
-    def _class_roots(self, mirrored: bool
-                     ) -> Tuple[Sequence[Tuple[int, int, int]], Sequence[int]]:
-        """The rotations of the map, or of its mirror image, and the darts
-        of its rarest colour class there, in class order: the roots of its
-        oriented word.  Raises MapError past 255 vertices, where a word
-        entry no longer fits one byte."""
+    def _class_roots(self) -> Sequence[int]:
+        """The darts of the rarest colour class, in class order: the roots
+        of the forward word.  Raises MapError past 255 vertices, where a
+        word entry no longer fits one byte."""
         if len(self.rotations) > 255:
             raise MapError("canonical code supports at most 255 vertices")
         classes = self.colour_classes()
-        if not mirrored:
-            c = min(classes, key=lambda x: (len(classes[x]), x))
-            return self.rotations, classes[c]
-        # the mirror colour of dart 3v + i is its colour with left and right
-        # swapped, carried by the mirror dart 3v + (2 - i)
-        mc = min(classes, key=lambda x: (len(classes[x]),
-                                         (x[1], x[0], x[2], x[3])))
-        return ([(a[2], a[1], a[0]) for a in self.rotations],
-                [d + 2 - 2 * (d % 3) for d in classes[mc]])
-
-    def _keep(self, mirrored: bool, word: bytes,
-              tied: Sequence[_Frame]) -> None:
-        """Cache an oriented word and the frames of its tied roots for
-        :meth:`dart_images`: the mirror search's on an achiral map only,
-        and the forward search's unless the map turns out to have no
-        automorphism but the identity.  The first tied root keeps its
-        labels, against which the other frames are read."""
-        self._words[mirrored] = word
-        if not mirrored:
-            _, label, _, start = tied[0]
-            self._frames[0] = (bytes(label + start),) + tuple(
-                bytes(order + start) for _, _, order, start in tied[1:])
-        elif word == self._word(False):
-            self._frames[1] = tuple(bytes(order + start)
-                                    for _, _, order, start in tied)
-        elif len(self._frames[0]) == 1:
-            self._frames[0] = ()
+        return classes[min(classes, key=lambda x: (len(classes[x]), x))]
 
     def _class_words(self, first: _Frame) -> List[bytes]:
         """The full BFS word of every root of the rarest colour class, on
-        the map and then on its mirror image: the words by which a map
-        isomorphic to this one is spotted from one word of its own.
-        ``first`` is the frame of the first forward root, which
-        :meth:`IsomerSet.add` has built already.
+        the map and then on its mirror image: the one word search behind
+        the oriented words, the canonical code, chirality, the symmetries
+        and an :class:`IsomerSet` entry.  ``first`` is the frame of the
+        first forward root, which the caller has built already.
 
-        Let ``m`` be a map, ``r`` the first root of its forward class, and
-        ``w`` the word from ``r``.  Then ``m`` is isomorphic to this map,
-        mirror images identified, exactly when ``w`` is one of these words.
-        The rule that picks a class is invariant under isomorphism.  So an
-        isomorphism that keeps orientation carries ``m``'s forward class
-        onto this map's forward class, and one that reverses it carries
-        that class onto this map's mirror class, counted in the mirror
-        image.  Either way it carries ``r`` to a root listed here and keeps
-        BFS words, so ``w`` is listed.  Conversely a BFS word from one dart
-        determines the rooted oriented map, so ``w`` listed makes ``m``
-        isomorphic to this map or to its mirror image.
+        Each oriented word is the minimum of its orientation's words; its
+        tied roots, in class order, are the roots with that word.  Their
+        frames are kept for :meth:`dart_images`, the first with its labels:
+        the mirror ones on an achiral map only, and the forward ones unless
+        the map is chiral and has no automorphism but the identity.
 
-        Fills the oriented words and the frames as :meth:`oriented_word`
-        does: the tied roots are the roots whose word is the minimum, in
-        class order.
+        The list returned spots isomers.  Let ``m`` be a map, ``r`` the
+        first root of its forward class, and ``w`` the word from ``r``.
+        Then ``m`` is isomorphic to this map, mirror images identified,
+        exactly when ``w`` is one of these words.  The rule that picks a
+        class is invariant under isomorphism.  So an isomorphism that keeps
+        orientation carries ``m``'s forward class onto this map's forward
+        class, and one that reverses it carries that class onto this map's
+        mirror class, counted in the mirror image.  Either way it carries
+        ``r`` to a root listed here and keeps BFS words, so ``w`` is
+        listed.  Conversely a BFS word from one dart determines the rooted
+        oriented map, so ``w`` listed makes ``m`` isomorphic to this map or
+        to its mirror image.
         """
-        rot, roots = self._class_roots(False)
-        fwd = [first] + [_bfs_word(rot, r, None) for r in roots[1:]]
-        rot, roots = self._class_roots(True)
-        back = [_bfs_word(rot, r, None) for r in roots]
-        for mirrored, found in ((False, fwd), (True, back)):
-            word = min(f[0] for f in found)
-            self._keep(mirrored, word, [f for f in found if f[0] == word])
+        rot = self.rotations
+        fwd = [first] + [_bfs_word(rot, r) for r in self._class_roots()[1:]]
+        # the mirror colour of dart 3v + i is its colour with left and right
+        # swapped, carried by the mirror dart 3v + (2 - i)
+        classes = self.colour_classes()
+        mc = min(classes, key=lambda x: (len(classes[x]),
+                                         (x[1], x[0], x[2], x[3])))
+        mirror = [(a[2], a[1], a[0]) for a in rot]
+        back = [_bfs_word(mirror, d + 2 - 2 * (d % 3)) for d in classes[mc]]
+        word = min(f[0] for f in fwd)
+        mirror_word = min(f[0] for f in back)
+        self._words = [word, mirror_word]
+        tied = [f for f in fwd if f[0] == word]
+        if len(tied) > 1 or word == mirror_word:
+            _, label, _, start = tied[0]
+            self._frames[0] = (bytes(label + start),) + tuple(
+                bytes(order + start) for _, _, order, start in tied[1:])
+        if word == mirror_word:
+            self._frames[1] = tuple(bytes(order + start)
+                                    for w, _, order, start in back
+                                    if w == word)
         return [f[0] for f in fwd + back]
 
     def canonical_code(self) -> bytes:
-        """Isomorphism invariant: the smaller of the two oriented codes.
+        """Isomorphism invariant: the smaller of the two oriented words.
 
-        Each orientation's code is the minimal BFS word (see
-        :func:`_min_word`) over the darts of its rarest colour class (see
+        Each orientation's word is the minimal BFS word (see
+        :func:`_bfs_word`) over the darts of its rarest colour class (see
         :meth:`colour_classes`), ties broken by the colour tuple; the mirror
-        image swaps ``left`` and ``right``.  The rule that picks the class is
-        invariant under isomorphism, so each oriented code is an invariant;
-        a BFS word from any one dart determines the rooted oriented map, so
-        equal codes mean isomorphic maps.  Mirror images compare equal.
-        The two searches also find the map's automorphisms, orientation
-        preserving and reversing, for free: see :meth:`dart_images`.
+        image swaps ``left`` and ``right``.  The rule that picks the class
+        is invariant under isomorphism, so each oriented word is an
+        invariant; a BFS word from any one dart determines the rooted
+        oriented map, so equal codes mean isomorphic maps.  Mirror images
+        compare equal.  The search that builds both words also finds the
+        symmetries: see :meth:`_class_words` and :meth:`dart_images`.
         """
-        return min(self._word(False), self._word(True))
+        return min(self._oriented_words())
 
     def is_chiral(self) -> bool:
         """True if the map admits no orientation-reversing automorphism."""
-        return self._word(False) != self._word(True)
+        word, mirror_word = self._oriented_words()
+        return word != mirror_word
 
     def automorphisms(self) -> List[Tuple[int, ...]]:
         """Aut+, the orientation-preserving automorphisms, as dart maps.
@@ -475,22 +465,21 @@ class CombMap:
         """The images of ``darts`` under each automorphism, with whether it
         reverses orientation: the identity and the rest of Aut+, then Aut-.
 
-        They are read off the oriented codes' searches.  Two roots with
-        equal BFS words root the same oriented map, so there is one
-        automorphism sending the first tied root ``r0`` of the forward
-        search (see :func:`_min_word`) to each other tied root.  Conversely
-        an automorphism keeps colours and words, so it carries ``r0`` to a
-        tied root, and a nontrivial one fixes no dart of a connected map.
-        So the tied roots are exactly one Aut+-orbit, one root per
-        automorphism (60 for the dodecahedron).  A reversing automorphism,
-        which only an achiral map has, carries the forward colour class
-        onto the class that the mirror search roots at, and ``r0``'s word
-        onto its mirror word; so on an achiral map, where the two words
-        agree, the mirror search's tied roots are likewise one per
+        They are read off the class words (see :meth:`_class_words`).  Two
+        roots with equal BFS words root the same oriented map, so there is
+        one automorphism sending the first tied forward root ``r0`` to each
+        other tied forward root.  Conversely an automorphism keeps colours
+        and words, so it carries ``r0`` to a tied root, and a nontrivial one
+        fixes no dart of a connected map.  So the tied forward roots are
+        exactly one Aut+-orbit, one root per automorphism (60 for the
+        dodecahedron).  A reversing automorphism, which only an achiral map
+        has, carries the forward colour class onto the mirror class, and
+        ``r0``'s word onto its mirror word; so on an achiral map, where the
+        two oriented words agree, the tied mirror roots are likewise one per
         reversing automorphism.
 
-        Each search keeps its tied roots' frames: the vertices in discovery
-        order and each one's entry slot (see :func:`_bfs_word`).  The
+        The tied roots' frames are kept: the vertices in discovery order
+        and each one's entry slot (see :func:`_bfs_word`).  The
         automorphism to a tied root takes the vertex labelled ``k`` from
         ``r0`` to the ``k``-th vertex ``w`` found from that root, and the
         dart ``t`` slots past its vertex's entry slot to the dart ``t``
@@ -498,7 +487,7 @@ class CombMap:
         rotation, where slot ``j`` is slot ``2 - j``.  So an image costs
         O(1) per dart, and no permutation is built.
         """
-        self._word(True)  # after the forward word, so both frames are set
+        self._oriented_words()
         yield False, tuple(darts)
         if not self._frames[0]:
             return
@@ -539,8 +528,7 @@ class IsomerSet:
     def add(self, m: CombMap) -> bool:
         """Keep ``m`` and return True, unless it repeats a kept map.
         Raises MapError past 255 vertices."""
-        rot, roots = m._class_roots(False)
-        first = _bfs_word(rot, roots[0], None)
+        first = _bfs_word(m.rotations, m._class_roots()[0])
         if first[0] in self._words:
             return False
         self._words.update(m._class_words(first))
@@ -565,42 +553,18 @@ def _face_orbit(twin: Sequence[int], d: int) -> Tuple[int, ...]:
     return tuple(orbit)
 
 
-def _min_word(rot: Sequence[Tuple[int, int, int]], roots: Sequence[int]
-              ) -> Tuple[bytes, List[_Frame]]:
-    """Lexicographically minimal BFS word over the given root darts, and
-    the words with their frames (see :func:`_bfs_word`) of the roots that
-    tie it, in the order given.
+def _bfs_word(rot: Sequence[Tuple[int, int, int]], root: int) -> _Frame:
+    """BFS word from one root dart, and its frame.
 
     The word lists, for each vertex in discovery order, the labels of its
     three neighbours starting at the entry edge and following the rotation.
     Labels are assigned in order of first appearance.  A word rooted at
     dart ``3 * v + slot`` starts at ``v`` with neighbour ``rot[v][slot]``.
     Maps with up to 255 vertices fit in one byte per entry; the caller
-    checks the size (see :meth:`CombMap._class_roots`).  When ``roots``
-    is a colour class picked by an invariant rule, the tied roots are one
-    orbit of the orientation-preserving automorphism group and there is
-    one per automorphism (see :meth:`CombMap.dart_images`).
+    checks the size (see :meth:`CombMap._class_roots`).  The frame is each
+    vertex's label, the vertices in discovery (label) order, and each
+    vertex's entry slot, the slot its word entries start at.
     """
-    found = _bfs_word(rot, roots[0], None)
-    best = found[0]
-    tied = [found]
-    for root in roots[1:]:
-        found = _bfs_word(rot, root, best)
-        if found is None:
-            continue
-        if found[0] == best:
-            tied.append(found)
-        else:
-            best = found[0]
-            tied = [found]
-    return best, tied
-
-
-def _bfs_word(rot: Sequence[Tuple[int, int, int]], root: int,
-              best: Optional[bytes]) -> Optional[_Frame]:
-    """BFS word from one root dart and its frame: each vertex's label, the
-    vertices in discovery (label) order, and each vertex's entry slot, the
-    slot its word entries start at.  None once the word exceeds ``best``."""
     n = len(rot)
     root_v, root_slot = divmod(root, 3)
     label = [-1] * n
@@ -610,7 +574,6 @@ def _bfs_word(rot: Sequence[Tuple[int, int, int]], root: int,
     start[root_v] = root_slot
     word = bytearray()
     nxt_label = 1
-    j = 0
     for v in order:  # order grows while it is walked
         nbrs = rot[v]
         s = start[v]
@@ -623,11 +586,4 @@ def _bfs_word(rot: Sequence[Tuple[int, int, int]], root: int,
                 start[w] = rot[w].index(v)
                 order.append(w)
             word.append(lw)
-            if best is not None:
-                c = best[j]
-                if lw > c:
-                    return None
-                if lw < c:
-                    best = None  # strictly smaller; stop comparing
-                j += 1
     return bytes(word), label, order, start

@@ -402,9 +402,9 @@ def test_only_kept_children_build_class_words(monkeypatch):
 
     bfs_word = maps._bfs_word
 
-    def recording_bfs_word(rot, root, best):
+    def recording_bfs_word(rot, root):
         rots.append(rot)  # kept alive, so that ids stay unique
-        return bfs_word(rot, root, best)
+        return bfs_word(rot, root)
 
     class_words = CombMap._class_words
 

@@ -6,8 +6,7 @@ from fullerkit.growth import (apply_rule, enumerate_maps, load_rules,
                               seed_dodecahedron, seed_family_one,
                               seed_family_two)
 from fullerkit.maps import (AsymmetricAdjacency, CombMap, Disconnected,
-                            IsomerSet, MapError, NonCubic, NonPlanar,
-                            _bfs_word)
+                            IsomerSet, MapError, NonCubic, NonPlanar)
 from fullerkit.patterns import match_pattern
 from fullerkit.spiral import generate_fullerenes, wind
 from paper_lemmas import relabel
@@ -101,13 +100,34 @@ def test_tetrahedron_is_not_fullerene():
     assert tetrahedron().face_vector() == {3: 4}
 
 
+def reference_word(rot, root, best=None):
+    """The BFS word from dart ``root``, written apart from the package's:
+    per vertex in order of discovery, the labels of its neighbours from
+    the edge it was entered by, in rotation order, each vertex labelled
+    when first met.  None once the word exceeds ``best``."""
+    v, slot = divmod(root, 3)
+    label, entry = [-1] * len(rot), [0] * len(rot)
+    label[v], entry[v] = 0, slot
+    order, word = [v], []
+    for v in order:
+        for i in range(3):
+            w = rot[v][(entry[v] + i) % 3]
+            if label[w] < 0:
+                label[w], entry[w] = len(order), rot[w].index(v)
+                order.append(w)
+            if best is not None and label[w] != best[len(word)]:
+                if label[w] > best[len(word)]:
+                    return None
+                best = None  # strictly smaller; stop comparing
+            word.append(label[w])
+    return bytes(word)
+
+
 def all_roots_word(rot):
     """Reference: the minimal BFS word over every root dart."""
     best = None
     for root in range(3 * len(rot)):
-        found = _bfs_word(rot, root, best)
-        if found is not None:
-            best = found[0]
+        best = reference_word(rot, root, best) or best
     return best
 
 
@@ -162,19 +182,26 @@ def test_isomer_set_agrees_with_oriented_words(growth_children, polytopes):
 
 def test_class_words_fill_the_caches_as_oriented_words_do(growth_children,
                                                            polytopes):
+    # each map and its mirror image, first touched by IsomerSet.add or by
+    # canonical_code
+    chiral = set()
     for m in growth_children + polytopes:
-        by_class, by_word = fresh(m), fresh(m)
-        IsomerSet().add(by_class)
-        assert None not in by_class._words
-        assert [by_word.oriented_word(), by_word.oriented_word(True)] \
-            == by_class._words
-        assert by_word._frames == by_class._frames
-        assert by_word.canonical_code() == by_class.canonical_code()
-        assert by_word.is_chiral() == by_class.is_chiral()
-        assert by_word.automorphisms() == by_class.automorphisms()
-        darts = range(3 * m.f0)
-        assert list(by_word.dart_images(darts)) \
-            == list(by_class.dart_images(darts))
+        for x in (m, m.mirror()):
+            by_class, by_code = fresh(x), fresh(x)
+            IsomerSet().add(by_class)
+            code = by_code.canonical_code()
+            assert None not in by_class._words
+            assert [by_code.oriented_word(), by_code.oriented_word(True)] \
+                == by_class._words
+            assert by_code._frames == by_class._frames
+            assert code == by_class.canonical_code()
+            assert by_code.is_chiral() == by_class.is_chiral()
+            assert by_code.automorphisms() == by_class.automorphisms()
+            darts = range(3 * m.f0)
+            assert list(by_code.dart_images(darts)) \
+                == list(by_class.dart_images(darts))
+            chiral.add(by_code.is_chiral())
+    assert chiral == {True, False}
 
 
 def test_words_past_255_vertices_raise_map_error():
@@ -242,7 +269,7 @@ def test_automorphisms_are_the_rotation_group(polytopes, small_fullerenes,
                        phi[m.next_dart(d)] == m.next_dart(phi[d])
                        for d in darts)
         best = all_roots_word(m.rotations)
-        assert len(auts) == sum(_bfs_word(m.rotations, d, None)[0] == best
+        assert len(auts) == sum(reference_word(m.rotations, d) == best
                                 for d in darts)
     assert len(dodecahedron.automorphisms()) == 60
 
@@ -274,7 +301,7 @@ def test_reversing_automorphisms(polytopes, dodecahedron):
                        for d in darts)
         best = all_roots_word(m.rotations)
         mrot = [r[::-1] for r in m.rotations]
-        assert len(revs) == sum(_bfs_word(mrot, d, None)[0] == best
+        assert len(revs) == sum(reference_word(mrot, d) == best
                                 for d in darts)
         assert len(revs) == (0 if m.is_chiral() else len(m.automorphisms()))
         chiral.add(m.is_chiral())

@@ -1,5 +1,7 @@
 import importlib.util
 import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -25,14 +27,33 @@ def shipped_text():
     return (resources.files("fullerkit") / "data" / "rules.txt").read_text()
 
 
+GEN_RULES = os.path.join(os.path.dirname(__file__), "..", "tools",
+                         "gen_rules.py")
+
+
 def test_generator_reproduces_shipped_file():
-    path = os.path.join(os.path.dirname(__file__), "..", "tools",
-                        "gen_rules.py")
-    spec = importlib.util.spec_from_file_location("gen_rules", path)
+    spec = importlib.util.spec_from_file_location("gen_rules", GEN_RULES)
     gen_rules = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen_rules)
     shipped = (resources.files("fullerkit") / "data" / "rules.txt").read_bytes()
     assert gen_rules.catalog_text().encode() == shipped
+
+
+def test_generator_checks_survive_optimised_python():
+    # with every host left unrestored by its inverse script, the catalog
+    # must fail even where ``python -O`` strips asserts
+    script = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("gen_rules", sys.argv[1])
+gen_rules = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(gen_rules)
+gen_rules.CombMap.is_isomorphic = lambda self, other: False
+gen_rules.catalog_text()
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script, GEN_RULES],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert "inverse script failed to restore host" in proc.stderr
 
 
 def test_parse_pattern_with_comments():

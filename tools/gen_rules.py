@@ -3,7 +3,8 @@
 Each rule is defined by its left-hand-side pattern and truncation script;
 the right-hand-side pattern and the inverse straightening script are derived
 mechanically by running the script at a sample match on a host map and are
-verified there (the inverse derivation asserts that it restores the host).
+verified there (the inverse derivation checks that it restores the host).
+Every check raises CatalogError, so it holds under ``python -O`` too.
 """
 
 from __future__ import annotations
@@ -25,6 +26,15 @@ OUT_PATH = os.path.join(os.path.dirname(__file__), "..", "src", "fullerkit",
                         "data", "rules.txt")
 
 
+class CatalogError(Exception):
+    """A derived rule or the catalog text fails one of its checks."""
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise CatalogError(message)
+
+
 def derive_inverse_script(m: CombMap, rule_lhs: PatchPattern,
                           script: List[TruncStep],
                           at: MatchResult) -> List[StraightenStep]:
@@ -43,11 +53,11 @@ def derive_inverse_script(m: CombMap, rule_lhs: PatchPattern,
         walk = out.face_walk(origins[small],
                              out.face_size(out.face_of[origins[small]]))
         slots = [i for i, d in enumerate(walk) if out.face_of[out.twin[d]] == fbig]
-        assert slots, "result faces of a script step are not adjacent"
+        _check(bool(slots), "result faces of a script step are not adjacent")
         step = ("STRAIGHTEN", small, slots[0], merged)
         inverse.append(step)
         _, out, origins = run_script(out, MatchResult({}, origins, False), [step])
-    assert out.is_isomorphic(m), "inverse script failed to restore host"
+    _check(out.is_isomorphic(m), "inverse script failed to restore host")
     return inverse
 
 
@@ -77,7 +87,7 @@ def _named_arc(cyc: List[str]) -> List[str]:
     """Rotate a cycle so its named entries form a leading contiguous arc."""
     k = len(cyc)
     named = [i for i, g in enumerate(cyc) if g != B]
-    assert named, "wildcard face with no named neighbours"
+    _check(bool(named), "wildcard face with no named neighbours")
     # find the rotation where all named entries are contiguous from 0
     for r in range(k):
         rot = cyc[r:] + cyc[:r]
@@ -216,14 +226,15 @@ def catalog_text():
     for rule_id, params, lhs, script, host_tag in DEFS:
         host = host_map(host_tag)
         matches = [mt for mt in match_pattern(host, lhs) if not mt.mirrored]
-        assert matches, "no sample match for rule %s%r on %s" % (
-            rule_id, params, host_tag)
+        _check(bool(matches), "no sample match for rule %s%r on %s" % (
+            rule_id, params, host_tag))
         at = matches[0]
         rhs = rhs_pattern(host, lhs, script, at)
         inverse = derive_inverse_script(host, lhs, script, at)
         rule = GrowthRule(rule_id, params, lhs, rhs, script, inverse)
         grown = apply_rule(host, rule, at)
-        assert grown.is_fullerene()
+        _check(grown.is_fullerene(),
+               "rule %s grows a non-fullerene on %s" % (rule.key, host_tag))
         rules.append(rule)
         print("rule %-5s host %-13s lhs %2d faces, rhs %2d faces, dp6 %d"
               % (rule.key, host_tag, len(lhs.faces), len(rhs.faces),
@@ -248,13 +259,13 @@ def catalog_text():
             + "\n".join(cat_lines))
     # round-trip check
     pats, parsed = parse_file(text)
-    assert len(pats) == len(catalog)
-    assert len(parsed) == len(rules)
+    _check(len(pats) == len(catalog) and len(parsed) == len(rules),
+           "round trip changed the number of patterns or rules")
     for r1, r2 in zip(rules, parsed):
-        assert r1.key == r2.key
-        assert r1.lhs.faces == r2.lhs.faces and r1.rhs.faces == r2.rhs.faces
-        assert r1.script == r2.script
-        assert r1.inverse_script == r2.inverse_script
+        _check(r1.key == r2.key and r1.lhs.faces == r2.lhs.faces
+               and r1.rhs.faces == r2.rhs.faces and r1.script == r2.script
+               and r1.inverse_script == r2.inverse_script,
+               "rule %s does not survive the round trip" % r1.key)
     return text
 
 
