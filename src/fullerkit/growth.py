@@ -20,7 +20,6 @@ from .patterns import MatchResult, PatchPattern, _embeddings, match_pattern
 from .rulefile import GrowthRule, StraightenStep, TruncStep, parse_file
 from .spiral import wind
 from .surgery import TruncationSpec, straighten, truncate
-from .winding import PatchBuilder
 
 
 class NegativeParameter(Exception):
@@ -80,39 +79,32 @@ def seed_family_one(k: int) -> CombMap:
 
 
 def seed_family_two(k: int) -> CombMap:
-    """Two three-pentagon caps joined by k screw steps of three hexagons."""
+    """Two three-pentagon caps joined by k screw steps of three hexagons.
+
+    Wound from one of its face spirals, not the smallest (Fowler and
+    Manolopoulos, *An Atlas of Fullerenes*, 1995).  With
+    C = [5, 5, 5, 5, 6, 5, 6, 5, 6] it is [5] * 12 for k = 0,
+    C + [6] * (3k - 3) + [5] * 6 for odd k, and
+    C + [6] * (3k - 5) + [5, 6, 5, 6, 5, 5, 5, 5] for even k >= 2.
+
+    The tests match it to the member glued by hand for k = 0..39 (254
+    vertices, the canonical code's limit).  Past that, by periodicity: all
+    that ``_next_run``, ``_splice`` and ``close`` read before a glue is, per
+    open edge, the degree of its first vertex and the age of its face
+    relative to the newest face.  Once eight faces are glued this repeats
+    every six hexagons (two screw steps), and the spiral of k + 2 is that
+    of k with six hexagons more after C, so the suffix that closes k closes
+    k + 2.  A spiral that ``wind`` still rejected would raise MapError.
+    """
     if k < 0:
         raise NegativeParameter("k must be >= 0")
-    pb = PatchBuilder(5)                      # A1
-    a = [0, pb.glue(5, 0, 1)]                 # A2 over one edge of A1
-    a.append(_glue_on(pb, 5, [a[0], a[1]]))   # A3 over the A1/A2 corner
-    s = [a[0], a[1], a[2]]
-    t = []
-    for i in range(3):
-        t.append(_glue_on(pb, 5, [s[i], s[(i + 1) % 3]]))   # notch B_i
-    for _ in range(k):
-        nt = []
-        for i in range(3):
-            nt.append(_glue_on(pb, 6, [t[i], s[(i + 1) % 3], t[(i + 1) % 3]]))
-        s, t = t, nt
-    bp = []
-    for i in range(3):
-        bp.append(_glue_on(pb, 5, [t[i], s[(i + 1) % 3], t[(i + 1) % 3]]))
-    a1 = _glue_on(pb, 5, [bp[0], t[1], bp[1]])
-    _glue_on(pb, 5, [a1, bp[1], t[2], bp[2]])
-    pb.close(5)
-    return pb.to_map()
-
-
-def _glue_on(pb: PatchBuilder, size: int, faces: Sequence[int]) -> int:
-    """Glue a face over the elementary run consisting of the given faces."""
-    want = list(faces)
-    for start, length in pb.runs():
-        if length == len(want):
-            got = pb.run_faces(start, length)
-            if got == want or got == want[::-1]:
-                return pb.glue(size, start, length)
-    raise ValueError("no elementary run over faces %r" % (want,))
+    c = [5, 5, 5, 5, 6, 5, 6, 5, 6]
+    m = wind([5] * 12 if k == 0
+             else c + [6] * (3 * k - 3) + [5] * 6 if k % 2
+             else c + [6] * (3 * k - 5) + [5, 6, 5, 6, 5, 5, 5, 5])
+    if m is None:
+        raise MapError("the family-two spiral does not close for k=%d" % k)
+    return m
 
 
 def seed(which: str, k: int = 0) -> CombMap:
@@ -362,7 +354,11 @@ def _one_site_per_orbit(m: CombMap, rule: GrowthRule) -> Iterator[MatchResult]:
     ``(mirrored, origins)`` to ``(mirrored, psi(origins))``.  A reversing
     one turns an origin dart, which has its face on the left, into a dart
     with the image face on the right, and reverses the face walks, so it
-    maps the key to ``(not mirrored, twin(psi(origins)))``.
+    maps the key to ``(not mirrored, twin(psi(origins)))``.  So on the
+    straight roads e and f3..f6 reflections skip nothing: their LHS is
+    achiral, every site listed is unmirrored, and a reflection's key is a
+    mirrored one.  At p6 <= 8, e keeps 74 of 108 sites with and without
+    them; the bent roads g1_2..g2_3 do get reflection skips.
 
     The images come from :meth:`CombMap.dart_images`, at O(1) per origin
     dart and automorphism.

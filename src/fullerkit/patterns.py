@@ -82,6 +82,8 @@ class PatchPattern:
                 if g not in names:
                     raise PatternError("face %r lists unknown face %r"
                                        % (name, g))
+                if g == name:
+                    raise PatternError("face %r borders itself" % name)
                 if g in seen:
                     raise PatternError("faces %r and %r share two edges"
                                        % (name, g))

@@ -71,9 +71,7 @@ class GrowthRule:
 
     @property
     def key(self) -> str:
-        if self.params:
-            return "%s%s" % (self.id, "_".join(str(p) for p in self.params))
-        return self.id
+        return self.id + "_".join(str(p) for p in self.params)
 
     @property
     def delta_p6(self) -> int:
@@ -237,10 +235,7 @@ def format_pattern_block(pat: PatchPattern) -> List[str]:
 def format_rules(rules: List[GrowthRule]) -> str:
     out: List[str] = []
     for r in rules:
-        head = "rule %s" % r.id
-        if r.params:
-            head += " " + " ".join(str(p) for p in r.params)
-        out.append(head)
+        out.append(" ".join(["rule", r.id] + [str(p) for p in r.params]))
         out.append("lhs")
         out.extend(format_pattern_block(r.lhs))
         out.append("rhs")

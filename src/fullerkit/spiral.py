@@ -58,10 +58,12 @@ def _next_run(boundary: Sequence[Tuple[int, int]], vdeg: Sequence[int],
 
     ``boundary`` and ``vdeg`` are a patch's open edges and boundary vertex
     degrees, as ``PatchBuilder`` keeps them, and ``last`` is the id of the
-    face added last.  The run must contain an open edge of the earliest
-    still-open face; the first such run that also touches face ``last`` is
-    preferred.  Runs are taken in the order of ``PatchBuilder.runs``, in one
-    walk of the boundary that starts at its first degree-2 vertex.
+    face added last.  The elementary runs are the stretches of boundary
+    between consecutive degree-2 vertices, taken in boundary order from the
+    first degree-2 vertex in ``vdeg``; a boundary with none is one run, all
+    of it from position 0.  The run must contain an open edge of the
+    earliest still-open face; the first such run that also touches face
+    ``last`` is preferred.
     """
     if not boundary:
         return None
@@ -123,20 +125,13 @@ def generate_fullerenes(face_count: int) -> List[CombMap]:
 
     Searches the size sequences with 12 pentagons depth first, pentagon
     before hexagon, so complete sequences come in lexicographic order.  A
-    search node holds a prefix's boundary, its vertex degrees and their
-    number n2 of degree 2, carried down as n2 + s - l - 3.  A prefix is
-    abandoned when its next face cannot be glued, when it holds more than
-    12 pentagons or leaves too few places for the rest (one fewer after a
-    first hexagon, since the last face must then be a hexagon too), or when
-    a prefix of j + 1 faces would leave n2 > 2(face_count - j - 2), more
-    than the remaining glues can close (see the module docstring).
-    Complete sequences larger than their reversal are skipped (the two wind
-    to reflected maps); the rest go to ``wind``.  A wound map repeats a kept
-    one exactly when the BFS word from the first root of its forward rarest
-    colour class is one of the class-root words of a kept map, in either
-    orientation (see :class:`IsomerSet`), so only a new isomer pays for
-    more than that one word.  Returns the first map found per isomorphism
-    class.
+    search node is a prefix's boundary, its vertex degrees and their number
+    n2 of degree 2.  A prefix is abandoned when its next face cannot be
+    glued, when its pentagons cannot make 12, or by the degree-2 and
+    hexagon-first cuts of the module docstring.  A complete sequence larger
+    than its reversal is skipped (the two wind to reflected maps); the rest
+    go to ``wind``, and an :class:`IsomerSet` keeps the first map found per
+    isomorphism class, for one BFS word per repeat.
     """
     if face_count < 12:
         return []

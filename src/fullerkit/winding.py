@@ -7,8 +7,9 @@ vertices of degree 2; a glued face always covers exactly one elementary run
 the patch, while the two delimiting vertices rise to degree 3).  The final
 face closes the patch when every boundary vertex has degree 3.
 
-This module is the shared engine behind the seed constructions and the
-exhaustive sequential-winding generator.
+``spiral.wind`` drives the builder, choosing each run by
+``spiral._next_run``; every seed and the exhaustive face-spiral generator
+are wound that way.
 """
 
 from __future__ import annotations
@@ -39,31 +40,6 @@ class PatchBuilder:
         self.boundary: List[Tuple[int, int]] = [(0, i) for i in range(first_size)]
         self.vdeg: List[int] = [2] * first_size
         self.closed = False
-
-    # -- queries ------------------------------------------------------------
-
-    def runs(self) -> List[Tuple[int, int]]:
-        """Elementary runs as (start position, edge count) pairs.
-
-        Runs are delimited by degree-2 boundary vertices.  If no boundary
-        vertex has degree 2 the whole boundary is a single cyclic run,
-        reported as (0, len(boundary)).
-        """
-        b = len(self.boundary)
-        starts = [i for i in range(b) if self.vdeg[i] == 2]
-        if not starts:
-            return [(0, b)]
-        out = []
-        for idx, p in enumerate(starts):
-            q = starts[(idx + 1) % len(starts)]
-            out.append((p, (q - p) % b or b))
-        return out
-
-    def run_faces(self, start: int, length: int) -> List[int]:
-        b = len(self.boundary)
-        return [self.boundary[(start + i) % b][0] for i in range(length)]
-
-    # -- gluing -------------------------------------------------------------
 
     def glue(self, size: int, start: int, length: int) -> int:
         """Glue a new face of ``size`` edges over the given elementary run.

@@ -10,7 +10,7 @@ bounded by two such cycles, and the side beyond each is one disk.
 
 from collections import deque
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from fullerkit.belts import NotFullerene, find_k_belts
 from fullerkit.growth import rules_by_id, seed_family_one, seed_family_two
@@ -18,6 +18,7 @@ from fullerkit.maps import CombMap
 from fullerkit.patterns import B, PatchPattern, match_pattern, path_turns
 from fullerkit.rulefile import parse_file
 from fullerkit.surgery import edge_faces, is_flag, straighten
+from fullerkit.winding import PatchBuilder
 
 
 # -- cutting the sphere -------------------------------------------------------
@@ -278,6 +279,72 @@ def classify_nanotube(m: CombMap) -> FamilyReport:
         if m.is_isomorphic(seed_family_two(k)):
             two_k = k
     return FamilyReport(one_k, two_k)
+
+
+def runs(pb: PatchBuilder) -> List[Tuple[int, int]]:
+    """The elementary runs of a builder's boundary as (start position, edge
+    count) pairs, delimited by its degree-2 vertices.  If no boundary
+    vertex has degree 2 the whole boundary is a single cyclic run, reported
+    as (0, len(boundary))."""
+    b = len(pb.boundary)
+    starts = [i for i in range(b) if pb.vdeg[i] == 2]
+    if not starts:
+        return [(0, b)]
+    out = []
+    for idx, p in enumerate(starts):
+        q = starts[(idx + 1) % len(starts)]
+        out.append((p, (q - p) % b or b))
+    return out
+
+
+def run_faces(pb: PatchBuilder, start: int, length: int) -> List[int]:
+    """The faces that own the run's edges, in boundary order."""
+    b = len(pb.boundary)
+    return [pb.boundary[(start + i) % b][0] for i in range(length)]
+
+
+def _glue_on(pb: PatchBuilder, size: int, faces: Sequence[int]) -> int:
+    """Glue a face over the elementary run consisting of the given faces."""
+    want = list(faces)
+    for start, length in runs(pb):
+        if length == len(want):
+            got = run_faces(pb, start, length)
+            if got == want or got == want[::-1]:
+                return pb.glue(size, start, length)
+    raise ValueError("no elementary run over faces %r" % (want,))
+
+
+def screw_family_two(k: int) -> CombMap:
+    """Reference for ``seed_family_two``: the member glued face by face.
+
+    The cap is three pentagons round a vertex and one more in each notch
+    between two of them.  Each of the k screw steps glues three hexagons,
+    each over a run of three boundary edges: one on a face of the newest
+    ring, one on the older face that follows it round the boundary and one
+    on the next face of the newest ring.  The far cap is three pentagons
+    glued the same way, two more and the closing one.  ``_glue_on`` finds each
+    run by the faces it crosses, through ``runs`` and ``run_faces``, so the
+    construction shares no run rule with ``spiral._next_run``.
+    """
+    pb = PatchBuilder(5)                      # A1
+    a = [0, pb.glue(5, 0, 1)]                 # A2 over one edge of A1
+    a.append(_glue_on(pb, 5, [a[0], a[1]]))   # A3 over the A1/A2 corner
+    s = [a[0], a[1], a[2]]
+    t = []
+    for i in range(3):
+        t.append(_glue_on(pb, 5, [s[i], s[(i + 1) % 3]]))   # notch B_i
+    for _ in range(k):
+        nt = []
+        for i in range(3):
+            nt.append(_glue_on(pb, 6, [t[i], s[(i + 1) % 3], t[(i + 1) % 3]]))
+        s, t = t, nt
+    bp = []
+    for i in range(3):
+        bp.append(_glue_on(pb, 5, [t[i], s[(i + 1) % 3], t[(i + 1) % 3]]))
+    a1 = _glue_on(pb, 5, [bp[0], t[1], bp[1]])
+    _glue_on(pb, 5, [a1, bp[1], t[2], bp[2]])
+    pb.close(5)
+    return pb.to_map()
 
 
 # -- flagness across an edge merge --------------------------------------------

@@ -4,6 +4,7 @@ from fullerkit.cli import main
 from fullerkit.growth import seed_dodecahedron
 from fullerkit.maps import CombMap
 from fullerkit.planarcode import read_planar_code, write_planar_code
+from paper_lemmas import screw_family_two
 
 
 def run(tmp_path, *argv, infile=None):
@@ -195,6 +196,23 @@ def test_match_rejects_all_wildcard_pattern(tmp_path, capsys):
                    "face of fixed size\n")
 
 
+def test_match_rejects_a_face_bordering_itself(tmp_path, capsys):
+    _, seeds = run(tmp_path, "gen", "--family", "two", "--k", "3")
+    patfile = tmp_path / "x.txt"
+    patfile.write_text("pattern X\nA 5 A B B B B\nend\n")
+    assert main(["match", "--pattern", str(patfile),
+                 "--in", str(seeds)]) == 1
+    assert capsys.readouterr().err == (
+        "fullerkit: line 1: invalid pattern: face 'A' borders itself\n")
+
+
+def test_gen_family_two(tmp_path):
+    code, out = run(tmp_path, "gen", "--family", "two", "--k", "3")
+    assert code == 0
+    (m,) = read_planar_code(out.read_bytes())
+    assert m.is_isomorphic(screw_family_two(3))
+
+
 def test_render_svg_output(tmp_path):
     _, seeds = run(tmp_path, "gen", "--family", "dodeca")
     code, svg = run(tmp_path, "render", infile=seeds)
@@ -230,6 +248,7 @@ DODECAHEDRON = write_planar_code([seed_dodecahedron()])
     (["canon"], b"garbage\n"),
     (["canon"], b">>planar_code<<\x04\x02\x03\x04\x00\x01"),
     (["gen", "--family", "one", "--k", "24"], None),   # 260 vertices
+    (["gen", "--family", "two", "--k", "40"], None),   # 260 vertices
     (["canon", "--in", "{tmp}/missing.bin"], None),
     (["match", "--pattern", "{tmp}/missing.txt"], DODECAHEDRON),
     (["match", "--pattern", "{tmp}/in.bin"], b"\xff\xfe"),
@@ -239,6 +258,7 @@ DODECAHEDRON = write_planar_code([seed_dodecahedron()])
     (["gen", "--family", "dodeca", "--out", "{tmp}/nodir/x.bin"], None),
     (["canon", "--out", "{tmp}/nodir/x.txt"], DODECAHEDRON),
 ], ids=["bad-header", "truncated-record", "too-many-vertices",
+        "too-many-vertices-family-two",
         "missing-input", "missing-pattern", "undecodable-pattern",
         "outer-face-too-large", "outer-face-negative", "empty-pattern",
         "unwritable-maps-out", "unwritable-text-out"])

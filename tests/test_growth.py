@@ -7,16 +7,18 @@ import pytest
 import fullerkit.growth as growth
 import fullerkit.maps as maps
 from fullerkit.belts import NotFullerene
-from fullerkit.growth import (NotAMatch, apply_rule, decompose_rule,
-                              detect_growth_rules, enumerate_maps,
-                              invert_rule, load_rules, rules_by_id, seed,
-                              seed_barrel, seed_dodecahedron, seed_family_one,
+from fullerkit.growth import (NegativeParameter, NotAMatch, apply_rule,
+                              decompose_rule, detect_growth_rules,
+                              enumerate_maps, invert_rule, load_rules,
+                              rules_by_id, seed, seed_barrel,
+                              seed_dodecahedron, seed_family_one,
                               seed_family_two)
 from fullerkit.maps import CombMap, MapError
 from fullerkit.patterns import MatchResult, match_pattern
-from fullerkit.spiral import generate_fullerenes
+from fullerkit.spiral import _next_run, generate_fullerenes
 from fullerkit.surgery import truncate
-from paper_lemmas import fragment_catalog
+from fullerkit.winding import PatchBuilder
+from paper_lemmas import fragment_catalog, screw_family_two
 
 EXPECTED_KEYS = {
     "a", "b", "c", "d", "e",
@@ -39,6 +41,42 @@ def test_family_two_invariants(k):
     assert m.is_fullerene()
     assert m.face_vector().get(6, 0) == 3 * k
     assert m.f0 == 20 + 6 * k
+
+
+def test_family_two_spiral_is_the_hand_glued_member():
+    # k = 39 has 254 vertices, the most a canonical code takes
+    for k in range(40):
+        assert seed_family_two(k).is_isomorphic(screw_family_two(k)), k
+
+
+def test_family_two_boundary_state_repeats_every_six_faces():
+    # the periodicity in seed_family_two's docstring: before each glue,
+    # per open edge, the degree of its first vertex and the age of its
+    # face; C and then hexagons only, as along the tube
+    sizes = [5, 5, 5, 5, 6, 5, 6, 5, 6] + [6] * 30
+    pb = PatchBuilder(sizes[0])
+    states = []
+    for s in sizes[1:]:
+        newest = len(pb.cycles) - 1
+        states.append([(d, newest - f)
+                       for (f, _), d in zip(pb.boundary, pb.vdeg)])
+        pb.glue(s, *_next_run(pb.boundary, pb.vdeg, newest))
+    # states[j - 1] is the state once j faces are glued
+    assert all(states[j - 1] == states[j + 5]
+               for j in range(8, len(states) - 5))
+    assert states[6] != states[12]
+
+
+@pytest.mark.parametrize("build", [seed_family_one, seed_family_two])
+def test_seed_families_reject_negative_k(build):
+    with pytest.raises(NegativeParameter):
+        build(-1)
+
+
+def test_seed_family_two_unclosed_spiral_raises(monkeypatch):
+    monkeypatch.setattr(growth, "wind", lambda spiral: None)
+    with pytest.raises(MapError, match="family-two.*k=3"):
+        seed_family_two(3)
 
 
 def test_seed_dispatch(dodecahedron, barrel):

@@ -42,6 +42,16 @@ def test_pattern_validation_rejects_all_wildcards():
         PatchPattern({"A": ["C"], "C": ["A"]}, wildcard={"A", "C"})
 
 
+@pytest.mark.parametrize("faces,wildcard", [
+    ({"A": ["A", B, B, B, B]}, None),
+    ({"A": ["A", "C"], "C": ["A", B, B, B, B]}, {"A"}),
+])
+def test_pattern_validation_rejects_a_face_bordering_itself(faces, wildcard):
+    # no fullerene face borders itself, and no match step would check it
+    with pytest.raises(PatternError, match="'A' borders itself"):
+        PatchPattern(faces, wildcard=wildcard)
+
+
 def test_contact_sequence_of_road():
     pat = road(1)
     walk = pat.boundary_walk()

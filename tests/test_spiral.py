@@ -10,6 +10,7 @@ from fullerkit.growth import enumerate_maps
 from fullerkit.maps import CombMap
 from fullerkit.spiral import _next_run, generate_fullerenes, wind
 from fullerkit.winding import PatchBuilder, WindingError
+from paper_lemmas import run_faces, runs
 
 # counts established by this generator and used as the reference everywhere
 # (face count -> number of fullerene isomers)
@@ -89,15 +90,15 @@ def test_prefix_search_matches_reference(fc):
 
 
 def reference_next_run(pb):
-    """Reference: the run rule read off ``runs()`` and one ``run_faces``
+    """Reference: the run rule read off ``runs`` and one ``run_faces``
     list per run.  A face is open while its cycle holds a ``None``."""
     earliest = next((f for f, c in enumerate(pb.cycles) if None in c), None)
     if earliest is None:
         return None
     last = len(pb.cycles) - 1
     fallback = None
-    for start, length in pb.runs():
-        faces = pb.run_faces(start, length)
+    for start, length in runs(pb):
+        faces = run_faces(pb, start, length)
         if earliest in faces:
             if last in faces:
                 return start, length
@@ -175,7 +176,7 @@ def search_nodes(face_count, monkeypatch):
 @pytest.mark.parametrize("fc", range(12, 18))
 def test_boundary_degree_identity_and_one_pass_run(fc, monkeypatch):
     # on the boundary of a pentagon/hexagon disk n2 - n3 = 6 - p5, and the
-    # one-pass run choice agrees with the runs()/run_faces reading
+    # one-pass run choice agrees with the runs/run_faces reading
     states = {}
 
     def visit(pb, sizes):

@@ -2,13 +2,14 @@ import pytest
 
 from fullerkit.spiral import _next_run
 from fullerkit.winding import PatchBuilder, WindingError, _splice
+from paper_lemmas import run_faces, runs, screw_family_two
 
 
 def test_single_face_boundary():
     pb = PatchBuilder(5)
     assert len(pb.boundary) == 5
     # every boundary vertex has degree 2, so each edge is its own run
-    assert pb.runs() == [(i, 1) for i in range(5)]
+    assert runs(pb) == [(i, 1) for i in range(5)]
 
 
 def test_glue_updates_boundary():
@@ -29,18 +30,17 @@ def test_glue_rejects_covering_whole_face():
 def test_run_faces_and_elementary_runs():
     pb = PatchBuilder(5)
     pb.glue(5, 0, 1)
-    runs = pb.runs()
-    assert sum(length for _, length in runs) == len(pb.boundary)
-    for start, length in runs:
-        faces = pb.run_faces(start, length)
+    found = runs(pb)
+    assert sum(length for _, length in found) == len(pb.boundary)
+    for start, length in found:
+        faces = run_faces(pb, start, length)
         assert faces  # every elementary run crosses at least one face
 
 
 def test_screw_construction_closes(dodecahedron):
     # the builder can assemble a closed sphere: the k = 0 screw construction
     # reproduces the dodecahedron
-    from fullerkit.growth import seed_family_two
-    assert seed_family_two(0).is_isomorphic(dodecahedron)
+    assert screw_family_two(0).is_isomorphic(dodecahedron)
 
 
 def test_to_map_requires_closed_patch():
@@ -59,7 +59,7 @@ def _three_faces_round_a_vertex():
     first, so the run over those four edges meets the hexagon twice."""
     pb = PatchBuilder(6)
     pb.glue(3, 0, 1)
-    pb.glue(3, *next(r for r in pb.runs() if r[1] == 2))
+    pb.glue(3, *next(r for r in runs(pb) if r[1] == 2))
     return pb
 
 
@@ -100,8 +100,8 @@ def test_splice_leaves_its_arguments_as_they_are():
 
 def test_failed_glue_over_one_face_twice_leaves_builder_unchanged():
     pb = _three_faces_round_a_vertex()
-    start, length = next(r for r in pb.runs() if r[1] == 4)
-    assert pb.run_faces(start, length) == [0, 1, 2, 0]
+    start, length = next(r for r in runs(pb) if r[1] == 4)
+    assert run_faces(pb, start, length) == [0, 1, 2, 0]
     before = _state(pb)
     with pytest.raises(WindingError, match="two edges with one face"):
         pb.glue(6, start, length)
