@@ -12,6 +12,21 @@ when its other two faces are consecutive in f's ``face_cycles()`` row; a
 vertex lies between two consecutive edges of each of its faces on any map,
 3-connected or not.
 
+:func:`find_k_belts` writes a belt as s, c1, ..., c(k-1) from its smallest
+face s, in the direction with c1 < c(k-1), so it fixes the two ends first:
+a pair a < b of neighbours of s above s, adjacent and not consecutive in
+s's row for k = 3 (the vertex rule above), not adjacent for k >= 4.  The
+inner faces c2 .. c(k-2) then form a path from a above s, and each ci
+shares no edge with s or with any placed face but its predecessor: it lies
+in N(c(i-1)) and outside N(s) | N(c1) | ... | N(c(i-2)), N(f) being the
+neighbour set of f.  Every inner face but the last also lies outside
+N(b), and the last lies in N(b).  These set tests say exactly that
+non-consecutive faces are disjoint, so every sequence found is a belt, and
+every belt is found once, at its one rotation and direction.  They also
+keep the faces distinct: every placed face but s lies in the neighbour set
+of the face before it, which is part of the union, b lies in N(s), and s
+is not above itself.
+
 On a 3-connected map a belt region is an annulus: its two boundary
 edge-cycles cut the rest of the sphere into two sides.  Cutting the sphere
 along a cycle, and the loop arithmetic on either side of the cut, live
@@ -54,11 +69,10 @@ def find_k_belts(m: CombMap, k: int) -> List[List[int]]:
 
     A belt is returned as the face sequence rotated to start at its smallest
     face id, in the direction that minimizes the sequence.  The search
-    walks chordless dual paths from their smallest face s and closes each
-    at a common neighbour of s and its face k - 2, so a face k - 2 that
-    shares no neighbour with s ends its branch; a 3-cycle is dropped when
-    its other two faces are consecutive in s's row (module docstring).  It
-    runs once per map and k; every call returns fresh lists.
+    picks the belt's two faces next to that face first and then the inner
+    path between them by set differences, one level per inner face; the
+    module docstring states why it finds each belt exactly once.  It runs
+    once per map and k; every call returns fresh lists.
     """
     if k < 3:
         return []
@@ -70,37 +84,27 @@ def find_k_belts(m: CombMap, k: int) -> List[List[int]]:
 
 def _search_k_belts(m: CombMap, k: int) -> List[List[int]]:
     rows = m.face_cycles()
-    nbrs: List[Set[int]] = [set(row) for row in rows]
+    nbrs: List[Set[int]] = list(map(set, rows))
     out: List[List[int]] = []
-
-    def extend(path: List[int], ends: Set[int], corners) -> None:
-        # path[0] is the cycle's smallest face and ``ends`` its neighbours
-        # above it; a face may meet no placed face but its predecessor,
-        # which also keeps it off the path
-        placed = path[:-1]
-        for g in nbrs[path[-1]]:
-            if g <= path[0] or not nbrs[g].isdisjoint(placed):
-                continue
-            if len(path) + 2 < k:
-                extend(path + [g], ends, corners)
-                continue
-            # g is face k - 2; the last face h is a common neighbour of g
-            # and path[0] that meets no face of path[1:] and, for k = 3,
-            # has no vertex in common with them; h above face 1 keeps one
-            # of the two directions of each cycle
-            second = path[1] if len(path) > 1 else g
-            inner = path[1:]
-            for h in nbrs[g] & ends:
-                if (h > second and nbrs[h].isdisjoint(inner)
-                        and (g, h) not in corners and (h, g) not in corners):
-                    out.append(path + [g, h])
-
-    for f in range(m.f2):
-        row = rows[f]
-        # three faces meet at a vertex of f exactly when the other two are
-        # consecutive in f's row
-        corners = set(zip(row, row[1:] + row[:1])) if k == 3 else set()
-        extend([f], {g for g in nbrs[f] if g > f}, corners)
+    for s, row in enumerate(rows):
+        ends = {g for g in row if g > s}
+        corners = set(zip(row, row[1:] + row[:1])) if k == 3 else ()
+        for a in ends:
+            for b in (nbrs[a] & ends if k == 3 else ends - nbrs[a]):
+                if b <= a or (a, b) in corners or (b, a) in corners:
+                    continue
+                if k == 3:
+                    out.append([s, a, b])
+                    continue
+                # each partial path with the faces its next face must avoid
+                nb = nbrs[b]
+                paths = [([s, a], nbrs[s])]
+                for _ in range(k - 4):
+                    paths = [(path + [c], blocked | nbrs[path[-1]])
+                             for path, blocked in paths
+                             for c in nbrs[path[-1]] - blocked - nb if c > s]
+                out += [path + [c, b] for path, blocked in paths
+                        for c in (nbrs[path[-1]] & nb) - blocked if c > s]
     out.sort()
     return out
 

@@ -132,6 +132,32 @@ def test_belts_match_the_walk_they_replace(joined_maps, joined_intermediate):
     assert seen == {3, 4, 5, 6}
 
 
+def seeded_cuts(seed, max_p6=4):
+    """On each isomer with at most ``max_p6`` hexagons, one seeded dart and
+    a cut there for each run length s in 0..k - 2, k the size of the cut
+    face, as in the benchmark's surgery trips; the cuts leave triangles,
+    quadrangles and heptagons, so 3- and 4-belts."""
+    rng = random.Random(seed)
+    out = []
+    for m in enumerate_maps(max_p6).values():
+        d = rng.choice(m.edge_darts())
+        for s in range(m.face_size(m.face_of[d]) - 1):
+            out.append(truncate(m, TruncationSpec(m, d, s)).map)
+    return out
+
+
+def test_belts_match_both_references_on_cut_maps():
+    # k = 7 is the first k whose inner path between a belt's two ends
+    # is three faces long
+    counts = {k: 0 for k in range(3, 8)}
+    for m in seeded_cuts(22):
+        for k in counts:
+            belts = find_k_belts(m, k)
+            assert belts == reference_k_belts(m, k) == walk_k_belts(m, k)
+            counts[k] += len(belts)
+    assert all(counts.values()), counts
+
+
 def test_belt_memo_equals_a_fresh_search(polytopes, joined_maps):
     for m in polytopes + joined_maps:
         for k in range(3, 7):

@@ -56,6 +56,17 @@ gen_rules.catalog_text()
     assert "inverse script failed to restore host" in proc.stderr
 
 
+@pytest.mark.parametrize("arg,code", [("--help", 0), ("--no-such-option", 2)])
+def test_generator_arguments_write_nothing(arg, code):
+    path = resources.files("fullerkit") / "data" / "rules.txt"
+    before = (path.read_bytes(), os.stat(path).st_mtime_ns)
+    proc = subprocess.run([sys.executable, GEN_RULES, arg],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code
+    assert "usage" in proc.stdout + proc.stderr
+    assert (path.read_bytes(), os.stat(path).st_mtime_ns) == before
+
+
 def test_parse_pattern_with_comments():
     patterns, rules = parse_file(CAP)
     assert rules == []

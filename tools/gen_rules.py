@@ -1,5 +1,8 @@
 """Generate the packaged growth-rule catalog (src/fullerkit/data/rules.txt).
 
+Run ``python tools/gen_rules.py``; it takes no options and rewrites the
+file (``--help`` prints usage and writes nothing).
+
 Each rule is defined by its left-hand-side pattern and truncation script;
 the right-hand-side pattern and the inverse straightening script are derived
 mechanically by running the script at a sample match on a host map and are
@@ -9,6 +12,7 @@ Every check raises CatalogError, so it holds under ``python -O`` too.
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 from typing import Dict, List
@@ -270,6 +274,9 @@ def catalog_text():
 
 
 def main():
+    argparse.ArgumentParser(
+        description="Regenerate src/fullerkit/data/rules.txt from the rule "
+        "definitions.").parse_args()
     text = catalog_text()
     with open(OUT_PATH, "w") as fh:
         fh.write(text)
