@@ -286,8 +286,7 @@ def enumerate_maps(max_p6: int) -> Dict[bytes, CombMap]:
     since an automorphism of the parent, orientation preserving or not,
     maps the one site onto the other (up to a self-symmetry of the pattern
     that the rule's script respects).  So the skipped child's code was
-    already seen, and it would neither have been kept nor have joined the
-    frontier.
+    already seen, and it would neither have been kept nor have been walked.
 
     A child repeats a kept map exactly when the BFS word from the first
     root of its forward rarest colour class is one of the class-root
@@ -299,25 +298,20 @@ def enumerate_maps(max_p6: int) -> Dict[bytes, CombMap]:
     """
     if max_p6 < 0:
         raise NegativeParameter("max_p6 must be >= 0")
-    start = seed_dodecahedron()
+    found = [seed_dodecahedron()]
     kept = IsomerSet()
-    kept.add(start)
-    seen: Dict[bytes, CombMap] = {start.canonical_code(): start}
-    frontier: List[CombMap] = [start]
+    kept.add(found[0])
     rules = load_rules()
-    while frontier:
-        parents, frontier = frontier, []
-        for m in parents:
-            p6 = m.face_vector().get(6, 0)
-            for rule in rules:
-                if p6 + rule.delta_p6 > max_p6:
-                    continue
-                for at in _one_site_per_orbit(m, rule):
-                    child = apply_rule(m, rule, at)
-                    if kept.add(child):
-                        seen[child.canonical_code()] = child
-                        frontier.append(child)
-    return seen
+    for m in found:  # found grows while it is walked
+        p6 = m.face_vector().get(6, 0)
+        for rule in rules:
+            if p6 + rule.delta_p6 > max_p6:
+                continue
+            for at in _one_site_per_orbit(m, rule):
+                child = apply_rule(m, rule, at)
+                if kept.add(child):
+                    found.append(child)
+    return {m.canonical_code(): m for m in found}
 
 
 # Rules whose script gives one child, up to isomorphism, at every embedding

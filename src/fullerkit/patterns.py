@@ -4,10 +4,11 @@ A pattern is a disk-shaped combinatorial map fragment: named faces with
 fixed sizes and cyclic neighbour lists in which ``B`` marks a boundary edge
 (an edge to a face outside the fragment).  Matching anchors one slot of a
 pattern face on a map dart and extends deterministically through the
-rotation structure, in both orientations.  Each pattern compiles, once per
-anchor face and orientation, into a flat program: one step per internal
-pattern edge, binding the most constrained face first, then the ``B`` slots
-to check.  A run addresses darts by their position in the face orbit
+rotation structure, in both orientations.  A pattern builds its face graph
+when it is made, and compiles from it, on first use of an anchor face, one
+flat program per orientation: one step per internal pattern edge, binding
+the most constrained face first, then the ``B`` slots to check.  A run
+addresses darts by their position in the face orbit
 (:meth:`CombMap.face_positions`), so an attempt builds no list or dict.
 The anchor is the slot whose partial dart colour, the face sizes
 ``(left, right, back, ahead)`` that the pattern fixes around it, has the
@@ -60,10 +61,24 @@ class PatchPattern:
         self.sizes: Dict[str, Optional[int]] = {
             name: (None if name in wild else len(cyc))
             for name, cyc in self.faces.items()}
+        # the face graph: each face's pattern neighbours
+        self._nbrs: Dict[str, List[str]] = {
+            name: [g for g in cyc if g != B]
+            for name, cyc in self.faces.items()}
         self._check()
         self.first = next(n for n in self.faces if not self.is_wild(n))
-        # what the match programs share, see _frame
-        self._shared: Optional[_Frame] = None
+        # what every match program shares: the face indices, the faces in
+        # breadth-first order from first as (name, index), which is the key
+        # order of MatchResult.faces and .origin, and the B slots as (face
+        # index, slot) unmirrored and mirrored
+        self._index = {name: i for i, name in enumerate(self.faces)}
+        self._order = tuple((name, self._index[name])
+                            for name in _bfs(self._nbrs, [self.first]))
+        self._bslots: Tuple[_Slots, _Slots] = tuple(
+            tuple((self._index[name], sgn * i)
+                  for name, cyc in self.faces.items()
+                  for i, g in enumerate(cyc) if g == B)
+            for sgn in (1, -1))
         # anchor name -> match programs, see _compile
         self._programs: Dict[str, _Compiled] = {}
         # mirrored -> anchor slots by partial colour, see _anchors
@@ -73,13 +88,10 @@ class PatchPattern:
         return self.sizes[name] is None
 
     def _check(self) -> None:
-        names = set(self.faces)
-        for name, cyc in self.faces.items():
+        for name, nbrs in self._nbrs.items():
             seen: Set[str] = set()
-            for g in cyc:
-                if g == B:
-                    continue
-                if g not in names:
+            for g in nbrs:
+                if g not in self.faces:
                     raise PatternError("face %r lists unknown face %r"
                                        % (name, g))
                 if g == name:
@@ -88,26 +100,16 @@ class PatchPattern:
                     raise PatternError("faces %r and %r share two edges"
                                        % (name, g))
                 seen.add(g)
-        for name, cyc in self.faces.items():
-            for g in cyc:
-                if g != B and name not in self.faces[g]:
+        for name, nbrs in self._nbrs.items():
+            for g in nbrs:
+                if name not in self.faces[g]:
                     raise PatternError("face %r lists %r but not conversely"
                                        % (name, g))
         if not self.faces:
             raise PatternError("empty pattern")
         if all(self.is_wild(n) for n in self.faces):
             raise PatternError("pattern needs a face of fixed size")
-        # connectivity over internal adjacencies
-        start = next(iter(self.faces))
-        seen2 = {start}
-        stack = [start]
-        while stack:
-            f = stack.pop()
-            for g in self.faces[f]:
-                if g != B and g not in seen2:
-                    seen2.add(g)
-                    stack.append(g)
-        if seen2 != set(self.faces):
+        if len(_bfs(self._nbrs, [next(iter(self.faces))])) < len(self.faces):
             raise PatternError("pattern is not connected")
         if not any(self.is_wild(n) for n in self.faces):
             self.boundary_walk()  # raises unless the B edges form one cycle
@@ -309,25 +311,6 @@ _Step = Tuple[int, int, int, int, int]
 _Slots = Tuple[Tuple[int, int], ...]
 _Program = Tuple[Tuple[_Step, ...], _Slots]
 _Compiled = Tuple[_Program, _Program]
-_Frame = Tuple[Dict[str, List[str]], Tuple[_Slots, _Slots],
-               Tuple[Tuple[str, int], ...]]
-
-
-def _frame(pat: PatchPattern) -> _Frame:
-    """What the match programs of a pattern share, built on first use: each
-    face's pattern neighbours, the B slots as (face index, slot) unmirrored
-    and mirrored, and (name, index) in breadth-first order from
-    ``pat.first``, the key order of ``MatchResult.faces`` and ``.origin``."""
-    if pat._shared is None:
-        index = {n: i for i, n in enumerate(pat.faces)}
-        nbrs = {n: [g for g in cyc if g != B] for n, cyc in pat.faces.items()}
-        bslots = tuple(
-            tuple((index[n], sgn * i) for n, cyc in pat.faces.items()
-                  for i, g in enumerate(cyc) if g == B)
-            for sgn in (1, -1))
-        order = tuple((n, index[n]) for n in _bfs(nbrs, [pat.first]))
-        pat._shared = (nbrs, bslots, order)
-    return pat._shared
 
 
 def _compile(pat: PatchPattern, anchor: str) -> _Compiled:
@@ -345,9 +328,7 @@ def _compile(pat: PatchPattern, anchor: str) -> _Compiled:
     """
     compiled = pat._programs.get(anchor)
     if compiled is None:
-        faces, sizes = pat.faces, pat.sizes
-        nbrs, bslots, order = _frame(pat)
-        index = dict(order)
+        faces, sizes, nbrs, index = pat.faces, pat.sizes, pat._nbrs, pat._index
         rank = {n: i for i, n in enumerate(_bfs(nbrs, [anchor]))}
         dist = _bfs(nbrs, [n for n in faces if sizes[n] == sizes[anchor]])
         bound: Set[str] = set()
@@ -371,9 +352,9 @@ def _compile(pat: PatchPattern, anchor: str) -> _Compiled:
             checks.extend(e + (0,) for e in edges[1:])
         steps = binds + checks
         compiled = pat._programs[anchor] = (
-            (tuple(steps), bslots[0]),
+            (tuple(steps), pat._bslots[0]),
             (tuple((src, -i, dst, -j, k) for src, i, dst, j, k in steps),
-             bslots[1]))
+             pat._bslots[1]))
     return compiled
 
 
@@ -400,8 +381,7 @@ def _embeddings(m: CombMap, pat: PatchPattern, anchor: str, slot: int,
     face is ``orbit[(position + i) % len(orbit)]``, ``- i`` when mirrored.
     """
     steps, bslots = _compile(pat, anchor)[mirrored]
-    order = _frame(pat)[2]
-    a = dict(order)[anchor]
+    order, a = pat._order, pat._index[anchor]
     size = pat.sizes[anchor]
     shift = -slot if mirrored else slot
     faces, face_of, twin = m.faces, m.face_of, m.twin

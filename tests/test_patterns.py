@@ -52,6 +52,23 @@ def test_pattern_validation_rejects_a_face_bordering_itself(faces, wildcard):
         PatchPattern(faces, wildcard=wildcard)
 
 
+@pytest.mark.parametrize("faces,wildcard,message", [
+    ({}, None, r"^empty pattern$"),
+    ({"A": [B] * 5}, {"Z"}, r"^wildcard names \['Z'\] not in pattern$"),
+], ids=["empty", "unknown_wildcard"])
+def test_pattern_validation_messages(faces, wildcard, message):
+    with pytest.raises(PatternError, match=message):
+        PatchPattern(faces, wildcard=wildcard)
+
+
+def test_contact_sequence_merges_the_run_that_wraps_round():
+    # the walk starts inside A's boundary run, so its last run, A again,
+    # joins the first
+    pat = PatchPattern({"A": [B, B, "C", B, B], "C": ["A", B, B, B, B]})
+    assert [n for n, _ in pat.boundary_walk()] == list("AACCCCAA")
+    assert pat.contact_sequence() == [4, 4]
+
+
 def test_contact_sequence_of_road():
     pat = road(1)
     walk = pat.boundary_walk()

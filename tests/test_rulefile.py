@@ -31,10 +31,15 @@ GEN_RULES = os.path.join(os.path.dirname(__file__), "..", "tools",
                          "gen_rules.py")
 
 
-def test_generator_reproduces_shipped_file():
+def load_gen_rules():
     spec = importlib.util.spec_from_file_location("gen_rules", GEN_RULES)
     gen_rules = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen_rules)
+    return gen_rules
+
+
+def test_generator_reproduces_shipped_file():
+    gen_rules = load_gen_rules()
     shipped = (resources.files("fullerkit") / "data" / "rules.txt").read_bytes()
     assert gen_rules.catalog_text().encode() == shipped
 
@@ -54,6 +59,16 @@ gen_rules.catalog_text()
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode != 0
     assert "inverse script failed to restore host" in proc.stderr
+
+
+def test_generator_checks_raise_catalog_errors():
+    gen_rules = load_gen_rules()
+    B = gen_rules.B
+    assert gen_rules._named_arc([B, "X", "Y", B]) == ["X", "Y"]
+    with pytest.raises(gen_rules.CatalogError, match="not contiguous"):
+        gen_rules._named_arc(["X", B, "Y", B])
+    with pytest.raises(gen_rules.CatalogError, match="no_such_host"):
+        gen_rules.host_map("no_such_host")
 
 
 @pytest.mark.parametrize("arg,code", [("--help", 0), ("--no-such-option", 2)])
@@ -136,6 +151,19 @@ def test_empty_block_reports_its_header_line(text, line):
 ], ids=["pattern", "rhs"])
 def test_all_wildcard_block_reports_its_header_line(text, line):
     with pytest.raises(RuleFileError, match="needs a face of fixed size") as e:
+        parse_file(text)
+    assert e.value.line_no == line
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("rule c\nlhs\n  A 5 B B B B B\nrhs\n  A 5 B B B B B\n"
+     "script\ninverse\nend\n", 1, "rhs must gain hexagons"),
+    ("# five boundary edges become six\nrule c\nlhs\n  A 5 B B B B B\n"
+     "rhs\n  H 6 B B B B B B\nscript\ninverse\nend\n", 2,
+     "boundary contact mismatch"),
+], ids=["no_new_hexagon", "contact_mismatch"])
+def test_rule_checks_report_the_rule_header_line(text, line, message):
+    with pytest.raises(RuleFileError, match=message) as e:
         parse_file(text)
     assert e.value.line_no == line
 

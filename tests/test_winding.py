@@ -108,6 +108,15 @@ def test_failed_glue_over_one_face_twice_leaves_builder_unchanged():
     assert _state(pb) == before
 
 
+def test_close_over_a_degree_two_vertex_leaves_builder_unchanged():
+    pb = PatchBuilder(5)
+    before = _state(pb)
+    with pytest.raises(WindingError,
+                       match="^boundary vertex of degree 2 at closure$"):
+        pb.close(5)
+    assert _state(pb) == before
+
+
 def test_glue_after_close_leaves_builder_unchanged():
     pb = PatchBuilder(5)
     for _ in range(10):

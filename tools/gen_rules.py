@@ -98,7 +98,7 @@ def _named_arc(cyc: List[str]) -> List[str]:
         span = max(i for i, g in enumerate(rot) if g != B) + 1
         if span == len(named) and all(g != B for g in rot[:span]):
             return rot[:span]
-    raise ValueError("named neighbours of wildcard face are not contiguous")
+    raise CatalogError("named neighbours of wildcard face are not contiguous")
 
 
 def road_lhs(k):
@@ -217,7 +217,7 @@ def host_map(tag):
         return seed_barrel()
     if tag.startswith("family_one_"):
         return seed_family_one(int(tag.rsplit("_", 1)[1]))
-    raise ValueError(tag)
+    raise CatalogError("unknown host map %r" % tag)
 
 
 def catalog_text():
