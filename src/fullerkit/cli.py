@@ -15,14 +15,14 @@ from typing import List, Optional
 
 from .belts import NotFullerene
 from .growth import (NegativeParameter, NotAMatch, ResultNotFullerene,
-                     apply_rule, decompose_rule, enumerate_maps, invert_rule,
+                     _require_fullerene, _rewrite, enumerate_maps,
                      rules_by_id, seed)
 from .maps import CombMap, MapError
 from .patterns import match_pattern
 from .planarcode import (BadHeader, TruncatedRecord, ValidationFailure,
                          read_planar_code, write_planar_code)
 from .rulefile import RuleFileError, parse_file
-from .surgery import IsSimplex, NotDefined, truncate
+from .surgery import IsSimplex, NotDefined
 from .svg import render_svg
 from .verify import verify_fullerene, verify_intermediate
 
@@ -76,25 +76,21 @@ def _write_text(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _sites(m: CombMap, rule_id: str, rhs: bool = False):
-    """(rule, match) pairs of the rule's LHS pattern, or its RHS pattern.
-    Raises NotFullerene, as the rule itself would, before any site is
-    picked, so that a map with no sites is blamed and not the index."""
-    if not m.is_fullerene():
-        raise NotFullerene("rule %s%s expects a fullerene"
-                           % (rule_id, " inverse" if rhs else ""))
-    sites = []
-    for rule in sorted(rules_by_id(rule_id), key=lambda r: r.key):
-        for at in match_pattern(m, rule.rhs if rhs else rule.lhs):
-            sites.append((rule, at))
-    return sites
-
-
-def _pick(sites, index: int, what: str):
-    if not 0 <= index < len(sites):
+def _site(m: CombMap, args, inverse: bool = False):
+    """The (rule, match) pair numbered ``args.site`` among the sites of the
+    LHS patterns of rule ``args.rule``, or of its RHS patterns when
+    ``inverse``.  Raises NotFullerene, as the rule itself would, before any
+    site is picked, so that a map with no sites is blamed and not the
+    index."""
+    _require_fullerene(m, args.rule, inverse)
+    sites = [(rule, at)
+             for rule in sorted(rules_by_id(args.rule), key=lambda r: r.key)
+             for at in match_pattern(m, rule.rhs if inverse else rule.lhs)]
+    if not 0 <= args.site < len(sites):
         raise CliFailure("%s site %d out of range (found %d)"
-                         % (what, index, len(sites)))
-    return sites[index]
+                         % ("inversion" if inverse else "growth", args.site,
+                            len(sites)))
+    return sites[args.site]
 
 
 def cmd_gen(args) -> int:
@@ -109,10 +105,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_grow(args) -> int:
-    out = []
-    for m in _read_maps(args):
-        rule, at = _pick(_sites(m, args.rule), args.site, "growth")
-        out.append(apply_rule(m, rule, at))
+    """grow, and invert: the growth operation read in either direction."""
+    inverse = args.command == "invert"
+    out = [_rewrite(m, *_site(m, args, inverse), inverse)[1]
+           for m in _read_maps(args)]
     _write_maps(out, args, sort=False)
     return 0
 
@@ -145,25 +141,12 @@ def cmd_decompose(args) -> int:
     if len(maps) != 1:
         raise CliFailure("decompose expects exactly one input map")
     m = maps[0]
-    rule, at = _pick(_sites(m, args.rule), args.site, "growth")
-    steps = decompose_rule(m, rule, at)
+    steps, out = _rewrite(m, *_site(m, args), False)
     for i, (_, spec) in enumerate(steps):
         print("step %d: cut %d-gon face %d along %d edges, signature %r"
               % (i, spec.k, spec.face, spec.s + 2, spec.signature),
               file=sys.stderr)
-    # each step's map is the previous step's cut; only the last is missing
-    last, spec = steps[-1]
-    _write_maps([before for before, _ in steps] + [truncate(last, spec).map],
-                args, sort=False)
-    return 0
-
-
-def cmd_invert(args) -> int:
-    out = []
-    for m in _read_maps(args):
-        rule, at = _pick(_sites(m, args.rule, True), args.site, "inversion")
-        out.append(invert_rule(m, rule, at))
-    _write_maps(out, args, sort=False)
+    _write_maps([before for before, _ in steps] + [out], args, sort=False)
     return 0
 
 
@@ -214,6 +197,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="read planar_code from this file, not stdin")
         output(sp)
 
+    def rule_command(name, help, func):
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("--rule", required=True, choices=list("abcdefg"))
+        sp.add_argument("--site", type=int, default=0)
+        common(sp)
+        sp.set_defaults(func=func)
+
     sp = sub.add_parser("gen", help="emit a seed fullerene")
     sp.add_argument("--family", required=True,
                     choices=["dodeca", "barrel", "one", "two"])
@@ -222,11 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     output(sp)
     sp.set_defaults(func=cmd_gen)
 
-    sp = sub.add_parser("grow", help="apply a growth operation")
-    sp.add_argument("--rule", required=True, choices=list("abcdefg"))
-    sp.add_argument("--site", type=int, default=0)
-    common(sp)
-    sp.set_defaults(func=cmd_grow)
+    rule_command("grow", "apply a growth operation", cmd_grow)
 
     sp = sub.add_parser("enumerate", help="closure of the dodecahedron")
     sp.add_argument("--max-p6", type=int, required=True)
@@ -239,18 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("decompose",
-                        help="emit a rule's single-cut intermediates")
-    sp.add_argument("--rule", required=True, choices=list("abcdefg"))
-    sp.add_argument("--site", type=int, default=0)
-    common(sp)
-    sp.set_defaults(func=cmd_decompose)
-
-    sp = sub.add_parser("invert", help="undo a growth operation")
-    sp.add_argument("--rule", required=True, choices=list("abcdefg"))
-    sp.add_argument("--site", type=int, default=0)
-    common(sp)
-    sp.set_defaults(func=cmd_invert)
+    rule_command("decompose", "emit a rule's single-cut intermediates",
+                 cmd_decompose)
+    rule_command("invert", "undo a growth operation", cmd_grow)
 
     sp = sub.add_parser("canon", help="emit canonical codes (hex)")
     common(sp)

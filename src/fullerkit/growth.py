@@ -3,10 +3,9 @@
 Each growth operation is a patch rewrite given by data: a left-hand-side
 pattern, a script of permitted truncations realizing the rewrite, the
 resulting right-hand-side pattern, and an inverse script of straightenings.
-Applying an operation runs its truncation script at a matched site; the
-patch replacement and the script composition are therefore the same thing by
-construction.  Inverting an operation runs the straightening script at a
-matched right-hand-side site.
+Applying, decomposing and inverting an operation run one checked rewrite,
+forwards or backwards, so the patch replacement and the script composition
+are the same thing by construction.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from importlib import resources
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .belts import NotFullerene
-from .maps import CombMap, IsomerSet, MapError, _fullerene_vector
+from .maps import CombMap, IsomerSet, MapError
 from .patterns import MatchResult, PatchPattern, _embeddings, match_pattern
 from .rulefile import GrowthRule, StraightenStep, TruncStep, parse_file
 from .spiral import wind
@@ -123,10 +122,13 @@ def seed(which: str, k: int = 0) -> CombMap:
 
 # -- script runner ----------------------------------------------------------
 
+# per step of a script, the map before it and its TruncationSpec (None for a
+# straightening)
+Steps = List[Tuple[CombMap, Optional[TruncationSpec]]]
+
 def run_script(m: CombMap, at: MatchResult,
                script: Sequence[Union[TruncStep, StraightenStep]]
-               ) -> Tuple[List[Tuple[CombMap, Optional[TruncationSpec]]],
-                          CombMap, Dict[str, int]]:
+               ) -> Tuple[Steps, CombMap, Dict[str, int]]:
     """Run TRUNC and STRAIGHTEN steps at a site: the one script runner.
 
     Handles name faces by an origin dart with the face on its left; they
@@ -137,8 +139,7 @@ def run_script(m: CombMap, at: MatchResult,
     edge there and names the merged face; handles on the face across it,
     or leaving a removed vertex, are dropped.
 
-    Returns, per step, the map before it and its TruncationSpec (None for
-    a straightening); then the final map and handles.
+    Returns the steps, then the final map and handles.
     """
     if at.mirrored:
         # a dart with the face on its left becomes, in the mirror map, the
@@ -179,23 +180,9 @@ def run_script(m: CombMap, at: MatchResult,
 # -- growth rules -----------------------------------------------------------
 
 def apply_rule(m: CombMap, rule: GrowthRule, at: MatchResult) -> CombMap:
-    """Replace the matched LHS patch by the rule's RHS patch.
-
-    Implemented as the rule's truncation script; the result is checked to
-    be a fullerene with p6 increased by the script length.  Raises
-    NotFullerene if ``m`` is none, NotAMatch if ``at`` is no LHS site.
-    """
-    fv = m.face_vector()
-    if not _fullerene_vector(fv):
-        raise NotFullerene("rule %s expects a fullerene" % rule.key)
-    _check_match(m, rule.lhs, at)
-    out = run_script(m, at, rule.script)[1]
-    out_fv = out.face_vector()
-    if not _fullerene_vector(out_fv):
-        raise ResultNotFullerene("rule %s output is not a fullerene" % rule.key)
-    if out_fv.get(6, 0) != fv.get(6, 0) + rule.delta_p6:
-        raise ResultNotFullerene("rule %s: unexpected hexagon delta" % rule.key)
-    return out
+    """Replace the matched LHS patch by the rule's RHS patch.  Raises
+    NotFullerene if ``m`` is none, NotAMatch if ``at`` is no LHS site."""
+    return _rewrite(m, rule, at, False)[1]
 
 
 def decompose_rule(m: CombMap, rule: GrowthRule,
@@ -203,22 +190,44 @@ def decompose_rule(m: CombMap, rule: GrowthRule,
     """The intermediate polytopes of the rule's script, with bound specs.
 
     Folding ``surgery.truncate`` over the returned pairs reproduces
-    ``apply_rule(m, rule, at)``.
+    ``apply_rule(m, rule, at)``, checked alike.
     """
-    _check_match(m, rule.lhs, at)
-    return run_script(m, at, rule.script)[0]
+    return _rewrite(m, rule, at, False)[0]
 
 
 def invert_rule(m: CombMap, rule: GrowthRule, at_rhs: MatchResult) -> CombMap:
-    """Run the rule's straightening script at an RHS match.  Raises
+    """Replace the matched RHS patch by the rule's LHS patch.  Raises
     NotFullerene if ``m`` is none, NotAMatch if ``at_rhs`` is no RHS site."""
+    return _rewrite(m, rule, at_rhs, True)[1]
+
+
+def _rewrite(m: CombMap, rule: GrowthRule, at: MatchResult,
+             inverse: bool) -> Tuple[Steps, CombMap]:
+    """The one checked rewrite: the rule's script, or its inverse script,
+    run at ``at``.
+
+    ``m`` must be a fullerene (else NotFullerene) and ``at`` a site of the
+    LHS pattern, or of the RHS pattern if ``inverse`` (else NotAMatch).
+    The result must be a fullerene with ``rule.delta_p6`` hexagons more,
+    or fewer if ``inverse``; on a fullerene p6 = f2 - 12.
+    """
+    _require_fullerene(m, rule.key, inverse)
+    _check_match(m, rule.rhs if inverse else rule.lhs, at)
+    steps, out, _ = run_script(
+        m, at, rule.inverse_script if inverse else rule.script)
+    delta = -rule.delta_p6 if inverse else rule.delta_p6
+    if not out.is_fullerene() or out.f2 != m.f2 + delta:
+        raise ResultNotFullerene(
+            "rule %s%s output is not a fullerene with p6 %+d"
+            % (rule.key, " inverse" if inverse else "", delta))
+    return steps, out
+
+
+def _require_fullerene(m: CombMap, rule: str, inverse: bool) -> None:
+    """The input check of every rewrite, naming the rule and direction."""
     if not m.is_fullerene():
-        raise NotFullerene("rule %s inverse expects a fullerene" % rule.key)
-    _check_match(m, rule.rhs, at_rhs)
-    out = run_script(m, at_rhs, rule.inverse_script)[1]
-    if not out.is_fullerene():
-        raise ResultNotFullerene("rule %s inverse left the class" % rule.key)
-    return out
+        raise NotFullerene("rule %s%s expects a fullerene"
+                           % (rule, " inverse" if inverse else ""))
 
 
 def _check_match(m: CombMap, pat: PatchPattern, at: MatchResult) -> None:
@@ -303,7 +312,7 @@ def enumerate_maps(max_p6: int) -> Dict[bytes, CombMap]:
     kept.add(found[0])
     rules = load_rules()
     for m in found:  # found grows while it is walked
-        p6 = m.face_vector().get(6, 0)
+        p6 = m.f2 - 12
         for rule in rules:
             if p6 + rule.delta_p6 > max_p6:
                 continue

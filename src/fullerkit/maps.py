@@ -312,7 +312,9 @@ class CombMap:
                    for f, cyc in enumerate(self.face_cycles()))
 
     def is_fullerene(self) -> bool:
-        return _fullerene_vector(self.face_vector())
+        """Pentagons and hexagons only, and twelve pentagons."""
+        pk = self.face_vector()
+        return set(pk) <= {5, 6} and pk.get(5, 0) == 12
 
     # -- reflection ---------------------------------------------------------
 
@@ -533,12 +535,6 @@ class IsomerSet:
             return False
         self._words.update(m._class_words(first))
         return True
-
-
-def _fullerene_vector(pk: Dict[int, int]) -> bool:
-    """Whether a census of face sizes is a fullerene's: pentagons and
-    hexagons only, and twelve pentagons."""
-    return set(pk) <= {5, 6} and pk.get(5, 0) == 12
 
 
 def _face_orbit(twin: Sequence[int], d: int) -> Tuple[int, ...]:

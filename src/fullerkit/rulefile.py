@@ -22,16 +22,17 @@ A file holds any number of sections:
 A face line is ``name size entry entry ...`` where size is an integer or
 ``*`` (wildcard: the entries are a contiguous arc and the size is free) and
 each entry is a face name or ``B`` for a boundary edge.  ``#`` starts a
-comment; blank lines are ignored.  A rule section reads into a
-:class:`GrowthRule`, whose steps are :data:`TruncStep` and
-:data:`StraightenStep` tuples.
+comment; blank lines are ignored.  A pattern name, a rule (id and
+parameters) and a section within one rule may each occur once.  A rule
+section reads into a :class:`GrowthRule`, whose steps are
+:data:`TruncStep` and :data:`StraightenStep` tuples.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .patterns import PatchPattern
+from .patterns import PatchPattern, PatternError
 
 
 class RuleFileError(Exception):
@@ -135,7 +136,7 @@ def _build_pattern(header_ln: int,
         faces[name] = entries
     try:
         return PatchPattern(faces, wildcard=wild)
-    except Exception as exc:
+    except PatternError as exc:
         raise RuleFileError(header_ln, "invalid pattern: %s" % exc)
 
 
@@ -144,6 +145,7 @@ def parse_file(text: str) -> Tuple[Dict[str, PatchPattern], List[GrowthRule]]:
     lines = _logical_lines(text)
     patterns: Dict[str, PatchPattern] = {}
     rules: List[GrowthRule] = []
+    seen = set()  # (rule id, params) of the rules so far
     i = 0
     while i < len(lines):
         ln, tok = lines[i]
@@ -151,6 +153,8 @@ def parse_file(text: str) -> Tuple[Dict[str, PatchPattern], List[GrowthRule]]:
             if len(tok) != 2:
                 raise RuleFileError(ln, "pattern line needs exactly one name")
             name = tok[1]
+            if name in patterns:
+                raise RuleFileError(ln, "duplicate pattern %r" % name)
             i += 1
             block = []
             while i < len(lines) and lines[i][1][0] != "end":
@@ -168,6 +172,10 @@ def parse_file(text: str) -> Tuple[Dict[str, PatchPattern], List[GrowthRule]]:
                 params = tuple(int(t) for t in tok[2:])
             except ValueError:
                 raise RuleFileError(ln, "rule parameters must be integers")
+            if (rule_id, params) in seen:
+                raise RuleFileError(ln, "duplicate rule %s"
+                                    % " ".join(tok[1:]))
+            seen.add((rule_id, params))
             i += 1
             sections: Dict[str, List[Tuple[int, List[str]]]] = {}
             headers: Dict[str, int] = {}
@@ -177,6 +185,9 @@ def parse_file(text: str) -> Tuple[Dict[str, PatchPattern], List[GrowthRule]]:
                 if tok2[0] in ("lhs", "rhs", "script", "inverse"):
                     if len(tok2) != 1:
                         raise RuleFileError(ln2, "bad section header")
+                    if tok2[0] in sections:
+                        raise RuleFileError(ln2, "duplicate section %r"
+                                            % tok2[0])
                     current = tok2[0]
                     sections[current] = []
                     headers[current] = ln2

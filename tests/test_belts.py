@@ -199,6 +199,7 @@ def test_enclosed_faces_match_border_loops(polytopes, joined_maps):
 
 def test_fullerenes_have_no_small_belts(small_fullerenes):
     for m in small_fullerenes:
+        assert find_k_belts(m, 2) == []
         assert find_k_belts(m, 3) == []
         assert find_k_belts(m, 4) == []
 

@@ -7,8 +7,8 @@ import pytest
 import fullerkit.growth as growth
 import fullerkit.maps as maps
 from fullerkit.belts import NotFullerene
-from fullerkit.growth import (NegativeParameter, NotAMatch, apply_rule,
-                              decompose_rule, detect_growth_rules,
+from fullerkit.growth import (NegativeParameter, NotAMatch, ResultNotFullerene,
+                              apply_rule, decompose_rule, detect_growth_rules,
                               enumerate_maps, invert_rule, load_rules,
                               rules_by_id, seed, seed_barrel,
                               seed_dodecahedron, seed_family_one,
@@ -206,10 +206,40 @@ def test_operations_reject_a_non_fullerene(dodecahedron):
     site = match_pattern(dodecahedron, rule_a.lhs)[0]
     mid = decompose_rule(dodecahedron, rule_a, site)[2][0]
     assert mid.face_vector().get(4) == 1
-    with pytest.raises(NotFullerene):
+    with pytest.raises(NotFullerene, match="^rule a expects a fullerene$"):
         apply_rule(mid, rule_a, match_pattern(mid, rule_a.lhs)[0])
-    with pytest.raises(NotFullerene):
+    with pytest.raises(NotFullerene, match="^rule a expects a fullerene$"):
+        decompose_rule(mid, rule_a, match_pattern(mid, rule_a.lhs)[0])
+    with pytest.raises(NotFullerene,
+                       match="^rule c inverse expects a fullerene$"):
         invert_rule(mid, rule_c, match_pattern(mid, rule_c.rhs)[0])
+
+
+@pytest.mark.parametrize("wrong", ["input", "intermediate"])
+@pytest.mark.parametrize("op,message", [
+    (apply_rule, "rule c output is not a fullerene with p6 +1"),
+    (decompose_rule, "rule c output is not a fullerene with p6 +1"),
+    (invert_rule, "rule c inverse output is not a fullerene with p6 -1"),
+], ids=["apply", "decompose", "invert"])
+def test_rewrite_checks_the_output_and_its_hexagon_count(
+        monkeypatch, dodecahedron, barrel, op, message, wrong):
+    # rule c adds one hexagon.  A script that gives back its input leaves a
+    # fullerene with p6 unmoved; one that gives an intermediate of rule a's
+    # script moves the face count by one, but out of the fullerenes
+    rule_a, rule_c = rules_by_id("a")[0], rules_by_id("c")[0]
+    site = match_pattern(dodecahedron, rule_a.lhs)[0]
+    mids = [before for before, _ in decompose_rule(dodecahedron, rule_a, site)]
+    inverse = op is invert_rule
+    m = barrel
+    if inverse:
+        m = apply_rule(barrel, rule_c, match_pattern(barrel, rule_c.lhs)[0])
+    at = match_pattern(m, rule_c.rhs if inverse else rule_c.lhs)[0]
+    out = m if wrong == "input" else mids[m.f2 - 12 + (-1 if inverse else 1)]
+    assert out.is_fullerene() == (wrong == "input")
+    monkeypatch.setattr(growth, "run_script", lambda *args: ([], out, {}))
+    with pytest.raises(ResultNotFullerene) as e:
+        op(m, rule_c, at)
+    assert str(e.value) == message
 
 
 def test_apply_rejects_foreign_match(dodecahedron):
@@ -261,6 +291,24 @@ def test_check_match_accepts_only_the_exact_site():
     assert flipped_rejected == 2 * len(load_rules()) - 6
 
 
+def test_check_match_refuses_an_anchor_on_a_face_of_another_size(barrel):
+    rule = rules_by_id("c")[0]
+    at = match_pattern(barrel, rule.lhs)[0]
+    moved = dict(at.origin)
+    moved[rule.lhs.first] = next(d for d in range(3 * barrel.f0)
+                                 if barrel.face_size(barrel.face_of[d]) == 6)
+    with pytest.raises(NotAMatch, match="not a match of this pattern"):
+        growth._check_match(barrel, rule.lhs,
+                            MatchResult(at.faces, moved, at.mirrored))
+
+
+def test_detect_growth_rules_refuses_a_non_fullerene():
+    tetrahedron = CombMap.from_rotations([[1, 2, 3], [0, 3, 2], [0, 1, 3],
+                                          [0, 2, 1]])
+    with pytest.raises(NotFullerene, match="growth-site detection"):
+        detect_growth_rules(tetrahedron)
+
+
 def test_detect_growth_sites(dodecahedron, barrel):
     # sites are occurrences of replacement fragments, i.e. places where an
     # operation can be inverted; the smallest fullerene has none
@@ -281,6 +329,11 @@ def test_seed_family_one_unclosed_spiral_raises(monkeypatch):
     monkeypatch.setattr(growth, "wind", lambda spiral: None)
     with pytest.raises(MapError, match="k=2"):
         seed_family_one(2)
+
+
+def test_enumeration_refuses_a_negative_bound():
+    with pytest.raises(NegativeParameter, match="max_p6"):
+        enumerate_maps(-1)
 
 
 def test_enumeration_small_counts():

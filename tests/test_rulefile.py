@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fullerkit import rulefile
 from fullerkit.rulefile import (RuleFileError, format_pattern_block,
                                 format_rules, parse_file)
 
@@ -166,6 +167,37 @@ def test_rule_checks_report_the_rule_header_line(text, line, message):
     with pytest.raises(RuleFileError, match=message) as e:
         parse_file(text)
     assert e.value.line_no == line
+
+
+def shipped_block(header):
+    """The lines of one shipped rule, header to ``end``."""
+    lines = shipped_text().splitlines()
+    start = lines.index(header)
+    return lines[start:lines.index("end", start) + 1]
+
+
+RULE_C = shipped_block("rule c")
+
+
+@pytest.mark.parametrize("lines,line,message", [
+    (CAP.splitlines()[1:] * 2, 9, "duplicate pattern 'cap'"),
+    (RULE_C * 2, len(RULE_C) + 1, "duplicate rule c"),
+    (RULE_C[:1] + ["lhs", "  X 5 B B B B B"] + RULE_C[1:], 4,
+     "duplicate section 'lhs'"),
+], ids=["pattern", "rule", "section"])
+def test_repeats_are_refused_at_the_repeating_line(lines, line, message):
+    with pytest.raises(RuleFileError) as e:
+        parse_file("\n".join(lines))
+    assert str(e.value) == "line %d: %s" % (line, message)
+
+
+def test_a_fault_in_the_pattern_code_is_no_file_error(monkeypatch):
+    # only PatternError reports the file as at fault
+    def broken(faces, wildcard):
+        raise KeyError("not a file error")
+    monkeypatch.setattr(rulefile, "PatchPattern", broken)
+    with pytest.raises(KeyError, match="not a file error"):
+        parse_file(CAP)
 
 
 def test_bad_script_line_rejected():

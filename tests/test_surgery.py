@@ -132,6 +132,10 @@ def test_truncate_rejects_altered_spec(dodecahedron):
     spec.s = 3
     with pytest.raises(InvalidRun):
         truncate(dodecahedron, spec)
+    # a run of six edges, one past what a pentagon holds
+    spec.s = 4
+    with pytest.raises(InvalidRun, match="spec is not a run of this map"):
+        truncate(dodecahedron, spec)
 
 
 @pytest.mark.parametrize("which", ["-1", "-3n", "3n", "10**6"])
@@ -357,6 +361,7 @@ def test_can_straighten_off_three_connected(joined_maps):
 
 def test_tetrahedron_has_no_straightening():
     t = tetrahedron()
+    assert not can_straighten(t, 0)
     with pytest.raises(IsSimplex):
         straighten(t, 0)
 

@@ -117,12 +117,25 @@ def test_close_over_a_degree_two_vertex_leaves_builder_unchanged():
     assert _state(pb) == before
 
 
-def test_glue_after_close_leaves_builder_unchanged():
+def _closed_dodecahedron():
     pb = PatchBuilder(5)
     for _ in range(10):
         pb.glue(5, *_next_run(pb.boundary, pb.vdeg, len(pb.cycles) - 1))
     pb.close(5)
+    return pb
+
+
+def test_glue_after_close_leaves_builder_unchanged():
+    pb = _closed_dodecahedron()
     before = _state(pb)
     with pytest.raises(WindingError, match="already closed"):
         pb.glue(5, 0, 1)
+    assert _state(pb) == before
+
+
+def test_second_close_leaves_builder_unchanged():
+    pb = _closed_dodecahedron()
+    before = _state(pb)
+    with pytest.raises(WindingError, match="^patch already closed$"):
+        pb.close(5)
     assert _state(pb) == before
