@@ -40,7 +40,7 @@ reads enclosure off neighbour sets on any map, with no flood of the sphere.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Sequence
 
 from .maps import CombMap
 from .patterns import path_turns
@@ -84,7 +84,7 @@ def find_k_belts(m: CombMap, k: int) -> List[List[int]]:
 
 def _search_k_belts(m: CombMap, k: int) -> List[List[int]]:
     rows = m.face_cycles()
-    nbrs: List[Set[int]] = list(map(set, rows))
+    nbrs = m.face_neighbor_sets()
     out: List[List[int]] = []
     for s, row in enumerate(rows):
         ends = {g for g in row if g > s}
@@ -114,9 +114,8 @@ def enclosed_faces(m: CombMap, belt: Sequence[int]) -> List[int]:
     those off the belt whose neighbour set is exactly the belt (module
     docstring).  There are none, one or, as on the cube, two."""
     region = set(belt)
-    cycles = m.face_cycles()
-    return sorted(g for g in set(cycles[belt[0]]) - region
-                  if set(cycles[g]) == region)
+    nbrs = m.face_neighbor_sets()
+    return sorted(g for g in nbrs[belt[0]] - region if nbrs[g] == region)
 
 
 def classify_five_belts(m: CombMap) -> FiveBeltReport:

@@ -11,14 +11,18 @@ from __future__ import annotations
 
 from array import array
 from itertools import accumulate
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 # A dart's colour: the sizes of the faces (left, right, back, ahead)
 Colour = Tuple[int, int, int, int]
 
-# A BFS word and its frame: per vertex its label, the vertices in label
-# order, and per vertex its entry slot; see _bfs_word
-_Frame = Tuple[bytes, List[int], List[int], List[int]]
+# A dart's row in the table of a word search; see _bfs_word
+_Row = Tuple[int, int, int, int, int, int]
+
+# A BFS word with its walk: per vertex its label, and the entry darts in
+# label order; see _bfs_word
+_Walk = Tuple[bytes, List[int], List[int]]
 
 
 class MapError(Exception):
@@ -51,8 +55,9 @@ class CombMap:
     face numbering.
     """
 
-    __slots__ = ("rotations", "twin", "face_of", "faces", "_cycles", "_pos",
-                 "_belts", "_colours", "_words", "_frames")
+    __slots__ = ("rotations", "twin", "face_of", "faces", "_cycles",
+                 "_nbr_sets", "_pos", "_fullerene", "_belts", "_colours",
+                 "_words", "_frames")
 
     def __init__(self, rotations: Tuple[Tuple[int, int, int], ...],
                  twin: Tuple[int, ...], face_of: Tuple[int, ...],
@@ -62,7 +67,9 @@ class CombMap:
         self.face_of = face_of
         self.faces = faces
         self._cycles: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._nbr_sets: Optional[Tuple[FrozenSet[int], ...]] = None
         self._pos: Optional[Tuple[int, ...]] = None
+        self._fullerene: Optional[bool] = None
         # k -> the k-belts, filled by belts.find_k_belts
         self._belts: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
         self._colours: Optional[Dict[Colour, array]] = None
@@ -91,12 +98,14 @@ class CombMap:
         n = len(rotations)
         rot: List[Tuple[int, int, int]] = []
         for v, nbrs in enumerate(rotations):
-            nbrs = tuple(int(w) for w in nbrs)
-            if len(nbrs) != 3 or len(set(nbrs)) != 3 or v in nbrs:
+            nbrs = tuple(map(int, nbrs))
+            # a row of another length is refused as a loop would be
+            a, b, c = nbrs if len(nbrs) == 3 else (v, v, v)
+            if v == a or v == b or v == c or a == b or b == c or c == a:
                 raise NonCubic("vertex %d has neighbours %r" % (v, nbrs))
-            for w in nbrs:
-                if not 0 <= w < n:
-                    raise NonCubic("vertex %d lists unknown vertex %d" % (v, w))
+            if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
+                raise NonCubic("vertex %d lists unknown vertex %d"
+                               % (v, next(w for w in nbrs if not 0 <= w < n)))
             rot.append(nbrs)
         # the twin of the dart from v to w leaves w at v's slot in rot[w]
         twin: List[int] = []
@@ -273,6 +282,14 @@ class CombMap:
                                  for orbit in self.faces)
         return self._cycles
 
+    def face_neighbor_sets(self) -> Tuple[FrozenSet[int], ...]:
+        """Per face, the set of faces across its darts: the rows of
+        :meth:`face_cycles` as sets, for the belt searches and enclosure.
+        Built on first use and cached."""
+        if self._nbr_sets is None:
+            self._nbr_sets = tuple(map(frozenset, self.face_cycles()))
+        return self._nbr_sets
+
     def face_positions(self) -> Tuple[int, ...]:
         """Per dart, its index in its face's orbit: ``d`` is
         ``faces[face_of[d]][face_positions()[d]]``, and ``i`` steps along
@@ -312,9 +329,12 @@ class CombMap:
                    for f, cyc in enumerate(self.face_cycles()))
 
     def is_fullerene(self) -> bool:
-        """Pentagons and hexagons only, and twelve pentagons."""
-        pk = self.face_vector()
-        return set(pk) <= {5, 6} and pk.get(5, 0) == 12
+        """Pentagons and hexagons only, and twelve pentagons.  Decided on
+        first use and cached, since the map never changes."""
+        if self._fullerene is None:
+            pk = self.face_vector()
+            self._fullerene = set(pk) <= {5, 6} and pk.get(5, 0) == 12
+        return self._fullerene
 
     # -- reflection ---------------------------------------------------------
 
@@ -370,8 +390,9 @@ class CombMap:
         own methods call this, not :meth:`oriented_word`, so that a profile
         charges the search to the public method that sets it off."""
         if self._words[0] is None:
-            first = _bfs_word(self.rotations, self._class_roots()[0])
-            self._class_words(first)
+            root = self._class_roots()[0]
+            table = _dart_table(self.rotations, self.twin)
+            self._class_words(table, _bfs_word(table, root))
         return self._words
 
     def _class_roots(self) -> Sequence[int]:
@@ -383,11 +404,12 @@ class CombMap:
         classes = self.colour_classes()
         return classes[min(classes, key=lambda x: (len(classes[x]), x))]
 
-    def _class_words(self, first: _Frame) -> List[bytes]:
+    def _class_words(self, table: Sequence[_Row], first: _Walk) -> List[bytes]:
         """The full BFS word of every root of the rarest colour class, on
         the map and then on its mirror image: the one word search behind
         the oriented words, the canonical code, chirality, the symmetries
-        and an :class:`IsomerSet` entry.  ``first`` is the frame of the
+        and an :class:`IsomerSet` entry.  ``table`` is the map's dart
+        table (see :func:`_dart_table`) and ``first`` the walk from the
         first forward root, which the caller has built already.
 
         Each oriented word is the minimum of its orientation's words; its
@@ -409,27 +431,25 @@ class CombMap:
         oriented map, so ``w`` listed makes ``m`` isomorphic to this map or
         to its mirror image.
         """
-        rot = self.rotations
-        fwd = [first] + [_bfs_word(rot, r) for r in self._class_roots()[1:]]
-        # the mirror colour of dart 3v + i is its colour with left and right
-        # swapped, carried by the mirror dart 3v + (2 - i)
+        fwd = [first] + [_bfs_word(table, r)
+                         for r in self._class_roots()[1:]]
+        # the mirror image swaps each dart's left and right faces, and so
+        # the first two entries of its colour
         classes = self.colour_classes()
         mc = min(classes, key=lambda x: (len(classes[x]),
                                          (x[1], x[0], x[2], x[3])))
-        mirror = [(a[2], a[1], a[0]) for a in rot]
-        back = [_bfs_word(mirror, d + 2 - 2 * (d % 3)) for d in classes[mc]]
+        back = [_bfs_word(table, d, True) for d in classes[mc]]
         word = min(f[0] for f in fwd)
         mirror_word = min(f[0] for f in back)
         self._words = [word, mirror_word]
         tied = [f for f in fwd if f[0] == word]
         if len(tied) > 1 or word == mirror_word:
-            _, label, _, start = tied[0]
-            self._frames[0] = (bytes(label + start),) + tuple(
-                bytes(order + start) for _, _, order, start in tied[1:])
+            _, label, entry = tied[0]
+            self._frames[0] = (_frame(entry, False, label),) + tuple(
+                _frame(entry, False) for _, _, entry in tied[1:])
         if word == mirror_word:
-            self._frames[1] = tuple(bytes(order + start)
-                                    for w, _, order, start in back
-                                    if w == word)
+            self._frames[1] = tuple(_frame(entry, True)
+                                    for w, _, entry in back if w == word)
         return [f[0] for f in fwd + back]
 
     def canonical_code(self) -> bytes:
@@ -481,7 +501,7 @@ class CombMap:
         reversing automorphism.
 
         The tied roots' frames are kept: the vertices in discovery order
-        and each one's entry slot (see :func:`_bfs_word`).  The
+        and each one's entry slot (see :func:`_frame`).  The
         automorphism to a tied root takes the vertex labelled ``k`` from
         ``r0`` to the ``k``-th vertex ``w`` found from that root, and the
         dart ``t`` slots past its vertex's entry slot to the dart ``t``
@@ -530,10 +550,12 @@ class IsomerSet:
     def add(self, m: CombMap) -> bool:
         """Keep ``m`` and return True, unless it repeats a kept map.
         Raises MapError past 255 vertices."""
-        first = _bfs_word(m.rotations, m._class_roots()[0])
+        root = m._class_roots()[0]
+        table = _dart_table(m.rotations, m.twin)
+        first = _bfs_word(table, root)
         if first[0] in self._words:
             return False
-        self._words.update(m._class_words(first))
+        self._words.update(m._class_words(table, first))
         return True
 
 
@@ -541,45 +563,91 @@ def _face_orbit(twin: Sequence[int], d: int) -> Tuple[int, ...]:
     """The face orbit of ``d`` under ``prev o twin``, starting at ``d``."""
     orbit = [d]
     t = twin[d]
-    x = (t - t % 3) + (t % 3 - 1) % 3  # prev(twin(d))
+    x = t - 1 if t % 3 else t + 2  # prev(twin(d))
     while x != d:
         orbit.append(x)
         t = twin[x]
-        x = (t - t % 3) + (t % 3 - 1) % 3
+        x = t - 1 if t % 3 else t + 2
     return tuple(orbit)
 
 
-def _bfs_word(rot: Sequence[Tuple[int, int, int]], root: int) -> _Frame:
-    """BFS word from one root dart, and its frame.
+def _dart_table(rot: Sequence[Tuple[int, int, int]],
+                twin: Sequence[int]) -> List[_Row]:
+    """The dart table that one word search reads, built in one pass; see
+    :func:`_bfs_word` for its rows.  It is not kept on the map: every
+    search of a map is made at once, and a kept table would hold 3n
+    tuples for the map's life."""
+    table: List[_Row] = []
+    slots = iter(twin)
+    for (ha, hb, hc), ta, tb, tc in zip(rot, slots, slots, slots):
+        table += ((ha, ta, hb, tb, hc, tc), (hb, tb, hc, tc, ha, ta),
+                  (hc, tc, ha, ta, hb, tb))
+    return table
+
+
+def _bfs_word(table: Sequence[_Row], root: int,
+              mirrored: bool = False) -> _Walk:
+    """BFS word from one root dart, on the map or its mirror image.
 
     The word lists, for each vertex in discovery order, the labels of its
     three neighbours starting at the entry edge and following the rotation.
     Labels are assigned in order of first appearance.  A word rooted at
     dart ``3 * v + slot`` starts at ``v`` with neighbour ``rot[v][slot]``.
     Maps with up to 255 vertices fit in one byte per entry; the caller
-    checks the size (see :meth:`CombMap._class_roots`).  The frame is each
-    vertex's label, the vertices in discovery (label) order, and each
-    vertex's entry slot, the slot its word entries start at.
+    checks the size (see :meth:`CombMap._class_roots`).
+
+    The walk reads ``table`` (see :func:`_dart_table`), whose row for dart
+    ``e`` is ``(head(e), twin(e), head(e1), twin(e1), head(e2),
+    twin(e2))`` with ``e1 = next(e)`` and ``e2 = next(e1)``.  It queues
+    entry darts: a vertex is entered by the dart that leaves it towards
+    the vertex it was found from, the twin of the dart it was found by.
+    One row so gives a vertex's three neighbours in order and the entry
+    dart of each one it finds, with no search of a rotation.
+
+    The mirror image reverses every rotation and keeps ``twin``, so its
+    word from ``e`` visits ``e``, ``prev(e)`` and ``prev(prev(e))``, which
+    are ``e``, ``e2`` and ``e1``: ``mirrored`` reads the same row in that
+    order, with darts still numbered on the map.  The mirror word from
+    dart ``3 * v + slot`` is the word of the mirror image rooted at its
+    dart ``3 * v + 2 - slot``, which has the same head.
+
+    Returns the word, each vertex's label and the entry darts in label
+    order, the root first; see :func:`_frame`.
     """
-    n = len(rot)
-    root_v, root_slot = divmod(root, 3)
-    label = [-1] * n
-    label[root_v] = 0
-    order = [root_v]
-    start = [0] * n
-    start[root_v] = root_slot
-    word = bytearray()
-    nxt_label = 1
-    for v in order:  # order grows while it is walked
-        nbrs = rot[v]
-        s = start[v]
-        for i in (s, (s + 1) % 3, (s + 2) % 3):
-            w = nbrs[i]
-            lw = label[w]
-            if lw < 0:
-                lw = label[w] = nxt_label
-                nxt_label += 1
-                start[w] = rot[w].index(v)
-                order.append(w)
-            word.append(lw)
-    return bytes(word), label, order, start
+    label = [-1] * (len(table) // 3)
+    label[root // 3] = 0
+    entry = [root]
+    word: List[int] = []
+    for e in entry:  # entry grows while it is walked
+        if mirrored:
+            h0, t0, h2, t2, h1, t1 = table[e]
+        else:
+            h0, t0, h1, t1, h2, t2 = table[e]
+        l0 = label[h0]
+        if l0 < 0:
+            l0 = label[h0] = len(entry)
+            entry.append(t0)
+        l1 = label[h1]
+        if l1 < 0:
+            l1 = label[h1] = len(entry)
+            entry.append(t1)
+        l2 = label[h2]
+        if l2 < 0:
+            l2 = label[h2] = len(entry)
+            entry.append(t2)
+        word += (l0, l1, l2)
+    return bytes(word), label, entry
+
+
+def _frame(entry: Sequence[int], mirrored: bool,
+           label: Optional[List[int]] = None) -> bytes:
+    """A tied root's frame for :meth:`CombMap.dart_images`, from the entry
+    darts of its walk: ``label`` if given (the first tied root's), else
+    the vertices in label order; then per vertex the slot of its entry
+    dart, counted in the reversed rotation (slot ``j`` is slot ``2 - j``)
+    for a mirror walk."""
+    start = [0] * len(entry)
+    for e in entry:
+        start[e // 3] = 2 - e % 3 if mirrored else e % 3
+    head = [e // 3 for e in entry] if label is None else label
+    return bytes(head + start)

@@ -483,27 +483,33 @@ def test_every_skipped_site_repeats_an_applied_child(isomers_to_p6_8):
 
 
 def test_only_kept_children_build_class_words(monkeypatch):
-    # at p6 <= 10 each of the 451 repeat children runs one BFS word, and
-    # only the 91 kept children and the seed build their class words
-    children, built, rots = [], [], []
+    # at p6 <= 10 each of the 451 repeat children builds one dart table
+    # and runs one BFS word on it, and only the 91 kept children and the
+    # seed build their class words
+    children, built, tables, walked = [], [], [], []
 
     def recording_apply_rule(m, rule, at):
         children.append(apply_rule(m, rule, at))
         return children[-1]
 
-    bfs_word = maps._bfs_word
+    dart_table, bfs_word = maps._dart_table, maps._bfs_word
 
-    def recording_bfs_word(rot, root):
-        rots.append(rot)  # kept alive, so that ids stay unique
-        return bfs_word(rot, root)
+    def recording_dart_table(rot, twin):
+        tables.append((rot, dart_table(rot, twin)))
+        return tables[-1][1]
+
+    def recording_bfs_word(table, root, mirrored=False):
+        walked.append(table)  # kept alive, so that ids stay unique
+        return bfs_word(table, root, mirrored)
 
     class_words = CombMap._class_words
 
-    def recording_class_words(m, first):
+    def recording_class_words(m, table, first):
         built.append(m)
-        return class_words(m, first)
+        return class_words(m, table, first)
 
     monkeypatch.setattr(growth, "apply_rule", recording_apply_rule)
+    monkeypatch.setattr(maps, "_dart_table", recording_dart_table)
     monkeypatch.setattr(maps, "_bfs_word", recording_bfs_word)
     monkeypatch.setattr(CombMap, "_class_words", recording_class_words)
     got = enumerate_maps(10)
@@ -511,9 +517,12 @@ def test_only_kept_children_build_class_words(monkeypatch):
     kept = set(map(id, built))
     repeats = [c for c in children if id(c) not in kept]
     assert len(children) == 542 and len(repeats) == 451
-    runs = Counter(map(id, rots))
-    assert all(runs[id(c.rotations)] == 1 and c._words == [None, None]
-               for c in repeats)
+    per_map = Counter(id(rot) for rot, _ in tables)
+    runs = Counter(map(id, walked))
+    table_of = {id(rot): table for rot, table in tables}
+    assert all(per_map[id(c.rotations)] == 1
+               and runs[id(table_of[id(c.rotations)])] == 1
+               and c._words == [None, None] for c in repeats)
 
 
 def symmetric_sites(m, rule):

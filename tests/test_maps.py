@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fullerkit import maps
 from fullerkit.growth import (apply_rule, enumerate_maps, load_rules,
                               seed_dodecahedron, seed_family_one,
                               seed_family_two)
@@ -64,6 +65,52 @@ def test_disconnected_rejected():
         CombMap.from_rotations(rot)
 
 
+def tetrahedron_with(*rows):
+    """The tetrahedron's rotations with row ``v`` replaced, per (v, row)."""
+    rot = [list(r) for r in tetrahedron().rotations]
+    for v, row in rows:
+        rot[v] = row
+    return rot
+
+
+@pytest.mark.parametrize("rot, error, message", [
+    (tetrahedron_with((0, [1, 2])), NonCubic,
+     "vertex 0 has neighbours (1, 2)"),
+    (tetrahedron_with((0, [1, 2, 3, 0])), NonCubic,
+     "vertex 0 has neighbours (1, 2, 3, 0)"),
+    (tetrahedron_with((0, [1, 1, 2])), NonCubic,
+     "vertex 0 has neighbours (1, 1, 2)"),
+    (tetrahedron_with((1, [0, 1, 2])), NonCubic,
+     "vertex 1 has neighbours (0, 1, 2)"),
+    (tetrahedron_with((2, [0, 1, 7])), NonCubic,
+     "vertex 2 lists unknown vertex 7"),
+    (tetrahedron_with((2, [0, -1, 3])), NonCubic,
+     "vertex 2 lists unknown vertex -1"),
+    # a repeat outranks an unknown vertex in the same row
+    (tetrahedron_with((0, [1, 1, 9])), NonCubic,
+     "vertex 0 has neighbours (1, 1, 9)"),
+    # of two faulty vertices the first is reported, whatever its fault
+    (tetrahedron_with((1, [0, 9, 2]), (3, [3, 0, 1])), NonCubic,
+     "vertex 1 lists unknown vertex 9"),
+    (tetrahedron_with((1, [1, 3, 2]), (3, [0, 9, 2])), NonCubic,
+     "vertex 1 has neighbours (1, 3, 2)"),
+    ([[1, 2, 3], [2, 0, 4], [0, 1, 5], [4, 5, 0], [5, 3, 1], [3, 4, 0]],
+     AsymmetricAdjacency, "vertex 2 lists 5 but not conversely"),
+    (tetrahedron_with() + [[w + 4 for w in r] for r in tetrahedron_with()],
+     Disconnected, "graph is not connected"),
+    ([[3, 4, 5], [3, 4, 5], [3, 4, 5], [0, 1, 2], [0, 1, 2], [0, 1, 2]],
+     NonPlanar, "Euler count 0 != 2"),
+], ids=["short-row", "long-row", "repeated-neighbour", "self-loop",
+        "unknown-vertex", "negative-vertex", "repeat-before-unknown",
+        "first-of-two-unknown", "first-of-two-loop", "asymmetry",
+        "disconnection", "non-planarity"])
+def test_from_rotations_names_the_first_fault(rot, error, message):
+    with pytest.raises(MapError) as caught:
+        CombMap.from_rotations(rot)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
 def test_canonical_code_invariant_under_relabel(dodecahedron, rng):
     m = dodecahedron
     perm = list(range(m.f0))
@@ -100,11 +147,13 @@ def test_tetrahedron_is_not_fullerene():
     assert tetrahedron().face_vector() == {3: 4}
 
 
-def reference_word(rot, root, best=None):
+def reference_walk(rot, root, best=None):
     """The BFS word from dart ``root``, written apart from the package's:
     per vertex in order of discovery, the labels of its neighbours from
     the edge it was entered by, in rotation order, each vertex labelled
-    when first met.  None once the word exceeds ``best``."""
+    when first met.  None once the word exceeds ``best``; else the word
+    with its frame: per vertex its label, the vertices in order of
+    discovery, and per vertex the slot of the edge it was entered by."""
     v, slot = divmod(root, 3)
     label, entry = [-1] * len(rot), [0] * len(rot)
     label[v], entry[v] = 0, slot
@@ -120,7 +169,13 @@ def reference_word(rot, root, best=None):
                     return None
                 best = None  # strictly smaller; stop comparing
             word.append(label[w])
-    return bytes(word)
+    return bytes(word), label, order, entry
+
+
+def reference_word(rot, root, best=None):
+    """The word of :func:`reference_walk`, or None."""
+    walk = reference_walk(rot, root, best)
+    return walk and walk[0]
 
 
 def all_roots_word(rot):
@@ -202,6 +257,73 @@ def test_class_words_fill_the_caches_as_oriented_words_do(growth_children,
                 == list(by_class.dart_images(darts))
             chiral.add(by_code.is_chiral())
     assert chiral == {True, False}
+
+
+def reference_image(m, r0, r, reverse):
+    """The automorphism of ``m`` that sends dart ``r0`` to ``r``, grown
+    dart by dart: it commutes with ``twin`` and takes ``next_dart`` to
+    ``next_dart``, or to ``prev_dart`` if ``reverse``."""
+    step = m.prev_dart if reverse else m.next_dart
+    phi = {r0: r}
+    stack = [r0]
+    while stack:
+        d = stack.pop()
+        for a, b in ((m.twin[d], m.twin[phi[d]]),
+                     (m.next_dart(d), step(phi[d]))):
+            if a not in phi:
+                phi[a] = b
+                stack.append(a)
+    return tuple(phi[d] for d in range(3 * m.f0))
+
+
+def test_class_words_frames_and_images_match_reference(growth_children,
+                                                        polytopes):
+    """Each map and its mirror image: the class words, the oriented words
+    and both frame lists are those of the reference walks from the class
+    roots, and the dart images are the automorphisms that send the first
+    tied root to each tied root, grown from it alone."""
+    seen = set()
+    for m in growth_children + polytopes:
+        for x in (m, m.mirror()):
+            rot = x.rotations
+            mrot = [r[::-1] for r in rot]
+            roots = list(x._class_roots())
+            # the mirror class, as darts of x: the mirror image's dart
+            # 3v + j is x's dart 3v + 2 - j
+            back = sorted(d + 2 - 2 * (d % 3)
+                          for d in x.mirror()._class_roots())
+            fwd_walks = [reference_walk(rot, r) for r in roots]
+            back_walks = [reference_walk(mrot, d + 2 - 2 * (d % 3))
+                          for d in back]
+            y = fresh(x)
+            table = maps._dart_table(y.rotations, y.twin)
+            words = y._class_words(table, maps._bfs_word(table, roots[0]))
+            assert words == [w[0] for w in fwd_walks + back_walks]
+            word = min(w[0] for w in fwd_walks)
+            mirror_word = min(w[0] for w in back_walks)
+            assert y._words == [word, mirror_word]
+            tied = [(r, w) for r, w in zip(roots, fwd_walks) if w[0] == word]
+            tied_back = [(d, w) for d, w in zip(back, back_walks)
+                         if w[0] == word]
+            achiral = word == mirror_word
+            assert bool(tied_back) == achiral
+            frames = [(), ()]
+            if len(tied) > 1 or achiral:
+                _, label, _, entry = tied[0][1]
+                frames[0] = (bytes(label + entry),) + tuple(
+                    bytes(order + entry) for _, (_, _, order, entry)
+                    in tied[1:])
+            frames[1] = tuple(bytes(order + entry)
+                              for _, (_, _, order, entry) in tied_back)
+            assert y._frames == frames
+            r0 = tied[0][0]
+            assert list(y.dart_images(range(3 * y.f0))) == (
+                [(False, reference_image(y, r0, r, False)) for r, _ in tied]
+                + [(True, reference_image(y, r0, d, True))
+                   for d, _ in tied_back])
+            seen.add((achiral, len(tied) > 1))
+    assert seen == {(True, True), (True, False), (False, True),
+                    (False, False)}
 
 
 def test_words_past_255_vertices_raise_map_error():

@@ -261,9 +261,9 @@ def test_only_kept_isomers_pay_for_a_mirror_word(monkeypatch):
     mirrored = []
     class_words = CombMap._class_words
 
-    def recording_class_words(m, first):
+    def recording_class_words(m, table, first):
         mirrored.append(m)
-        return class_words(m, first)
+        return class_words(m, table, first)
 
     monkeypatch.setattr(CombMap, "_class_words", recording_class_words)
     wound = []
