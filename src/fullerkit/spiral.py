@@ -9,13 +9,14 @@ run that also touches the face added last.  This is the classic sequential
 ``generate_fullerenes`` enumerates the pentagon/hexagon size sequences for a
 given face count by a depth-first search over sequence prefixes.  The run a
 face is glued over depends only on the boundary that the faces before it
-leave, so a search node is that boundary alone: its open edges and their
-vertex degrees, updated by the splice that ``PatchBuilder.glue`` makes.  A
-prefix that cannot be glued rules out all of its extensions at once.  Each
-complete sequence is wound by ``wind``, which validates the map, and the
-survivors are deduplicated by an ``IsomerSet``.  The generator is
-deliberately independent of the pattern-replacement machinery so that it
-can serve as a cross-check for the growth enumeration.
+leave, so a search node is that boundary alone: the owners of its open
+edges and its vertex degrees, two strings updated by the ``_splice`` that
+``PatchBuilder.glue`` makes.  A prefix that cannot be glued rules out all
+of its extensions at once.  Each complete sequence is wound by ``wind``,
+which validates the map, and the survivors are deduplicated by an
+``IsomerSet``.  The generator is deliberately independent of the
+pattern-replacement machinery so that it can serve as a cross-check for
+the growth enumeration.
 
 The search also cuts, by a degree-2 budget, prefixes that cannot complete.
 Let n2 be the number of degree-2 boundary vertices.  Gluing a face
@@ -42,68 +43,88 @@ pentagons, and a prefix of j + 1 faces must leave room for the rest, so
 the prefix before the last face holds 11 or 12 of them and the last face
 is chosen to make 12.  ``wind`` gives every face exactly its size in the
 sequence, so each map it returns has 12 pentagons and F - 12 hexagons.
+
+Equal boundaries are searched once.  A node gives the size suffixes below
+it that reach a leaf, and one call of ``generate_fullerenes`` memoises
+them per root size, keyed by the number j of faces glued and the string
+``owners + vdeg``.  Everything the subtree below a node reads is a
+function of that key, F and the root size: ``_next_run`` reads owner ids
+only through ``min``, equality with j - 1 and distinctness, ``_splice``
+writes j, and the cuts read n2 (the ``'2'`` count of ``vdeg``), the run
+length, j, the root size and the pentagon count p5.  That count is read
+off the boundary as well.  Gluing a face of size s over l edges changes
+the boundary length b by s - 2l and n2 by s - l - 3, so b - 2 n2 rises by
+6 - s; one face has b = n2 = s, so p5 = b - 2 n2 + 6 at every node (Euler).
+A memoised node therefore passes up the suffixes its own search would
+give, in the same order, and each complete sequence still goes through the
+mirror filter, ``wind`` and the ``IsomerSet``, so the output is the same
+with or without the memo.  The memo dies with the call: the search is a
+module function that is handed the memo, so no closure keeps it alive.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .maps import CombMap, IsomerSet, MapError
 from .winding import PatchBuilder, WindingError, _splice
 
 
-def _next_run(boundary: Sequence[Tuple[int, int]], vdeg: Sequence[int],
-              last: int) -> Optional[Tuple[int, int]]:
+def _next_run(owners: str, vdeg: str, last: int
+              ) -> Optional[Tuple[int, int]]:
     """The elementary run the next face is glued over, or None.
 
-    ``boundary`` and ``vdeg`` are a patch's open edges and boundary vertex
-    degrees, as ``PatchBuilder`` keeps them, and ``last`` is the id of the
-    face added last.  The elementary runs are the stretches of boundary
-    between consecutive degree-2 vertices, taken in boundary order from the
-    first degree-2 vertex in ``vdeg``; a boundary with none is one run, all
-    of it from position 0.  The run must contain an open edge of the
-    earliest still-open face; the first such run that also touches face
-    ``last`` is preferred.
+    ``owners`` and ``vdeg`` are a patch's boundary, as ``PatchBuilder``
+    keeps it, and ``last`` is the id of the face added last.  The
+    elementary runs are the stretches of boundary between consecutive
+    degree-2 vertices, taken in boundary order from the first degree-2
+    vertex in ``vdeg``; a boundary with none is one run, all of it from
+    position 0.  The run must contain an open edge of the earliest
+    still-open face; the first such run that also touches face ``last`` is
+    preferred.  Owner ids are read only through ``min``, equality with
+    ``last`` and distinctness.
     """
-    if not boundary:
+    if not owners:
         return None
-    earliest = min(boundary)[0]
-    b = len(boundary)
-    if 2 not in vdeg:
+    b = len(owners)
+    first = vdeg.find("2")
+    if first < 0:
         return 0, b
-    first = vdeg.index(2)
+    earliest = min(owners)
+    latest = chr(last)
+    # rotated to begin at the first degree-2 vertex, so every run is a slice
+    edges = owners[first:] + owners[:first]
+    degs = vdeg[first:] + vdeg[:first]
     fallback = None
-    start = first
-    has_earliest = has_last = False
-    for k in range(first, first + b):
-        f = boundary[k % b][0]
-        if f == earliest:
-            has_earliest = True
-        if f == last:
-            has_last = True
-        if vdeg[(k + 1) % b] == 2:
-            # the run from ``start`` ends at the vertex after edge k
-            if has_earliest:
-                if has_last:
-                    return start, k + 1 - start
-                if fallback is None:
-                    fallback = start, k + 1 - start
-            start = k + 1
-            has_earliest = has_last = False
+    # the runs that hold an edge of the earliest face, in boundary order;
+    # a run begins after the last degree-2 vertex at or before that edge
+    i = edges.find(earliest)
+    while i >= 0:
+        start = degs.rfind("2", 0, i + 1)
+        end = degs.find("2", i + 1)
+        if end < 0:
+            end = b
+        if latest in edges[start:end]:
+            return first + start, end - start
+        if fallback is None:
+            fallback = first + start, end - start
+        i = edges.find(earliest, end)
     return fallback
 
 
 def wind(sizes: Sequence[int]) -> Optional[CombMap]:
     """Realize a face-size sequence as a sphere map, or None if it fails.
 
-    The returned map is fully validated (simple, planar, 3-connected); any
-    winding artifact that slips through the gluing checks is rejected here.
+    Every size must be an ``int`` of at least 3.  The returned map is fully
+    validated (simple, planar, 3-connected); any winding artifact that
+    slips through the gluing checks is rejected here.
     """
-    if len(sizes) < 4:
+    if len(sizes) < 4 or not all(isinstance(s, int) and s >= 3
+                                 for s in sizes):
         return None
     pb = PatchBuilder(sizes[0])
     for s in sizes[1:-1]:
-        run = _next_run(pb.boundary, pb.vdeg, len(pb.cycles) - 1)
+        run = _next_run(pb.owners, pb.vdeg, len(pb.cycles) - 1)
         if run is None:
             return None
         try:
@@ -120,66 +141,84 @@ def wind(sizes: Sequence[int]) -> Optional[CombMap]:
     return m
 
 
+def _suffixes(owners: str, vdeg: str, j: int, n2: int, pents: int,
+              memo: List[Dict[str, Tuple[str, ...]]], hexagon_first: bool
+              ) -> Tuple[str, ...]:
+    """The size suffixes, as strings of ``'5'`` and ``'6'``, that take a
+    prefix of ``j`` faces with this boundary to a leaf, in search order.
+
+    ``n2`` is the boundary's number of degree-2 vertices and ``pents`` its
+    pentagon count.  ``memo[i]`` maps ``owners + vdeg`` of a state with
+    ``i`` faces to its suffixes; its length is the face count less one.
+    A state whose next face cannot be glued gives ``()``.
+    """
+    face_count = len(memo) + 1
+    run = _next_run(owners, vdeg, j - 1)
+    if run is None:
+        return ()
+    start, length = run
+    # the degree-2 budget: a face of size s leaves n2 + s - length - 3
+    # degree-2 vertices, which faces j + 1 .. face_count - 2 must bring
+    # down to 0 at 2 per face
+    max_size = 2 * (face_count - j - 2) - n2 + length + 3
+    # positions j + 1 .. face_count - 1 remain for the other pentagons,
+    # less the last one after a hexagon (module docstring)
+    room = face_count - 1 - j - hexagon_first
+    found: List[str] = []
+    for s, c in ((5, "5"), (6, "6")):
+        p = pents + (s == 5)
+        if p > 12 or 12 - p > room or not length < s <= max_size:
+            continue
+        try:
+            child, child_vdeg = _splice(owners, vdeg, j, s, start, length)
+        except WindingError:
+            continue
+        if j + 1 == face_count - 1:
+            # a leaf: the last face completes the 12 pentagons
+            found.append(c + ("5" if p == 11 else "6"))
+            continue
+        level = memo[j + 1]
+        key = child + child_vdeg
+        below = level.get(key)
+        if below is None:
+            below = level[key] = _suffixes(
+                child, child_vdeg, j + 1, n2 + s - length - 3, p, memo,
+                hexagon_first)
+        found.extend([c + t for t in below])
+    return tuple(found)
+
+
 def generate_fullerenes(face_count: int) -> List[CombMap]:
     """All fullerenes with the given face count, by exhaustive winding.
 
     Searches the size sequences with 12 pentagons depth first, pentagon
     before hexagon, so complete sequences come in lexicographic order.  A
-    search node is a prefix's boundary, its vertex degrees and their number
-    n2 of degree 2.  A prefix is abandoned when its next face cannot be
-    glued, when its pentagons cannot make 12, or by the degree-2 and
-    hexagon-first cuts of the module docstring.  A complete sequence larger
-    than its reversal is skipped (the two wind to reflected maps); the rest
-    go to ``wind``, and an :class:`IsomerSet` keeps the first map found per
-    isomorphism class, for one BFS word per repeat.
+    search node is a prefix's boundary, its number n2 of degree-2 vertices
+    and its pentagon count, and gives the suffixes that take it to a leaf
+    (``_suffixes``), found once per boundary state and root size.  A prefix
+    is abandoned when its next face cannot be glued, when its pentagons
+    cannot make 12, or by the degree-2 and hexagon-first cuts of the module
+    docstring.  A complete sequence larger than its reversal is skipped
+    (the two wind to reflected maps); the rest go to ``wind``, and an
+    :class:`IsomerSet` keeps the first map found per isomorphism class, for
+    one BFS word per repeat.
     """
     if face_count < 12:
         return []
     out: List[CombMap] = []
     kept = IsomerSet()
-    sizes: List[int] = []
-
-    def leaf(pents: int) -> None:
-        # the last face is forced: it completes the 12 pentagons
-        full = sizes + [5 if pents == 11 else 6]
-        if full > full[::-1]:
-            return
-        m = wind(full)
-        if m is not None and kept.add(m):
-            out.append(m)
-
-    def extend(boundary: List[Tuple[int, int]], vdeg: List[int], n2: int,
-               pents: int) -> None:
-        j = len(sizes)
-        if j == face_count - 1:
-            leaf(pents)
-            return
-        run = _next_run(boundary, vdeg, j - 1)
-        if run is None:
-            return
-        length = run[1]
-        # the degree-2 budget: a face of size s leaves n2 + s - length - 3
-        # degree-2 vertices, which faces j + 1 .. face_count - 2 must bring
-        # down to 0 at 2 per face
-        max_size = 2 * (face_count - j - 2) - n2 + length + 3
-        # positions j + 1 .. face_count - 1 remain for the other pentagons,
-        # less the last one after a hexagon (module docstring)
-        room = face_count - 1 - j - (sizes[0] == 6)
-        for s in (5, 6):
-            p = pents + (s == 5)
-            if p > 12 or 12 - p > room or not length < s <= max_size:
+    for first in (5, 6):
+        root = PatchBuilder(first)
+        memo: List[Dict[str, Tuple[str, ...]]] = [
+            {} for _ in range(face_count - 1)]
+        tails = _suffixes(root.owners, root.vdeg, 1, first, first == 5,
+                          memo, first == 6)
+        memo.clear()    # before the leaves are wound, so the two do not add up
+        for tail in tails:
+            seq = str(first) + tail
+            if seq > seq[::-1]:
                 continue
-            try:
-                child, child_vdeg, _ = _splice(boundary, vdeg, j, s, *run)
-            except WindingError:
-                continue
-            sizes.append(s)
-            extend(child, child_vdeg, n2 + s - length - 3, p)
-            sizes.pop()
-
-    for s in (5, 6):
-        root = PatchBuilder(s)
-        sizes.append(s)
-        extend(root.boundary, root.vdeg, s, s == 5)
-        sizes.pop()
+            m = wind(list(map(int, seq)))
+            if m is not None and kept.add(m):
+                out.append(m)
     return out

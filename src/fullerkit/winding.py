@@ -7,6 +7,13 @@ vertices of degree 2; a glued face always covers exactly one elementary run
 the patch, while the two delimiting vertices rise to degree 3).  The final
 face closes the patch when every boundary vertex has degree 3.
 
+A boundary is two immutable strings of one length b, in boundary order:
+``owners`` holds ``chr(face id)`` for each open edge, and ``vdeg`` holds
+``'2'`` or ``'3'`` for the boundary vertex before each edge.  On strings
+the run rule and the splice are slices, ``find`` and ``in`` tests that run
+in C, the two strings can be shared by a search node's children, and
+``owners + vdeg`` is a whole boundary state in one hashable key.
+
 ``spiral.wind`` drives the builder, choosing each run by
 ``spiral._next_run``; every seed and the exhaustive face-spiral generator
 are wound that way.
@@ -28,17 +35,19 @@ class PatchBuilder:
 
     Attributes:
         cycles: per-face cyclic neighbour lists; ``None`` marks an open edge.
-        boundary: boundary edge positions as (face, slot) pairs, in cyclic
-            order around the patch.  These are exactly the open edges, so a
-            face is open when it owns a boundary edge.
-        vdeg: ``vdeg[i]`` is the degree of the boundary vertex between edge
-            ``i - 1`` and edge ``i``.
+        owners: ``chr(face)`` for each open edge, in cyclic order around the
+            patch.  A face is open when it owns a boundary edge.
+        vdeg: ``vdeg[i]`` is ``'2'`` or ``'3'``, the degree of the boundary
+            vertex between edge ``i - 1`` and edge ``i``.
+        slots: ``slots[i]`` is the position of open edge ``i`` in the cycle
+            of its face, read only to fill ``cycles``.
     """
 
     def __init__(self, first_size: int) -> None:
         self.cycles: List[List[Optional[int]]] = [[None] * first_size]
-        self.boundary: List[Tuple[int, int]] = [(0, i) for i in range(first_size)]
-        self.vdeg: List[int] = [2] * first_size
+        self.owners = "\0" * first_size
+        self.vdeg = "2" * first_size
+        self.slots: List[int] = list(range(first_size))
         self.closed = False
 
     def glue(self, size: int, start: int, length: int) -> int:
@@ -54,35 +63,39 @@ class PatchBuilder:
         if self.closed:
             raise WindingError("patch already closed")
         new_id = len(self.cycles)
-        self.boundary, self.vdeg, covered = _splice(
-            self.boundary, self.vdeg, new_id, size, start, length)
+        owners, vdeg = _splice(self.owners, self.vdeg, new_id, size, start,
+                               length)
+        start %= len(self.owners)
+        faces = self.owners[start:] + self.owners[:start]
+        slots = self.slots[start:] + self.slots[:start]
         # the new face traverses the shared edges opposite to the boundary
         # walk, so the covered owners appear reversed in its cycle
-        self.cycles.append([f for f, _ in reversed(covered)]
+        self.cycles.append([ord(f) for f in reversed(faces[:length])]
                            + [None] * (size - length))
-        for f, slot in covered:
-            self.cycles[f][slot] = new_id
+        for f, slot in zip(faces[:length], slots):
+            self.cycles[ord(f)][slot] = new_id
+        self.owners, self.vdeg = owners, vdeg
+        self.slots = list(range(length, size)) + slots[length:]
         return new_id
 
     def close(self, size: int) -> int:
         """Glue the final face over the entire remaining boundary."""
         if self.closed:
             raise WindingError("patch already closed")
-        b = len(self.boundary)
+        b = len(self.owners)
         if size != b:
             raise WindingError("closing face size %d != boundary length %d"
                                % (size, b))
-        if any(d != 3 for d in self.vdeg):
+        if "2" in self.vdeg:
             raise WindingError("boundary vertex of degree 2 at closure")
-        owners = [f for f, _ in self.boundary]
-        if len(set(owners)) != b:
+        if len(set(self.owners)) != b:
             raise WindingError("closing face would share two edges with one face")
         new_id = len(self.cycles)
-        self.cycles.append(list(reversed(owners)))
-        for f, slot in self.boundary:
-            self.cycles[f][slot] = new_id
-        self.boundary = []
-        self.vdeg = []
+        self.cycles.append([ord(f) for f in reversed(self.owners)])
+        for f, slot in zip(self.owners, self.slots):
+            self.cycles[ord(f)][slot] = new_id
+        self.owners = self.vdeg = ""
+        self.slots = []
         self.closed = True
         return new_id
 
@@ -92,22 +105,20 @@ class PatchBuilder:
         return CombMap.from_face_cycles(self.cycles)  # may raise MapError
 
 
-def _splice(boundary: List[Tuple[int, int]], vdeg: List[int], new_id: int,
-            size: int, start: int, length: int
-            ) -> Tuple[List[Tuple[int, int]], List[int],
-                       List[Tuple[int, int]]]:
+def _splice(owners: str, vdeg: str, new_id: int, size: int, start: int,
+            length: int) -> Tuple[str, str]:
     """The boundary after face ``new_id`` of ``size`` edges is glued over
     the elementary run of ``length`` edges from position ``start``.
 
-    Returns the new boundary, its vertex degrees and the covered edges, in
-    boundary order; the arguments are left as they are.
+    Returns the new ``owners`` and ``vdeg``, both beginning with the new
+    face's open edges and going on round the boundary from the run's end.
 
     Raises:
         WindingError: the run is not elementary, the size does not leave at
             least one open edge, or the new face would share more than one
             edge with some existing face.
     """
-    b = len(boundary)
+    b = len(owners)
     if not 1 <= length < b:
         raise WindingError("bad run length %d" % length)
     if size - length < 1:
@@ -115,18 +126,16 @@ def _splice(boundary: List[Tuple[int, int]], vdeg: List[int], new_id: int,
                            % (size, length))
     # the boundary and its vertex degrees, rotated to begin at the run
     start %= b
-    edges = boundary[start:] + boundary[:start]
+    edges = owners[start:] + owners[:start]
     degs = vdeg[start:] + vdeg[:start]
-    if degs[0] != 2 or degs[length] != 2:
+    if degs[0] != "2" or degs[length] != "2":
         raise WindingError("run endpoints must be degree-2 vertices")
-    if 2 in degs[1:length]:
+    if "2" in degs[1:length]:
         raise WindingError("run interior vertex has degree 2")
-    covered = edges[:length]
-    if len({f for f, _ in covered}) != length:
+    if len(set(edges[:length])) != length:
         raise WindingError("face would share two edges with one face")
     # the new open edges replace the run; the vertices before the first of
     # them and after the last one are now degree 3
-    new_edges = [(new_id, length + j) for j in range(size - length)]
-    return (new_edges + edges[length:],
-            [3] + [2] * (size - length - 1) + [3] + degs[length + 1:],
-            covered)
+    k = size - length
+    return (chr(new_id) * k + edges[length:],
+            "3" + "2" * (k - 1) + "3" + degs[length + 1:])

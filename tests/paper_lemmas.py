@@ -285,9 +285,9 @@ def runs(pb: PatchBuilder) -> List[Tuple[int, int]]:
     """The elementary runs of a builder's boundary as (start position, edge
     count) pairs, delimited by its degree-2 vertices.  If no boundary
     vertex has degree 2 the whole boundary is a single cyclic run, reported
-    as (0, len(boundary))."""
-    b = len(pb.boundary)
-    starts = [i for i in range(b) if pb.vdeg[i] == 2]
+    as (0, len(owners))."""
+    b = len(pb.owners)
+    starts = [i for i in range(b) if pb.vdeg[i] == "2"]
     if not starts:
         return [(0, b)]
     out = []
@@ -299,8 +299,8 @@ def runs(pb: PatchBuilder) -> List[Tuple[int, int]]:
 
 def run_faces(pb: PatchBuilder, start: int, length: int) -> List[int]:
     """The faces that own the run's edges, in boundary order."""
-    b = len(pb.boundary)
-    return [pb.boundary[(start + i) % b][0] for i in range(length)]
+    b = len(pb.owners)
+    return [ord(pb.owners[(start + i) % b]) for i in range(length)]
 
 
 def _glue_on(pb: PatchBuilder, size: int, faces: Sequence[int]) -> int:

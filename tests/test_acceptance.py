@@ -15,13 +15,14 @@ from contextlib import contextmanager
 
 import pytest
 
+from fullerkit import spiral
 from fullerkit.belts import find_k_belts
 from fullerkit.growth import (apply_rule, decompose_rule, detect_growth_rules,
                               enumerate_maps, invert_rule, load_rules,
                               seed_family_one, seed_family_two)
 from fullerkit.patterns import match_pattern
 from fullerkit.planarcode import read_planar_code, write_planar_code
-from fullerkit.spiral import generate_fullerenes
+from fullerkit.spiral import generate_fullerenes, wind
 from fullerkit.surgery import (TruncationSpec, can_straighten, is_flag,
                                straighten, truncate)
 from fullerkit.verify import verify_intermediate
@@ -41,9 +42,25 @@ def criterion(num, desc):
 
 
 @pytest.fixture(scope="module")
-def oracle():
+def oracle_run():
+    """Independent generator output (face count -> list of fullerenes) and
+    the number of size sequences it handed to ``wind`` per face count."""
+    wound = Counter()
+
+    def counting_wind(sizes):
+        wound[len(sizes)] += 1
+        return wind(sizes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spiral, "wind", counting_wind)
+        maps = {fc: generate_fullerenes(fc) for fc in range(12, 23)}
+    return maps, {fc: wound[fc] for fc in maps}
+
+
+@pytest.fixture(scope="module")
+def oracle(oracle_run):
     """Independent generator output: face count -> list of fullerenes."""
-    return {fc: generate_fullerenes(fc) for fc in range(12, 23)}
+    return oracle_run[0]
 
 
 # sha256 of repr([m.rotations for m in generate_fullerenes(fc)]), recorded
@@ -67,6 +84,17 @@ ORACLE_DIGESTS = {
 def test_oracle_output_is_pinned(oracle, fc):
     rotations = repr([m.rotations for m in oracle[fc]]).encode()
     assert hashlib.sha256(rotations).hexdigest() == ORACLE_DIGESTS[fc]
+
+
+# sequences handed to ``wind`` per face count, counted before the search
+# memoised its boundary states: with the digests above, the memo hands
+# ``wind`` the same leaves
+ORACLE_WIND_CALLS = {12: 1, 13: 0, 14: 3, 15: 6, 16: 16, 17: 37, 18: 89,
+                     19: 171, 20: 387, 21: 656, 22: 1394}
+
+
+def test_oracle_winds_the_same_leaves(oracle_run):
+    assert oracle_run[1] == ORACLE_WIND_CALLS
 
 
 @pytest.fixture(scope="module")

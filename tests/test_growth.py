@@ -58,9 +58,9 @@ def test_family_two_boundary_state_repeats_every_six_faces():
     states = []
     for s in sizes[1:]:
         newest = len(pb.cycles) - 1
-        states.append([(d, newest - f)
-                       for (f, _), d in zip(pb.boundary, pb.vdeg)])
-        pb.glue(s, *_next_run(pb.boundary, pb.vdeg, newest))
+        states.append([(d, newest - ord(f))
+                       for f, d in zip(pb.owners, pb.vdeg)])
+        pb.glue(s, *_next_run(pb.owners, pb.vdeg, newest))
     # states[j - 1] is the state once j faces are glued
     assert all(states[j - 1] == states[j + 5]
                for j in range(8, len(states) - 5))

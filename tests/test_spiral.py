@@ -1,5 +1,5 @@
+import gc
 import os
-import sys
 from copy import copy
 from itertools import combinations
 
@@ -32,6 +32,12 @@ def test_wind_barrel(barrel):
 def test_wind_rejects_nonsense():
     assert wind([5] * 3) is None
     assert wind([3, 3, 3, 3, 3]) is None
+
+
+@pytest.mark.parametrize("sizes", [[5.0] * 12, [5] * 11 + ["5"], [2] * 12,
+                                   [6] + [5] * 12 + [None]])
+def test_wind_rejects_a_size_that_is_not_an_int_of_at_least_3(sizes):
+    assert wind(sizes) is None
 
 
 @pytest.mark.parametrize("fc,count", sorted(SMALL_COUNTS.items()))
@@ -109,8 +115,8 @@ def reference_next_run(pb):
 
 def copied(pb):
     """An independent builder in the state of ``pb``.  Its face cycles are
-    copied; ``glue`` replaces the boundary and degree lists rather than
-    mutating them, so those two are shared."""
+    copied; ``glue`` replaces the boundary strings and the slot list rather
+    than mutating them, so those are shared."""
     twin = copy(pb)
     twin.cycles = [c[:] for c in pb.cycles]
     return twin
@@ -154,20 +160,27 @@ def reference_search(face_count, visit=lambda pb, sizes: None):
 
 
 def search_nodes(face_count, monkeypatch):
-    """Run ``generate_fullerenes`` and return every search node that asks
-    ``_next_run`` for its run, as (prefix, boundary, vdeg, n2).  The prefix
-    and the carried n2 are read off the frame of the search step; the calls
-    that ``wind`` makes on the leaves are left out."""
+    """Run ``generate_fullerenes`` and return every node that its search
+    expands, as (prefix, owners, vdeg, n2, pents), with the carried n2 and
+    pentagon count.  The prefix is rebuilt from the calls: a node of j faces
+    is a child of the expanding node of j - 1, and its last face is a
+    pentagon exactly when its pentagon count rose."""
     nodes = []
+    path = []       # path[i]: (prefix, pents) of the open node of i + 1 faces
+    suffixes = spiral._suffixes
 
-    def recording_next_run(boundary, vdeg, last):
-        caller = sys._getframe(1)
-        if caller.f_code.co_name == "extend":
-            node = caller.f_locals
-            nodes.append((list(node["sizes"]), boundary, vdeg, node["n2"]))
-        return _next_run(boundary, vdeg, last)
+    def recording_suffixes(owners, vdeg, j, n2, pents, memo, hexagon_first):
+        if j == 1:
+            prefix = [len(owners)]
+        else:
+            parent, parent_pents = path[j - 2]
+            prefix = parent + [5 if pents > parent_pents else 6]
+        del path[j - 1:]
+        path.append((prefix, pents))
+        nodes.append((prefix, owners, vdeg, n2, pents))
+        return suffixes(owners, vdeg, j, n2, pents, memo, hexagon_first)
 
-    monkeypatch.setattr(spiral, "_next_run", recording_next_run)
+    monkeypatch.setattr(spiral, "_suffixes", recording_suffixes)
     generate_fullerenes(face_count)
     monkeypatch.undo()
     return nodes
@@ -180,25 +193,52 @@ def test_boundary_degree_identity_and_one_pass_run(fc, monkeypatch):
     states = {}
 
     def visit(pb, sizes):
-        n2, n3 = pb.vdeg.count(2), pb.vdeg.count(3)
-        assert n2 + n3 == len(pb.boundary)
+        n2, n3 = pb.vdeg.count("2"), pb.vdeg.count("3")
+        assert n2 + n3 == len(pb.owners)
         assert n2 - n3 == 6 - sizes.count(5)
-        assert (_next_run(pb.boundary, pb.vdeg, len(pb.cycles) - 1)
+        assert (_next_run(pb.owners, pb.vdeg, len(pb.cycles) - 1)
                 == reference_next_run(pb))
-        states[tuple(sizes)] = pb.boundary, pb.vdeg
+        states[tuple(sizes)] = pb.owners, pb.vdeg
 
     reference_search(fc, visit)
     assert states
     # the search's own nodes: the n2 it carries down is the count, and its
-    # boundary is the one a builder reaches on the same prefix by gluing
-    # over the runs ``wind`` picks (the reference search glues over
+    # boundary is the one a builder reaches on a prefix that reaches it by
+    # gluing over the runs ``wind`` picks (the reference search glues over
     # ``reference_next_run``, equal to ``_next_run`` above), so the degree-2
     # cut reasons about the patches that ``wind`` builds
     searched = search_nodes(fc, monkeypatch)
     assert searched
-    for prefix, boundary, vdeg, n2 in searched:
-        assert n2 == vdeg.count(2)
-        assert (boundary, vdeg) == states[tuple(prefix)]
+    for prefix, owners, vdeg, n2, _ in searched:
+        assert n2 == vdeg.count("2")
+        assert (owners, vdeg) == states[tuple(prefix)]
+
+
+@pytest.mark.parametrize("fc", range(12, 19))
+def test_search_state_fixes_the_pentagon_count(fc, monkeypatch):
+    # the memo key (j, owners + vdeg) stands for the pentagon count that
+    # the cuts read, by p5 = b - 2 n2 + 6 (the ``spiral`` docstring); and
+    # the memo expands each state once per root size
+    searched = search_nodes(fc, monkeypatch)
+    assert searched
+    for prefix, owners, vdeg, n2, pents in searched:
+        assert pents == prefix.count(5) == len(owners) - 2 * n2 + 6
+    keys = [(prefix[0], len(prefix), owners + vdeg)
+            for prefix, owners, vdeg, _, _ in searched]
+    assert len(set(keys)) == len(keys)
+
+
+def test_search_memo_dies_with_the_call():
+    # the memo goes when the call returns, by reference counting; a search
+    # that kept it in a reference cycle would hold it until a full collection
+    generate_fullerenes(14)
+    gc.collect()
+    gc.disable()
+    try:
+        generate_fullerenes(17)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("fc", range(12, 18))
@@ -210,8 +250,8 @@ def test_degree_two_cut_keeps_every_fullerene_sequence(fc, monkeypatch):
         pb = PatchBuilder(sizes[0])
         for j in range(1, fc - 1):
             pb.glue(sizes[j],
-                    *_next_run(pb.boundary, pb.vdeg, len(pb.cycles) - 1))
-            assert pb.vdeg.count(2) <= 2 * (fc - j - 2)
+                    *_next_run(pb.owners, pb.vdeg, len(pb.cycles) - 1))
+            assert pb.vdeg.count("2") <= 2 * (fc - j - 2)
     # and the search reaches every good sequence it does not leave to its
     # reversal, so no prefix of one is ever cut
     wound = []
@@ -287,11 +327,14 @@ def test_only_kept_isomers_pay_for_a_mirror_word(monkeypatch):
 
 
 @pytest.mark.skipif(os.environ.get("FULLERKIT_SLOW") != "1",
-                    reason="slow (about 30 s); set FULLERKIT_SLOW=1 to run")
-def test_oracle_matches_growth_at_c42_and_c44():
-    grown = enumerate_maps(12)
-    for fc in (23, 24):
+                    reason="slow (about 35 s); set FULLERKIT_SLOW=1 to run")
+def test_oracle_matches_growth_from_c42_to_c48():
+    # 45, 89, 116 and 199 isomers at C42, C44, C46 and C48 (OEIS A007894,
+    # which ``test_growth`` checks the growth enumeration against)
+    grown = enumerate_maps(14)
+    for fc in (23, 24, 25, 26):
         n = 2 * (fc - 2)
         want = {code for code, m in grown.items() if m.f0 == n}
-        got = {m.canonical_code() for m in generate_fullerenes(fc)}
-        assert got == want
+        maps = generate_fullerenes(fc)
+        got = {m.canonical_code() for m in maps}
+        assert got == want and len(maps) == len(want)

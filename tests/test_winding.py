@@ -7,7 +7,7 @@ from paper_lemmas import run_faces, runs, screw_family_two
 
 def test_single_face_boundary():
     pb = PatchBuilder(5)
-    assert len(pb.boundary) == 5
+    assert len(pb.owners) == 5
     # every boundary vertex has degree 2, so each edge is its own run
     assert runs(pb) == [(i, 1) for i in range(5)]
 
@@ -16,7 +16,7 @@ def test_glue_updates_boundary():
     pb = PatchBuilder(5)
     pb.glue(5, 0, 1)
     # two pentagons sharing an edge: boundary has 8 edges
-    assert len(pb.boundary) == 8
+    assert len(pb.owners) == 8
     assert pb.cycles[0].count(None) == 4
     assert pb.cycles[1].count(None) == 4
 
@@ -31,7 +31,7 @@ def test_run_faces_and_elementary_runs():
     pb = PatchBuilder(5)
     pb.glue(5, 0, 1)
     found = runs(pb)
-    assert sum(length for _, length in found) == len(pb.boundary)
+    assert sum(length for _, length in found) == len(pb.owners)
     for start, length in found:
         faces = run_faces(pb, start, length)
         assert faces  # every elementary run crosses at least one face
@@ -50,7 +50,7 @@ def test_to_map_requires_closed_patch():
 
 
 def _state(pb):
-    return repr(pb.cycles), pb.boundary[:], pb.vdeg[:], pb.closed
+    return repr(pb.cycles), pb.owners, pb.vdeg, pb.slots[:], pb.closed
 
 
 def _three_faces_round_a_vertex():
@@ -74,7 +74,7 @@ def test_failed_glue_leaves_builder_unchanged(size, run, message):
     pb = PatchBuilder(5)
     pb.glue(5, 0, 1)
     # boundary: 8 edges; vdeg 3 at positions 0 and 4, 2 elsewhere
-    assert pb.vdeg == [3, 2, 2, 2, 3, 2, 2, 2]
+    assert pb.vdeg == "32223222"
     before = _state(pb)
     with pytest.raises(WindingError, match=message):
         pb.glue(size, *run)
@@ -85,17 +85,20 @@ def test_splice_leaves_its_arguments_as_they_are():
     # the prefix search hands one boundary to both children of a node
     pb = PatchBuilder(5)
     pb.glue(5, 0, 1)
-    boundary, vdeg = pb.boundary, pb.vdeg
-    before = boundary[:], vdeg[:]
-    new, new_vdeg, covered = _splice(boundary, vdeg, 2, 6, 1, 1)
-    assert (boundary, vdeg) == before
-    assert covered == [boundary[1]]
-    assert len(new) == len(new_vdeg) == len(boundary) + 4
+    owners, vdeg = pb.owners, pb.vdeg
+    before = owners, vdeg
+    new, new_vdeg = _splice(owners, vdeg, 2, 6, 1, 1)
+    assert (owners, vdeg) == before
+    # the five new open edges replace the covered edge 1, and the boundary
+    # goes on from edge 2
+    assert new == "\2" * 5 + owners[2:] + owners[:1]
+    assert new_vdeg == "322223" + vdeg[3:] + vdeg[:1]
+    assert len(new) == len(new_vdeg) == len(owners) + 4
     for size, run, message in [(5, (0, 1), "endpoints must be degree-2"),
                                (6, (1, 2), "interior vertex has degree 2")]:
         with pytest.raises(WindingError, match=message):
-            _splice(boundary, vdeg, 2, size, *run)
-        assert (boundary, vdeg) == before
+            _splice(owners, vdeg, 2, size, *run)
+        assert (owners, vdeg) == before
 
 
 def test_failed_glue_over_one_face_twice_leaves_builder_unchanged():
@@ -120,7 +123,7 @@ def test_close_over_a_degree_two_vertex_leaves_builder_unchanged():
 def _closed_dodecahedron():
     pb = PatchBuilder(5)
     for _ in range(10):
-        pb.glue(5, *_next_run(pb.boundary, pb.vdeg, len(pb.cycles) - 1))
+        pb.glue(5, *_next_run(pb.owners, pb.vdeg, len(pb.cycles) - 1))
     pb.close(5)
     return pb
 
