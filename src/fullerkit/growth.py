@@ -15,7 +15,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .belts import NotFullerene
 from .maps import CombMap, IsomerSet, MapError
-from .patterns import MatchResult, PatchPattern, _embeddings, match_pattern
+from .patterns import (MatchResult, PatchPattern, _embeddings, _match_result,
+                       match_pattern)
 from .rulefile import GrowthRule, StraightenStep, TruncStep, parse_file
 from .spiral import wind
 from .surgery import TruncationSpec, straighten, truncate
@@ -237,8 +238,10 @@ def _check_match(m: CombMap, pat: PatchPattern, at: MatchResult) -> None:
     d0 = at.origin[anchor]
     if not 0 <= d0 < len(m.face_of):
         raise NotAMatch("dart %d is not a dart of this map" % d0)
-    found = _embeddings(m, pat, anchor, 0, [d0], at.mirrored)
-    if not found or found[0].origin != at.origin:
+    found = (_embeddings(m, pat, anchor, 0, [d0], at.mirrored)
+             if m.face_size(m.face_of[d0]) == pat.sizes[anchor] else [])
+    if (not found or _match_result(m, pat, found[0], at.mirrored).origin
+            != at.origin):
         raise NotAMatch("not a match of this pattern at the given site")
 
 

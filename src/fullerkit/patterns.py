@@ -4,25 +4,30 @@ A pattern is a disk-shaped combinatorial map fragment: named faces with
 fixed sizes and cyclic neighbour lists in which ``B`` marks a boundary edge
 (an edge to a face outside the fragment).  Matching anchors one slot of a
 pattern face on a map dart and extends deterministically through the
-rotation structure, in both orientations.  A pattern builds its face graph
-when it is made, and compiles from it, on first use of an anchor face, one
-flat program per orientation: one step per internal pattern edge, binding
-the most constrained face first, then the ``B`` slots to check.  A run
-addresses darts by their position in the face orbit
-(:meth:`CombMap.face_positions`), so an attempt builds no list or dict.
-The anchor is the slot whose partial dart colour, the face sizes
-``(left, right, back, ahead)`` that the pattern fixes around it, has the
-fewest darts in the map (see :meth:`CombMap.colour_classes`), and only
-those darts are tried.  On a fullerene a pattern with two adjacent
-pentagons tries at most the darts between two pentagons, and none at all
-when the pentagons are isolated.
+rotation structure, in both orientations; an achiral pattern is searched
+unmirrored only unless every embedding is asked for, since a reflection of
+the pattern turns each mirrored embedding into an unmirrored one of the
+same faces.  A pattern builds its face graph when it is made, and
+compiles from it, on first use of an anchor face, one flat program per
+orientation: a step per internal pattern edge that two verified edges at
+a pattern vertex do not already force, binding the most constrained face
+first, then one check per run of ``B`` slots along one outside face.  A
+run addresses darts by their position in the face orbit
+(:meth:`CombMap.face_positions`), read from the matcher's view of the
+map, which holds each orbit twice over, so an attempt builds no list or
+dict and wraps no index.  The anchor is the slot whose partial dart
+colour, the face sizes ``(left, right, back, ahead)`` that the pattern
+fixes around it, has the fewest darts in the map (see
+:meth:`CombMap.colour_classes`), and only those darts are tried.  On a
+fullerene a pattern with two adjacent pentagons tries at most the darts
+between two pentagons, and none at all when the pentagons are isolated.
 """
-
 from __future__ import annotations
 
 from array import array
 from functools import lru_cache
 from itertools import chain, product
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .maps import CombMap
@@ -67,22 +72,21 @@ class PatchPattern:
             for name, cyc in self.faces.items()}
         self._check()
         self.first = next(n for n in self.faces if not self.is_wild(n))
-        # what every match program shares: the face indices, the faces in
-        # breadth-first order from first as (name, index), which is the key
-        # order of MatchResult.faces and .origin, and the B slots as (face
-        # index, slot) unmirrored and mirrored
+        # what every match program shares: the face indices, and the faces
+        # in breadth-first order from first as (name, index), which is the
+        # key order of MatchResult.faces and .origin
         self._index = {name: i for i, name in enumerate(self.faces)}
         self._order = tuple((name, self._index[name])
                             for name in _bfs(self._nbrs, [self.first]))
-        self._bslots: Tuple[_Slots, _Slots] = tuple(
-            tuple((self._index[name], sgn * i)
-                  for name, cyc in self.faces.items()
-                  for i, g in enumerate(cyc) if g == B)
-            for sgn in (1, -1))
+        # the vertices where three faces meet and the B slots to check,
+        # see _corners
+        self._corners: Optional[_Corners] = None
         # anchor name -> match programs, see _compile
         self._programs: Dict[str, _Compiled] = {}
         # mirrored -> anchor slots by partial colour, see _anchors
         self._anchors: Dict[bool, Tuple[Tuple[_Partial, str, int], ...]] = {}
+        # whether a reflection maps the pattern to itself, see _achiral
+        self._achiral: Optional[bool] = None
 
     def is_wild(self, name: str) -> bool:
         return self.sizes[name] is None
@@ -216,10 +220,20 @@ def match_pattern(m: CombMap, pat: PatchPattern,
     orientation with the same origin for ``pat.first`` are the same
     embedding, since every other face is bound from it; so the sort key is
     unique, and the first of an occurrence is the same whatever the anchor.
+
+    Unless ``all_embeddings`` is set, an achiral pattern is searched
+    unmirrored only.  It has an orientation-reversing self-symmetry sigma
+    (see :func:`_achiral`), and for each mirrored embedding phi, phi after
+    sigma is an unmirrored embedding of the same face set.  Unmirrored
+    embeddings come first, so every mirrored one would be dropped as a
+    repeat.  The search gives raw records, and a :class:`MatchResult` is
+    built only for an embedding that is returned.
     """
-    table = _partial_classes(m)
-    found: List[MatchResult] = []
-    for mirrored in (False, True):
+    table = _partial_classes(m)[0]
+    one_pass = not all_embeddings and _achiral(pat)
+    results: List[MatchResult] = []
+    seen_sites: Set[FrozenSet[int]] = set()
+    for mirrored in (False,) if one_pass else (False, True):
         best = None
         for colour, name, slot in _anchors(pat, mirrored):
             n, darts = table.get(colour, _ABSENT)
@@ -228,26 +242,22 @@ def match_pattern(m: CombMap, pat: PatchPattern,
                 if not n:
                     break
         n, darts, name, slot = best
-        if n:
-            found += _embeddings(m, pat, name, slot,
-                                 chain.from_iterable(darts), mirrored)
-    first = pat.first
-    found.sort(key=lambda res: (res.mirrored, res.origin[first]))
-    if all_embeddings:
-        return found
-    results: List[MatchResult] = []
-    seen_sites: Set[FrozenSet[int]] = set()
-    for res in found:
-        site = frozenset(res.faces.values())
-        if site not in seen_sites:
-            seen_sites.add(site)
-            results.append(res)
+        if not n:
+            continue
+        found = _embeddings(m, pat, name, slot, chain.from_iterable(darts),
+                            mirrored)
+        found.sort(key=itemgetter(0))
+        for rec in found:
+            if all_embeddings or rec[1] not in seen_sites:
+                seen_sites.add(rec[1])
+                results.append(_match_result(m, pat, rec, mirrored))
     return results
 
 
 # A partial dart colour: (left, right, back, ahead) face sizes, as in
 # CombMap.colour_classes, with None where the pattern leaves a size free.
 _Partial = Tuple[int, Optional[int], Optional[int], Optional[int]]
+_Classes = Dict[_Partial, Tuple[int, Tuple[array, ...]]]
 
 
 _ABSENT: Tuple[int, Tuple[array, ...]] = (0, ())
@@ -255,19 +265,27 @@ _ABSENT: Tuple[int, Tuple[array, ...]] = (0, ())
 
 @lru_cache(maxsize=1)
 def _partial_classes(m: CombMap
-                     ) -> Dict[_Partial, Tuple[int, Tuple[array, ...]]]:
-    """Per partial colour that some dart of the map has, the number of such
-    darts and their colour classes (see :meth:`CombMap.colour_classes`).
+                     ) -> Tuple[_Classes, Tuple[Tuple[int, ...], ...]]:
+    """The matcher's one view of a map.  First, per partial colour that
+    some dart of the map has, the number of such darts and their colour
+    classes (see :meth:`CombMap.colour_classes`).  Second, per face, its
+    orbit written twice, ``o + o``.
+
+    In a doubled orbit, entry ``p + i`` is the dart ``i`` steps along the
+    face from position ``p`` whenever ``-len(o) <= p + i < 2 * len(o)``
+    (a negative index counts from the end), and every index that a match
+    program makes lies there; so a step needs no ``%`` and no ``len``.
 
     Kept for the last map only: callers match one map against a list of
-    patterns in turn, and a map keeps no table once it is done with.
+    patterns in turn, and a map keeps no view once it is done with.
     """
     lists: Dict[_Partial, List[array]] = {}
     for (a, b, c, d), darts in m.colour_classes().items():
         for key in product((a,), (b, None), (c, None), (d, None)):
             lists.setdefault(key, []).append(darts)
-    return {key: (sum(map(len, classes)), tuple(classes))
-            for key, classes in lists.items()}
+    return ({key: (sum(map(len, classes)), tuple(classes))
+             for key, classes in lists.items()},
+            tuple(o + o for o in m.faces))
 
 
 def _anchors(pat: PatchPattern, mirrored: bool
@@ -299,18 +317,71 @@ def _anchors(pat: PatchPattern, mirrored: bool
     return anchors
 
 
-# One step per internal pattern edge, binds first (see _compile):
+def _achiral(pat: PatchPattern) -> bool:
+    """Whether the pattern has an orientation-reversing self-symmetry;
+    decided on first use.
+
+    Such a symmetry sigma maps each face X to a face of its size, and
+    slot ``i`` of X to slot ``c - i`` of sigma(X) for some offset ``c``,
+    so that ``B`` entries go to ``B`` entries and face entries to their
+    images.  The pattern is connected, so sigma follows from the image of
+    ``pat.first`` and its offset, and every choice of the two is tried.
+    A pattern with a wildcard face counts as chiral: its arcs are not
+    cycles.
+    """
+    if pat._achiral is None:
+        faces = pat.faces
+        pat._achiral = not any(map(pat.is_wild, faces)) and any(
+            _reflects(faces, {pat.first: (y, c)})
+            for y in faces for c in range(len(faces[y])))
+    return pat._achiral
+
+
+def _reflects(faces: Dict[str, Tuple[str, ...]],
+              sigma: Dict[str, Tuple[str, int]]) -> bool:
+    """Whether the one face -> (image, offset) pair in ``sigma`` extends
+    to an orientation-reversing self-symmetry; ``sigma`` is filled in."""
+    queue = list(sigma)
+    for x in queue:  # queue grows while it is walked
+        y, c = sigma[x]
+        if len(faces[x]) != len(faces[y]):
+            return False
+        for i, g in enumerate(faces[x]):
+            h = faces[y][(c - i) % len(faces[y])]
+            if B in (g, h):
+                if g != h:
+                    return False
+                continue
+            # the slot of x in g goes to the slot of y in h
+            image = (h, (faces[g].index(x) + faces[h].index(y))
+                     % len(faces[g]))
+            if g not in sigma:
+                queue.append(g)
+            if sigma.setdefault(g, image) != image:
+                return False
+    return len({y for y, _ in sigma.values()}) == len(sigma)
+
+
+# One step per pattern edge that is bound or checked (see _compile):
 # (source face, slot, target face, back-slot, size).  Faces are pattern
 # indices and slots are signed by the orientation.  A size of 0 checks that
 # the target, already bound, has its back-slot on the twin of the source
-# slot's dart.  Otherwise the target is bound so that it does, and its map
-# face must have that size, or at least minus that many darts when the size
-# is negative: a wildcard's arc length.  Then each (face, slot) of the B list
-# must lead off the matched set.
+# slot's dart.  Otherwise the target is bound so that it does, and the
+# doubled orbit of its map face must have that length, or at least minus
+# that length when the size is negative: twice a wildcard's arc length.
+# Then each (face, slot) of the B list must lead off the matched set.
 _Step = Tuple[int, int, int, int, int]
 _Slots = Tuple[Tuple[int, int], ...]
 _Program = Tuple[Tuple[_Step, ...], _Slots]
 _Compiled = Tuple[_Program, _Program]
+# The face index triples that meet at a pattern vertex, and the B slots to
+# check, unmirrored (see _corners)
+_Corners = Tuple[Tuple[Tuple[int, int, int], ...], _Slots]
+# An embedding as the search gives it (see _embeddings): the origin dart of
+# pat.first, the map faces covered, and per pattern face its doubled orbit
+# and the position of its origin dart in that orbit.
+_Record = Tuple[int, FrozenSet[int], Tuple[Tuple[int, ...], ...],
+                Tuple[int, ...]]
 
 
 def _compile(pat: PatchPattern, anchor: str) -> _Compiled:
@@ -318,23 +389,40 @@ def _compile(pat: PatchPattern, anchor: str) -> _Compiled:
     use.
 
     Faces are bound one at a time, each over an edge from a bound face,
-    most constrained first: the face nearest to a face of the anchor's
-    size (to a pentagon, when the anchor is one), then the one with the
-    most bound neighbours, then the first in breadth-first order from the
-    anchor.  Of a face's edges to the faces bound before it, the first
-    binds it and the others are checked after every face is bound, so each
-    internal edge is emitted once and a wrong face size, which is how most
-    attempts fail, is met before any check.
+    most constrained first: the face nearest to another face of the
+    anchor's size (to another pentagon, when the anchor is one), then the
+    one with the most bound neighbours, then the first in breadth-first
+    order from the anchor.  Of a face's edges to the faces bound before
+    it, the first binds it and the others are left to check after every
+    face is bound, so a wrong face size, which is how most attempts fail,
+    is met before any check.
+
+    An edge that two verified edges force is not checked.  Say faces X, Y
+    and Z meet at a pattern vertex v (see :func:`_corners`), and the map
+    darts of the X-Y and X-Z edges are verified twins, by a bind or a
+    check.  The binds put the three on distinct map faces.  Of the three
+    darts out of v, X's slot after v is on X and the twin of X's slot
+    before v is on Z; call the third e.  The dart of Y's X-edge enters v,
+    so the next dart along Y leaves v, and lying on Y it is e.  The dart
+    of Z before its X-edge enters v, and lying on Z it is neither X's slot
+    before v nor the twin of X's slot after v, which is on Y; so it is the
+    twin of e.  So Y and Z share the edge that the pattern gives them at
+    v, and the same holds, with the walks reversed, when the embedding is
+    mirrored.  The bind edges are verified first, then each left-over
+    edge in turn is checked unless the closure of the verified edges over
+    the pattern's vertices holds it.
     """
     compiled = pat._programs.get(anchor)
     if compiled is None:
         faces, sizes, nbrs, index = pat.faces, pat.sizes, pat._nbrs, pat._index
         rank = {n: i for i, n in enumerate(_bfs(nbrs, [anchor]))}
-        dist = _bfs(nbrs, [n for n in faces if sizes[n] == sizes[anchor]])
+        others = [n for n in faces
+                  if n != anchor and sizes[n] == sizes[anchor]]
+        dist = _bfs(nbrs, others or [anchor])
         bound: Set[str] = set()
         frontier: Dict[str, int] = {}  # unbound face -> bound neighbours
-        binds: List[_Step] = []
-        checks: List[_Step] = []
+        steps: List[_Step] = []
+        rest: List[Tuple[int, int, int, int]] = []
         g = anchor
         while True:
             bound.add(g)
@@ -347,15 +435,93 @@ def _compile(pat: PatchPattern, anchor: str) -> _Compiled:
             del frontier[g]
             edges = [(index[h], faces[h].index(g), index[g], j)
                      for j, h in enumerate(faces[g]) if h != B and h in bound]
-            k = len(faces[g])
-            binds.append(edges[0] + (-k if pat.is_wild(g) else k,))
-            checks.extend(e + (0,) for e in edges[1:])
-        steps = binds + checks
+            k = 2 * len(faces[g])
+            steps.append(edges[0] + (-k if pat.is_wild(g) else k,))
+            rest.extend(edges[1:])
+        vertices, bslots = _corners(pat)
+        verified = {frozenset((src, dst)) for src, _, dst, _, _ in steps}
+        for edge in rest:
+            _close(verified, vertices)
+            pair = frozenset((edge[0], edge[2]))
+            if pair not in verified:
+                verified.add(pair)
+                steps.append(edge + (0,))
         compiled = pat._programs[anchor] = (
-            (tuple(steps), pat._bslots[0]),
+            (tuple(steps), bslots),
             (tuple((src, -i, dst, -j, k) for src, i, dst, j, k in steps),
-             pat._bslots[1]))
+             tuple((f, -i) for f, i in bslots)))
     return compiled
+
+
+def _close(verified: Set[FrozenSet[int]],
+           vertices: Sequence[Tuple[int, int, int]]) -> None:
+    """Adds to ``verified`` every edge that two verified edges at one
+    vertex force, until there is none."""
+    grown = True
+    while grown:
+        grown = False
+        for x, y, z in vertices:
+            missing = {frozenset((x, y)), frozenset((y, z)),
+                       frozenset((x, z))} - verified
+            if len(missing) == 1:
+                verified |= missing
+                grown = True
+
+
+def _corners(pat: PatchPattern) -> _Corners:
+    """The pattern's vertices where three of its faces meet, as face
+    index triples, and the unmirrored B slots to check; built on first
+    use.
+
+    Corner ``i`` of a face X is the vertex v between its entries
+    Z = X[i - 1] and Y = X[i]; a wildcard face has corners inside its arc
+    only.  Let Z be a face, with X at its slot ``l``.  Then Z's slot
+    ``l - 1`` is its edge at v that X does not have.  If Y is a face too,
+    with X at its slot ``j``, Y[j + 1] is Z and Z[l - 1] is Y, then X, Y
+    and Z meet at v.  If X[i] and Z[l - 1] are both B, the two slots lead
+    to one face, the third at v.  At a cubic vertex, the dart after one
+    into v along its face is the next dart out of v in rotation.  X's slot
+    ``i`` follows its slot ``i - 1``, and Z's slot ``l``, the twin of X's
+    slot ``i - 1``, follows Z's slot ``l - 1``.  So the dart after the
+    twin of X's slot ``i`` is the third dart e out of v, and Z's slot
+    ``l - 1`` is the twin of e: the faces across both slots hold e.  So
+    each run of B slots along one outside face needs one check, of its
+    first slot.  Both facts hold once the X-Z edge is verified, which a
+    program has done before its B checks.
+    """
+    if pat._corners is not None:
+        return pat._corners
+    faces, index = pat.faces, pat._index
+
+    def entry(name: str, s: int) -> Optional[str]:
+        cyc = faces[name]
+        return (cyc[s % len(cyc)] if pat.sizes[name] or 0 <= s < len(cyc)
+                else None)
+
+    vertices: Set[Tuple[int, int, int]] = set()
+    bslots = [(x, i) for x, cyc in faces.items()
+              for i, g in enumerate(cyc) if g == B]
+    first = {s: s for s in bslots}  # B slot -> first slot of its face
+    for x, cyc in faces.items():
+        for i, y in enumerate(cyc):
+            z = entry(x, i - 1)
+            if z is None or z == B:
+                continue
+            l = faces[z].index(x) - 1
+            if y != B:
+                if entry(y, faces[y].index(x) + 1) == z and entry(z, l) == y:
+                    vertices.add(tuple(sorted((index[x], index[y],
+                                               index[z]))))
+            elif entry(z, l) == B:
+                keep, drop = sorted((first[x, i],
+                                     first[z, l % len(faces[z])]),
+                                    key=bslots.index)
+                first = {s: keep if r == drop else r
+                         for s, r in first.items()}
+    pat._corners = (tuple(sorted(vertices)),
+                    tuple((index[x], i) for x, i in bslots
+                          if first[x, i] == (x, i)))
+    return pat._corners
 
 
 def _bfs(nbrs: Dict[str, List[str]], roots: List[str]) -> Dict[str, int]:
@@ -372,58 +538,61 @@ def _bfs(nbrs: Dict[str, List[str]], roots: List[str]) -> Dict[str, int]:
 
 
 def _embeddings(m: CombMap, pat: PatchPattern, anchor: str, slot: int,
-                darts: Iterable[int], mirrored: bool) -> List[MatchResult]:
-    """Embeddings with slot ``slot`` of ``anchor`` on one of the given darts.
+                darts: Iterable[int], mirrored: bool) -> List[_Record]:
+    """Embeddings with slot ``slot`` of ``anchor`` on one of the given
+    darts, which must lie on faces of the anchor's size.
 
     Each dart yields at most one embedding: the program binds every other
-    face from the anchor's position.  A face's origin is kept as its orbit
-    tuple and the position of the origin dart in it, so slot ``i`` of the
-    face is ``orbit[(position + i) % len(orbit)]``, ``- i`` when mirrored.
+    face from the anchor's position.  A face's origin is kept as its
+    doubled orbit (see :func:`_partial_classes`) and the position of the
+    origin dart in it, so slot ``i`` of the face is entry ``position + i``,
+    ``- i`` when mirrored.  An embedding is returned as a raw record, for
+    :func:`_match_result` to make a :class:`MatchResult` of.
     """
     steps, bslots = _compile(pat, anchor)[mirrored]
-    order, a = pat._order, pat._index[anchor]
-    size = pat.sizes[anchor]
+    a, x0 = pat._index[anchor], pat._order[0][1]
     shift = -slot if mirrored else slot
-    faces, face_of, twin = m.faces, m.face_of, m.twin
+    face_of, twin = m.face_of, m.twin
+    orbits = _partial_classes(m)[1]
     pos = m.face_positions()
     # per pattern face: its orbit and origin position, both overwritten by
     # every attempt before they are read
-    orb: List[Tuple[int, ...]] = [()] * len(order)
-    org = [0] * len(order)
-    out: List[MatchResult] = []
+    orb: List[Tuple[int, ...]] = [()] * len(pat.faces)
+    org = [0] * len(pat.faces)
+    out: List[_Record] = []
     for d0 in darts:
         f = face_of[d0]
-        o = faces[f]
-        if len(o) != size:
-            continue
-        orb[a], org[a] = o, pos[d0] - shift
+        orb[a], org[a] = orbits[f], pos[d0] - shift
         used = {f}
         for src, i, dst, j, k in steps:
-            so = orb[src]
-            t = twin[so[(org[src] + i) % len(so)]]
+            t = twin[orb[src][org[src] + i]]
             if k:
                 g = face_of[t]
-                go = faces[g]
+                go = orbits[g]
                 kg = len(go)
                 if (kg != k if k > 0 else kg < -k) or g in used:
                     break
                 used.add(g)
                 orb[dst], org[dst] = go, pos[t] - j
-            else:
-                do = orb[dst]
-                if do[(org[dst] + j) % len(do)] != t:
-                    break
+            elif orb[dst][org[dst] + j] != t:
+                break
         else:
             for src, i in bslots:
-                so = orb[src]
-                if face_of[twin[so[(org[src] + i) % len(so)]]] in used:
+                if face_of[twin[orb[src][org[src] + i]]] in used:
                     break
             else:
-                out.append(MatchResult(
-                    {n: face_of[orb[x][0]] for n, x in order},
-                    {n: orb[x][org[x] % len(orb[x])] for n, x in order},
-                    mirrored))
+                out.append((orb[x0][org[x0]], frozenset(used), tuple(orb),
+                            tuple(org)))
     return out
+
+
+def _match_result(m: CombMap, pat: PatchPattern, rec: _Record,
+                  mirrored: bool) -> MatchResult:
+    """The :class:`MatchResult` of a record of :func:`_embeddings`."""
+    _, _, orb, org = rec
+    face_of = m.face_of
+    return MatchResult({n: face_of[orb[x][0]] for n, x in pat._order},
+                       {n: orb[x][org[x]] for n, x in pat._order}, mirrored)
 
 
 def path_turns(m: CombMap, path: List[int]) -> int:

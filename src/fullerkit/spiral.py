@@ -47,11 +47,16 @@ sequence, so each map it returns has 12 pentagons and F - 12 hexagons.
 Equal boundaries are searched once.  A node gives the size suffixes below
 it that reach a leaf, and one call of ``generate_fullerenes`` memoises
 them per root size, keyed by the number j of faces glued and the string
-``owners + vdeg``.  Everything the subtree below a node reads is a
-function of that key, F and the root size: ``_next_run`` reads owner ids
-only through ``min``, equality with j - 1 and distinctness, ``_splice``
-writes j, and the cuts read n2 (the ``'2'`` count of ``vdeg``), the run
-length, j, the root size and the pentagon count p5.  That count is read
+``owners``.  That string fixes ``vdeg`` as well: ``vdeg[i]`` is ``'2'``
+exactly when ``owners[i - 1] == owners[i]``.  A degree-2 boundary vertex
+lies on one face, which owns both boundary edges there.  At a degree-3
+one the interior edge lies between the faces that own the two boundary
+edges, and those differ, since a glued face meets only faces glued
+before it.  Everything the subtree below a node reads is a function of
+the key, F and the root size: ``_next_run`` reads owner ids only through
+``min``, equality with j - 1 and distinctness, ``_splice`` writes j, and
+the cuts read n2 (the ``'2'`` count of ``vdeg``), the run length, j, the
+root size and the pentagon count p5.  That count is read
 off the boundary as well.  Gluing a face of size s over l edges changes
 the boundary length b by s - 2l and n2 by s - l - 3, so b - 2 n2 rises by
 6 - s; one face has b = n2 = s, so p5 = b - 2 n2 + 6 at every node (Euler).
@@ -148,8 +153,9 @@ def _suffixes(owners: str, vdeg: str, j: int, n2: int, pents: int,
     prefix of ``j`` faces with this boundary to a leaf, in search order.
 
     ``n2`` is the boundary's number of degree-2 vertices and ``pents`` its
-    pentagon count.  ``memo[i]`` maps ``owners + vdeg`` of a state with
-    ``i`` faces to its suffixes; its length is the face count less one.
+    pentagon count.  ``memo[i]`` maps ``owners`` of a state with ``i``
+    faces, which fixes its ``vdeg`` (module docstring), to its suffixes;
+    its length is the face count less one.
     A state whose next face cannot be glued gives ``()``.
     """
     face_count = len(memo) + 1
@@ -178,10 +184,9 @@ def _suffixes(owners: str, vdeg: str, j: int, n2: int, pents: int,
             found.append(c + ("5" if p == 11 else "6"))
             continue
         level = memo[j + 1]
-        key = child + child_vdeg
-        below = level.get(key)
+        below = level.get(child)
         if below is None:
-            below = level[key] = _suffixes(
+            below = level[child] = _suffixes(
                 child, child_vdeg, j + 1, n2 + s - length - 3, p, memo,
                 hexagon_first)
         found.extend([c + t for t in below])

@@ -11,8 +11,9 @@ A boundary is two immutable strings of one length b, in boundary order:
 ``owners`` holds ``chr(face id)`` for each open edge, and ``vdeg`` holds
 ``'2'`` or ``'3'`` for the boundary vertex before each edge.  On strings
 the run rule and the splice are slices, ``find`` and ``in`` tests that run
-in C, the two strings can be shared by a search node's children, and
-``owners + vdeg`` is a whole boundary state in one hashable key.
+in C, and the two strings can be shared by a search node's children.
+``owners`` alone is a whole boundary state in one hashable key, since it
+fixes ``vdeg`` (see ``spiral``).
 
 ``spiral.wind`` drives the builder, choosing each run by
 ``spiral._next_run``; every seed and the exhaustive face-spiral generator

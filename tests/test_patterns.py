@@ -488,37 +488,122 @@ def test_every_anchor_gives_the_reference_matches(fixture_maps,
     assert compared > 10000
 
 
+def consecutive(pat, name):
+    """(slot, entry before it, its entry) along a face; a wildcard's arc
+    does not wrap round."""
+    cyc = pat.faces[name]
+    return [(s, cyc[s - 1], cyc[s])
+            for s in range(1 if pat.is_wild(name) else 0, len(cyc))]
+
+
+def pattern_vertices(pat):
+    """Face triples (X, Y, Z) that meet at a pattern vertex: X lists Z then
+    Y, Y lists X then Z and Z lists Y then X, each consecutively."""
+    pairs = {n: {(a, b) for _, a, b in consecutive(pat, n)}
+             for n in pat.faces}
+    return [(x, y, z) for x in pat.faces for z, y in pairs[x]
+            if B not in (y, z) and (x, z) in pairs[y] and (y, x) in pairs[z]]
+
+
+def closure(verified, vertices):
+    """The edges (face pairs) that the verified ones force: at a vertex,
+    two verified edges force the third."""
+    verified = set(verified)
+    grown = True
+    while grown:
+        grown = False
+        for x, y, z in vertices:
+            sides = [frozenset(e) for e in ((x, y), (y, z), (z, x))]
+            missing = [e for e in sides if e not in verified]
+            if len(missing) == 1:
+                verified.add(missing[0])
+                grown = True
+    return verified
+
+
+def same_face_b_runs(pat):
+    """The B slots in classes that lead to one outside face: X's B slot s
+    after a face Z, and Z's B slot just before X, share the vertex between
+    them and its third face."""
+    links = {}
+    for x in pat.faces:
+        for s, z, g in consecutive(pat, x):
+            if g == B and z != B:
+                for t, h, y in consecutive(pat, z):
+                    if y == x and h == B:
+                        other = (z, (t - 1) % len(pat.faces[z]))
+                        links.setdefault((x, s), set()).add(other)
+                        links.setdefault(other, set()).add((x, s))
+    slots = [(n, i) for n, cyc in pat.faces.items()
+             for i, g in enumerate(cyc) if g == B]
+    classes, seen = [], set()
+    for s in slots:
+        if s not in seen:
+            todo, cls = [s], set()
+            while todo:
+                t = todo.pop()
+                if t not in cls:
+                    cls.add(t)
+                    todo.extend(links.get(t, ()))
+            seen |= cls
+            classes.append(cls)
+    return classes
+
+
+def cap_with_wildcards(count):
+    """The dodecahedron's pentagon with its five neighbours, ``count`` of
+    them wildcards: a wildcard arc does not wrap, so some vertices are
+    lost and some edges stay to check."""
+    m = seed_dodecahedron()
+    pat = extract_patch(m, [0] + m.face_neighbors(0))
+    return PatchPattern(pat.faces, wildcard=list(pat.faces)[1:1 + count])
+
+
 def test_each_program_binds_each_face_and_checks_each_edge_once():
-    for pat in catalog_patterns() + [road(3)]:
+    # every internal edge is bound once, or checked once after every face
+    # is bound, or forced at a pattern vertex by two verified edges; and
+    # no edge is checked that the edges verified before it force
+    pats = catalog_patterns() + [road(3)] + list(fragment_catalog().values())
+    pats += [cap_with_wildcards(1), cap_with_wildcards(5)]
+    checks = 0
+    for pat in pats:
         names = list(pat.faces)
         edges = {frozenset((n, g)) for n, cyc in pat.faces.items()
                  for g in cyc if g != B}
+        vertices = pattern_vertices(pat)
+        runs = same_face_b_runs(pat)
         for anchor in names:
             if pat.is_wild(anchor):
                 continue
             for sgn, (steps, bslots) in zip((1, -1),
                                             patterns._compile(pat, anchor)):
                 bound = [anchor]
-                checked = []
+                verified = set()
                 for src, i, dst, j, k in steps:
                     s, d = names[src], names[dst]
                     assert pat.faces[s][sgn * i] == d
                     assert pat.faces[d][sgn * j] == s
                     assert s in bound
+                    edge = frozenset((s, d))
                     if k:
                         assert d not in bound
-                        assert k == (-1 if pat.is_wild(d) else 1) * len(
+                        assert k == (-2 if pat.is_wild(d) else 2) * len(
                             pat.faces[d])
                         bound.append(d)
                     else:
-                        assert d in bound
-                    checked.append(frozenset((s, d)))
+                        assert sorted(bound) == sorted(names)
+                        assert edge not in closure(verified, vertices)
+                        checks += 1
+                    assert edge not in verified
+                    verified.add(edge)
                 assert sorted(bound) == sorted(names)
-                assert len(checked) == len(set(checked))
-                assert set(checked) == edges
-                assert sorted((names[f], sgn * i) for f, i in bslots) == \
-                    sorted((n, i) for n, cyc in pat.faces.items()
-                           for i, g in enumerate(cyc) if g == B)
+                assert closure(verified, vertices) == edges
+                # one B check per run of B slots along one outside face
+                checked = {(names[f], sgn * i) for f, i in bslots}
+                assert len(checked) == len(bslots)
+                assert checked <= set().union(*runs)
+                assert all(len(run & checked) == 1 for run in runs)
+    assert checks > 0
 
 
 def test_large_maps_match_as_the_reference():
@@ -552,3 +637,74 @@ def test_fixed_face_with_only_free_neighbours(fixture_maps):
         (5, None, None, None)}
     compared = sum(assert_same_matches(m, pat) for m in fixture_maps)
     assert compared > 100
+
+
+# -- the mirror pass ----------------------------------------------------------
+
+def named_patterns():
+    """Every catalog LHS and RHS, every named fragment and road(3)."""
+    return catalog_patterns() + list(fragment_catalog().values()) + [road(3)]
+
+
+def first_per_face_set(results):
+    seen, out = set(), []
+    for res in results:
+        site = frozenset(res.faces.values())
+        if site not in seen:
+            seen.add(site)
+            out.append(res)
+    return out
+
+
+def test_default_matches_are_the_first_embedding_per_face_set(fixture_maps):
+    # the default list is the all_embeddings list reduced, whether or not
+    # the mirrored pass ran
+    compared = 0
+    for m in fixture_maps:
+        for pat in named_patterns():
+            want = as_rows(first_per_face_set(
+                match_pattern(m, pat, all_embeddings=True)))
+            assert as_rows(match_pattern(m, pat)) == want
+            compared += len(want)
+    assert compared > 1000
+
+
+def test_achiral_catalog_patterns():
+    achiral = {(r.key, side) for r in load_rules()
+               for side, pat in (("lhs", r.lhs), ("rhs", r.rhs))
+               if patterns._achiral(pat)}
+    assert achiral == (
+        {(key, "lhs") for key in ("a", "b", "c", "e", "f3", "f4", "f5", "f6",
+                                  "g1_1", "g2_2")}
+        | {(key, "rhs") for key in ("a", "b", "c", "g1_1", "g2_2")})
+    assert {name for name, pat in fragment_catalog().items()
+            if patterns._achiral(pat)} == {
+        "adjacent_pentagons_1", "adjacent_pentagons_2",
+        "adjacent_pentagons_3"}
+    assert patterns._achiral(road(3))
+
+
+def test_a_wildcard_pattern_counts_as_chiral():
+    faces = {"P": ["W", B, B, B, B], "W": ["P", B, B, B, B]}
+    assert patterns._achiral(PatchPattern(faces))
+    assert not patterns._achiral(PatchPattern(faces, wildcard={"W"}))
+    assert not patterns._achiral(rules_by_id("d")[0].lhs)
+
+
+def test_no_mirrored_program_runs_for_an_achiral_pattern(fixture_maps,
+                                                         monkeypatch):
+    runs = []
+    kernel = patterns._embeddings
+
+    def hook(m, pat, anchor, slot, darts, mirrored):
+        runs.append((patterns._achiral(pat), mirrored))
+        return kernel(m, pat, anchor, slot, darts, mirrored)
+
+    monkeypatch.setattr(patterns, "_embeddings", hook)
+    for every in (False, True):
+        runs.clear()
+        for m in fixture_maps:
+            for pat in named_patterns():
+                match_pattern(m, pat, all_embeddings=every)
+        mirrored_runs = {achiral for achiral, mirrored in runs if mirrored}
+        assert mirrored_runs == ({False, True} if every else {False})
