@@ -1,10 +1,13 @@
 """Cubic planar combinatorial maps: construction, validation, canonical forms.
 
-A map is stored as a rotation system: for every vertex, the cyclic
+A map is given by a rotation system: for every vertex, the cyclic
 (counterclockwise) list of its three neighbours.  Darts are dense integers
-``3 * v + slot`` where ``slot`` indexes the rotation list of ``v``.  Faces are
-the orbits of ``prev o twin`` and are traversed with the interior on the left.
-All maps are immutable after construction; surgery returns fresh maps.
+``3 * v + slot`` where ``slot`` indexes the rotation list of ``v``, and a map
+stores them once, as the involution ``twin``: the dart ``3 * v + slot``
+points to vertex ``twin[3 * v + slot] // 3``, so the rotation rows are read
+off ``twin``.  Faces are the orbits of ``prev o twin`` and are traversed with
+the interior on the left.  All maps are immutable after construction;
+surgery returns fresh maps.
 """
 
 from __future__ import annotations
@@ -48,27 +51,24 @@ class Disconnected(MapError):
 class CombMap:
     """Immutable cubic planar map given by per-vertex rotations.
 
-    The constructor trusts its four fields and checks nothing; build maps
-    with :meth:`from_rotations` or :meth:`from_face_cycles`, which check
-    everything.  The one other caller is ``surgery.truncate``, which patches
-    a valid map into another valid one and keeps the ``from_rotations``
-    face numbering.
+    It stores ``twin``, ``face_of`` and ``faces``; :attr:`rotations` is
+    derived from ``twin``.  The constructor trusts its three fields and
+    checks nothing; build maps with :meth:`from_rotations` or
+    :meth:`from_face_cycles`, which check everything.  The one other
+    caller is ``surgery.truncate``, which patches a valid map into another
+    valid one and keeps the ``from_rotations`` face numbering.
     """
 
-    __slots__ = ("rotations", "twin", "face_of", "faces", "_cycles",
-                 "_nbr_sets", "_pos", "_fullerene", "_belts", "_colours",
-                 "_words", "_frames")
+    __slots__ = ("twin", "face_of", "faces", "_cycles", "_nbr_sets",
+                 "_fullerene", "_belts", "_colours", "_words", "_frames")
 
-    def __init__(self, rotations: Tuple[Tuple[int, int, int], ...],
-                 twin: Tuple[int, ...], face_of: Tuple[int, ...],
+    def __init__(self, twin: Tuple[int, ...], face_of: Tuple[int, ...],
                  faces: Tuple[Tuple[int, ...], ...]) -> None:
-        self.rotations = rotations
         self.twin = twin
         self.face_of = face_of
         self.faces = faces
         self._cycles: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._nbr_sets: Optional[Tuple[FrozenSet[int], ...]] = None
-        self._pos: Optional[Tuple[int, ...]] = None
         self._fullerene: Optional[bool] = None
         # k -> the k-belts, filled by belts.find_k_belts
         self._belts: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
@@ -142,7 +142,7 @@ class CombMap:
         f0, f1, f2 = n, 3 * n // 2, len(faces)
         if f0 - f1 + f2 != 2:
             raise NonPlanar("Euler count %d != 2" % (f0 - f1 + f2))
-        return cls(tuple(rot), tuple(twin), tuple(face_of), tuple(faces))
+        return cls(tuple(twin), tuple(face_of), tuple(faces))
 
     @classmethod
     def from_face_cycles(cls, cycles: Sequence[Sequence[int]]) -> "CombMap":
@@ -204,12 +204,19 @@ class CombMap:
     # -- basic accessors ----------------------------------------------------
 
     @property
+    def rotations(self) -> Tuple[Tuple[int, int, int], ...]:
+        """Per vertex, its three neighbours in cyclic order: the heads of
+        its darts, built from ``twin`` in O(n) on every read."""
+        heads = [t // 3 for t in self.twin]
+        return tuple(zip(heads[0::3], heads[1::3], heads[2::3]))
+
+    @property
     def f0(self) -> int:
-        return len(self.rotations)
+        return len(self.twin) // 3
 
     @property
     def f1(self) -> int:
-        return 3 * len(self.rotations) // 2
+        return len(self.twin) // 2
 
     @property
     def f2(self) -> int:
@@ -217,7 +224,7 @@ class CombMap:
 
     def head(self, d: int) -> int:
         """Vertex the dart points to."""
-        return self.rotations[d // 3][d % 3]
+        return self.twin[d] // 3
 
     def tail(self, d: int) -> int:
         """Vertex the dart starts from."""
@@ -255,7 +262,7 @@ class CombMap:
 
     def dart(self, u: int, v: int) -> int:
         """The dart from vertex ``u`` to its neighbour ``v``."""
-        return 3 * u + self.rotations[u].index(v)
+        return 3 * u + [t // 3 for t in self.twin[3 * u:3 * u + 3]].index(v)
 
     def face_size(self, f: int) -> int:
         return len(self.faces[f])
@@ -289,19 +296,6 @@ class CombMap:
         if self._nbr_sets is None:
             self._nbr_sets = tuple(map(frozenset, self.face_cycles()))
         return self._nbr_sets
-
-    def face_positions(self) -> Tuple[int, ...]:
-        """Per dart, its index in its face's orbit: ``d`` is
-        ``faces[face_of[d]][face_positions()[d]]``, and ``i`` steps along
-        the face from ``d`` is the orbit entry ``i`` further on, cyclically.
-        Built on first use and cached."""
-        if self._pos is None:
-            pos = [0] * len(self.face_of)
-            for orbit in self.faces:
-                for i, d in enumerate(orbit):
-                    pos[d] = i
-            self._pos = tuple(pos)
-        return self._pos
 
     def face_neighbors(self, f: int) -> List[int]:
         """Distinct faces sharing an edge with ``f``, in cycle order."""
@@ -391,7 +385,7 @@ class CombMap:
         charges the search to the public method that sets it off."""
         if self._words[0] is None:
             root = self._class_roots()[0]
-            table = _dart_table(self.rotations, self.twin)
+            table = _dart_table(self.twin)
             self._class_words(table, _bfs_word(table, root))
         return self._words
 
@@ -399,7 +393,7 @@ class CombMap:
         """The darts of the rarest colour class, in class order: the roots
         of the forward word.  Raises MapError past 255 vertices, where a
         word entry no longer fits one byte."""
-        if len(self.rotations) > 255:
+        if self.f0 > 255:
             raise MapError("canonical code supports at most 255 vertices")
         classes = self.colour_classes()
         return classes[min(classes, key=lambda x: (len(classes[x]), x))]
@@ -479,7 +473,7 @@ class CombMap:
         commutes with ``twin`` and ``next_dart``, and the identity comes
         first.  The reversing ones are the rest of :meth:`dart_images`.
         """
-        darts = range(3 * len(self.rotations))
+        darts = range(len(self.twin))
         return [phi for rev, phi in self.dart_images(darts) if not rev]
 
     def dart_images(self, darts: Sequence[int]
@@ -513,7 +507,7 @@ class CombMap:
         yield False, tuple(darts)
         if not self._frames[0]:
             return
-        n = len(self.rotations)
+        n = self.f0
         first, *forward = self._frames[0]
         # per dart: the label of its vertex from r0, and its slot counted
         # from the vertex's entry slot
@@ -551,7 +545,7 @@ class IsomerSet:
         """Keep ``m`` and return True, unless it repeats a kept map.
         Raises MapError past 255 vertices."""
         root = m._class_roots()[0]
-        table = _dart_table(m.rotations, m.twin)
+        table = _dart_table(m.twin)
         first = _bfs_word(table, root)
         if first[0] in self._words:
             return False
@@ -571,15 +565,15 @@ def _face_orbit(twin: Sequence[int], d: int) -> Tuple[int, ...]:
     return tuple(orbit)
 
 
-def _dart_table(rot: Sequence[Tuple[int, int, int]],
-                twin: Sequence[int]) -> List[_Row]:
+def _dart_table(twin: Sequence[int]) -> List[_Row]:
     """The dart table that one word search reads, built in one pass; see
     :func:`_bfs_word` for its rows.  It is not kept on the map: every
     search of a map is made at once, and a kept table would hold 3n
     tuples for the map's life."""
     table: List[_Row] = []
     slots = iter(twin)
-    for (ha, hb, hc), ta, tb, tc in zip(rot, slots, slots, slots):
+    for ta, tb, tc in zip(slots, slots, slots):
+        ha, hb, hc = ta // 3, tb // 3, tc // 3
         table += ((ha, ta, hb, tb, hc, tc), (hb, tb, hc, tc, ha, ta),
                   (hc, tc, ha, ta, hb, tb))
     return table

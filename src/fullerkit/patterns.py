@@ -12,15 +12,15 @@ compiles from it, on first use of an anchor face, one flat program per
 orientation: a step per internal pattern edge that two verified edges at
 a pattern vertex do not already force, binding the most constrained face
 first, then one check per run of ``B`` slots along one outside face.  A
-run addresses darts by their position in the face orbit
-(:meth:`CombMap.face_positions`), read from the matcher's view of the
-map, which holds each orbit twice over, so an attempt builds no list or
-dict and wraps no index.  The anchor is the slot whose partial dart
-colour, the face sizes ``(left, right, back, ahead)`` that the pattern
-fixes around it, has the fewest darts in the map (see
-:meth:`CombMap.colour_classes`), and only those darts are tried.  On a
-fullerene a pattern with two adjacent pentagons tries at most the darts
-between two pentagons, and none at all when the pentagons are isolated.
+run addresses darts by their position in the face orbit, read from the
+matcher's view of the map, which holds each dart's position and each
+orbit twice over, so an attempt builds no list or dict and wraps no
+index.  The anchor is the slot whose partial dart colour, the face sizes
+``(left, right, back, ahead)`` that the pattern fixes around it, has the
+fewest darts in the map (see :meth:`CombMap.colour_classes`), and only
+those darts are tried.  On a fullerene a pattern with two adjacent
+pentagons tries at most the darts between two pentagons, and none at all
+when the pentagons are isolated.
 """
 from __future__ import annotations
 
@@ -195,7 +195,7 @@ class MatchResult:
         """Map dart corresponding to the given pattern face slot."""
         d = self.origin[name]
         orbit = m.faces[m.face_of[d]]
-        i = m.face_positions()[d] + (-slot if self.mirrored else slot)
+        i = orbit.index(d) + (-slot if self.mirrored else slot)
         return orbit[i % len(orbit)]
 
     def __repr__(self) -> str:
@@ -258,18 +258,20 @@ def match_pattern(m: CombMap, pat: PatchPattern,
 # CombMap.colour_classes, with None where the pattern leaves a size free.
 _Partial = Tuple[int, Optional[int], Optional[int], Optional[int]]
 _Classes = Dict[_Partial, Tuple[int, Tuple[array, ...]]]
+# The matcher's view of a map, see _partial_classes
+_View = Tuple[_Classes, Tuple[Tuple[int, ...], ...], List[int]]
 
 
 _ABSENT: Tuple[int, Tuple[array, ...]] = (0, ())
 
 
 @lru_cache(maxsize=1)
-def _partial_classes(m: CombMap
-                     ) -> Tuple[_Classes, Tuple[Tuple[int, ...], ...]]:
+def _partial_classes(m: CombMap) -> _View:
     """The matcher's one view of a map.  First, per partial colour that
     some dart of the map has, the number of such darts and their colour
     classes (see :meth:`CombMap.colour_classes`).  Second, per face, its
-    orbit written twice, ``o + o``.
+    orbit written twice, ``o + o``.  Third, per dart, its position in its
+    face's orbit: ``d`` is ``faces[face_of[d]][pos[d]]``.
 
     In a doubled orbit, entry ``p + i`` is the dart ``i`` steps along the
     face from position ``p`` whenever ``-len(o) <= p + i < 2 * len(o)``
@@ -283,9 +285,13 @@ def _partial_classes(m: CombMap
     for (a, b, c, d), darts in m.colour_classes().items():
         for key in product((a,), (b, None), (c, None), (d, None)):
             lists.setdefault(key, []).append(darts)
+    pos = [0] * len(m.face_of)
+    for orbit in m.faces:
+        for i, d in enumerate(orbit):
+            pos[d] = i
     return ({key: (sum(map(len, classes)), tuple(classes))
              for key, classes in lists.items()},
-            tuple(o + o for o in m.faces))
+            tuple(o + o for o in m.faces), pos)
 
 
 def _anchors(pat: PatchPattern, mirrored: bool
@@ -553,8 +559,7 @@ def _embeddings(m: CombMap, pat: PatchPattern, anchor: str, slot: int,
     a, x0 = pat._index[anchor], pat._order[0][1]
     shift = -slot if mirrored else slot
     face_of, twin = m.face_of, m.twin
-    orbits = _partial_classes(m)[1]
-    pos = m.face_positions()
+    _, orbits, pos = _partial_classes(m)
     # per pattern face: its orbit and origin position, both overwritten by
     # every attempt before they are read
     orb: List[Tuple[int, ...]] = [()] * len(pat.faces)

@@ -78,8 +78,11 @@ def write_planar_code(maps: Iterable[CombMap], sort: bool = True) -> bytes:
     for m in ms:
         if m.f0 >= 256:
             raise MapError("planar_code with 1-byte entries needs n < 256")
+        # a vertex's row is the 1-based heads of its three darts, each the
+        # vertex of the dart's twin, then the zero terminator
+        heads = bytes(t // 3 + 1 for t in m.twin)
+        rec = bytearray(4 * m.f0)
+        rec[0::4], rec[1::4], rec[2::4] = heads[0::3], heads[1::3], heads[2::3]
         out.append(m.f0)
-        for nbrs in m.rotations:
-            out.extend(v + 1 for v in nbrs)
-            out.append(0)
+        out += rec
     return bytes(out)

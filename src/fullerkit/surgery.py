@@ -21,16 +21,16 @@ end of the edge.  Face correspondences are read off these rules.
 A cut of a valid map is valid by construction: subdividing two edges of a
 face and joining the midpoints across it keeps the map cubic, connected and
 planar.  So ``truncate`` builds its output by copying and patching its
-input, not by a rebuild, and calls the trusted ``CombMap`` constructor; it
-checks only that the spec is a run of the map.  ``straighten`` still
-rebuilds through ``from_rotations``.
+input's ``twin`` and face tables, not by a rebuild, and calls the trusted
+``CombMap`` constructor; it checks only that the spec is a run of the map.
+``straighten`` still rebuilds through ``from_rotations``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .belts import find_k_belts
 from .maps import CombMap, MapError, _face_orbit
@@ -147,11 +147,11 @@ class StraighteningResult:
 def truncate(m: CombMap, spec: TruncationSpec) -> TruncationResult:
     """Cut the face of ``spec`` along its run.  Returns fresh handles.
 
-    The output is ``m`` patched, not rebuilt: four rotation slots and twins
-    change and two vertices (six darts) are appended.  Only the orbits of
-    the cut face and the faces across the two run ends are walked again;
-    faces keep the :meth:`CombMap.from_rotations` numbering, ordered by
-    their first dart with each orbit starting there.
+    The output is ``m`` patched, not rebuilt: four twins change and two
+    vertices (six darts) are appended.  Only the orbits of the cut face
+    and the faces across the two run ends are walked again; faces keep
+    the :meth:`CombMap.from_rotations` numbering, ordered by their first
+    dart with each orbit starting there.
 
     Raises:
         InvalidRun: ``spec`` is not a run of ``m``, or the run starts and
@@ -166,23 +166,14 @@ def truncate(m: CombMap, spec: TruncationSpec) -> TruncationResult:
     if own is None or ((own.face, own.run, own.signature)
                        != (spec.face, spec.run, spec.signature)):
         raise InvalidRun("spec is not a run of this map")
-    n = m.f0
     d0, d1 = spec.run[0], spec.run[-1]
     t0, t1 = m.twin[d0], m.twin[d1]
     if d1 == t0:
         raise InvalidRun("run starts and ends on the same edge")
-    u0, v0, u1, v1 = d0 // 3, t0 // 3, d1 // 3, t1 // 3
-    m0, m1 = n, n + 1
-    # each run end edge gets a midpoint in both its slots; the run has the
-    # face on its left, and the new edge closes the (s+3)-gon on the side
-    # of the run interior (v0 .. u1)
-    rot = list(m.rotations)
-    for d, mid in ((d0, m0), (t0, m0), (d1, m1), (t1, m1)):
-        row = list(rot[d // 3])
-        row[d % 3] = mid
-        rot[d // 3] = tuple(row)
-    rot += [(u0, v0, m1), (u1, v1, m0)]
-    e = 3 * n  # m0's darts are e .. e+2, m1's e+3 .. e+5
+    # the run end edges d0 and d1 each get a midpoint, m0 and m1, which
+    # list (tail d0, head d0, m1) and (tail d1, head d1, m0): the new edge
+    # closes the (s+3)-gon on the side of the run interior
+    e = 3 * m.f0  # m0's darts are e .. e+2, m1's e+3 .. e+5
     twin = list(m.twin)
     twin[d0], twin[t0], twin[d1], twin[t1] = e, e + 1, e + 3, e + 4
     twin += (d0, t0, e + 5, d1, t1, e + 2)
@@ -205,7 +196,7 @@ def truncate(m: CombMap, spec: TruncationSpec) -> TruncationResult:
     for g in [f, p] + [g if g < p else g + 1 for g in across]:
         for d in faces[g]:
             face_of[d] = g
-    out = CombMap(tuple(rot), tuple(twin), tuple(face_of), tuple(faces))
+    out = CombMap(tuple(twin), tuple(face_of), tuple(faces))
     e += 2  # m0 -> m1
     fa, fb = out.face_of[e], out.face_of[out.twin[e]]
     if out.face_size(fa) == spec.s + 3 and out.face_size(fb) == spec.k - spec.s + 1:
@@ -234,10 +225,15 @@ def can_straighten(m: CombMap, dart: int) -> bool:
     if m.f0 == 4:
         return False
     x, y = m.tail(dart), m.head(dart)
-    rot = m.rotations
-    # the merge joins each end's two other neighbours p, q by an edge
-    ends = [[w for w in rot[a] if w != b] for a, b in ((x, y), (y, x))]
-    if set(ends[0]) == set(ends[1]) or any(q in rot[p] for p, q in ends):
+    twin = m.twin
+    # the merge joins each end's two other neighbours p, q by an edge: the
+    # heads of its next and previous darts, the vertices of their twins
+    ends = []
+    for e in (dart, twin[dart]):
+        v = e - e % 3
+        ends.append((twin[v + (e + 1) % 3] // 3, twin[v + (e + 2) % 3] // 3))
+    if set(ends[0]) == set(ends[1]) or any(
+            t // 3 == q for p, q in ends for t in twin[3 * p:3 * p + 3]):
         return False
     f1, f2 = edge_faces(m, dart)
     # the faces at the two endpoints of the edge meet both f1 and f2 by
@@ -257,22 +253,19 @@ def straighten(m: CombMap, dart: int) -> StraighteningResult:
         raise NotDefined("the two faces have a common neighbour, or the "
                          "merge would make a parallel edge")
     x, y = m.tail(dart), m.head(dart)
-    rot: List[List[int]] = [list(r) for r in m.rotations]
-    for a, b in ((x, y), (y, x)):
-        p, q = [w for w in m.rotations[a] if w != b]
-        rot[p][rot[p].index(a)] = q
-        rot[q][rot[q].index(a)] = p
-    vertex_map: Dict[int, int] = {}
-    new_rot: List[List[int]] = []
-    for v in range(m.f0):
-        if v in (x, y):
-            continue
-        vertex_map[v] = len(new_rot)
-        new_rot.append(rot[v])
-    for nbrs in new_rot:
-        for i, w in enumerate(nbrs):
-            nbrs[i] = vertex_map[w]
-    out = CombMap.from_rotations(new_rot)
+    twin = list(m.twin)
+    # at each end, the darts by which its two other neighbours reach it
+    # become twins, so those neighbours are joined and the end drops out
+    for e in (dart, m.twin[dart]):
+        v = e - e % 3
+        a, b = twin[v + (e + 1) % 3], twin[v + (e + 2) % 3]
+        twin[a], twin[b] = b, a
+    vertex_map = {v: i for i, v in enumerate(
+        v for v in range(m.f0) if v not in (x, y))}
+    # every dart's head, renumbered; the two ends' rows are dropped
+    heads = [vertex_map.get(t // 3) for t in twin]
+    rows = list(zip(heads[0::3], heads[1::3], heads[2::3]))
+    out = CombMap.from_rotations([rows[v] for v in vertex_map])
     res = StraighteningResult(out, vertex_map, -1)
     # the dart before ``dart`` on its face leaves x's other neighbour there,
     # so it survives and lies on the merged face

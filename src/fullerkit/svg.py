@@ -28,11 +28,12 @@ def tutte_layout(m: CombMap, outer: int) -> List[Tuple[float, float]]:
         ang = 2 * math.pi * i / k - math.pi / 2
         pos[v] = [math.cos(ang), math.sin(ang)]
     free = [v for v in range(m.f0) if v not in pinned]
+    rot = m.rotations
     while True:
         worst = 0.0
         for v in free:
-            nx = sum(pos[w][0] for w in m.rotations[v]) / 3.0
-            ny = sum(pos[w][1] for w in m.rotations[v]) / 3.0
+            nx = sum(pos[w][0] for w in rot[v]) / 3.0
+            ny = sum(pos[w][1] for w in rot[v]) / 3.0
             worst = max(worst, abs(nx - pos[v][0]), abs(ny - pos[v][1]))
             pos[v][0], pos[v][1] = nx, ny
         if worst < TOLERANCE:

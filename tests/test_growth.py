@@ -494,8 +494,8 @@ def test_only_kept_children_build_class_words(monkeypatch):
 
     dart_table, bfs_word = maps._dart_table, maps._bfs_word
 
-    def recording_dart_table(rot, twin):
-        tables.append((rot, dart_table(rot, twin)))
+    def recording_dart_table(twin):
+        tables.append((twin, dart_table(twin)))
         return tables[-1][1]
 
     def recording_bfs_word(table, root, mirrored=False):
@@ -517,11 +517,13 @@ def test_only_kept_children_build_class_words(monkeypatch):
     kept = set(map(id, built))
     repeats = [c for c in children if id(c) not in kept]
     assert len(children) == 542 and len(repeats) == 451
-    per_map = Counter(id(rot) for rot, _ in tables)
+    # keyed by the twin table, which the map holds; its rotation rows are
+    # built anew on each read
+    per_map = Counter(id(twin) for twin, _ in tables)
     runs = Counter(map(id, walked))
-    table_of = {id(rot): table for rot, table in tables}
-    assert all(per_map[id(c.rotations)] == 1
-               and runs[id(table_of[id(c.rotations)])] == 1
+    table_of = {id(twin): table for twin, table in tables}
+    assert all(per_map[id(c.twin)] == 1
+               and runs[id(table_of[id(c.twin)])] == 1
                and c._words == [None, None] for c in repeats)
 
 

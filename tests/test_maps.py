@@ -217,7 +217,7 @@ def test_canonical_code_matches_reference_on_growth_children(
 
 def fresh(m):
     """A copy of ``m`` with every cache empty."""
-    return CombMap(m.rotations, m.twin, m.face_of, m.faces)
+    return CombMap(m.twin, m.face_of, m.faces)
 
 
 def test_isomer_set_agrees_with_oriented_words(growth_children, polytopes):
@@ -296,7 +296,7 @@ def test_class_words_frames_and_images_match_reference(growth_children,
             back_walks = [reference_walk(mrot, d + 2 - 2 * (d % 3))
                           for d in back]
             y = fresh(x)
-            table = maps._dart_table(y.rotations, y.twin)
+            table = maps._dart_table(y.twin)
             words = y._class_words(table, maps._bfs_word(table, roots[0]))
             assert words == [w[0] for w in fwd_walks + back_walks]
             word = min(w[0] for w in fwd_walks)

@@ -12,6 +12,7 @@ from fullerkit.growth import (load_rules, rules_by_id, seed_dodecahedron,
                               seed_family_one, seed_family_two)
 from fullerkit.patterns import (B, MatchResult, PatchPattern, PatternError,
                                 match_pattern, path_turns)
+from fullerkit.surgery import TruncationSpec, truncate
 from paper_lemmas import (_all_shortest_paths, extract_patch,
                           fragment_catalog, shortest_thick_path)
 from test_maps import c60, grown
@@ -105,7 +106,8 @@ def test_match_darts_are_consistent(barrel):
 
 
 def test_dart_at_equals_face_walk(small_fullerenes):
-    # dart_at reads the cached position index; the walk is the reference
+    # dart_at finds the origin's position in its orbit; the walk is the
+    # reference
     pat = road(1)
     mirrored = set()
     for m in small_fullerenes:
@@ -338,8 +340,10 @@ def reference_match_pattern(m, pat, all_embeddings=False):
     return results
 
 
-def reference_try_match(m, pat, first, d0, mirrored):
-    """Breadth-first extension from one anchor dart through face walks."""
+def reference_try_match(m, pat, first, d0, mirrored, check_b=True):
+    """Breadth-first extension from one anchor dart through face walks;
+    ``check_b`` off skips the test that each B slot leads off the matched
+    faces."""
     if m.face_size(m.face_of[d0]) != pat.sizes[first]:
         return None
     origin = {first: d0}
@@ -378,7 +382,7 @@ def reference_try_match(m, pat, first, d0, mirrored):
                 faces[g] = gf
                 used.add(gf)
                 queue.append(g)
-    for name, cyc in pat.faces.items():
+    for name, cyc in pat.faces.items() if check_b else ():
         walk = m.face_walk(origin[name], len(cyc), mirrored)
         for i, g in enumerate(cyc):
             if g == B and m.face_of[m.twin[walk[i]]] in used:
@@ -451,6 +455,34 @@ def test_random_patches_match_as_the_reference(fixture_maps, data):
                                      max_size=2))
     for host in hosts:
         assert_same_matches(host, pat)
+
+
+def test_a_b_run_that_wraps_onto_a_matched_face():
+    """The pattern wraps round its host, so that the face across a B run
+    is a matched face and that B check alone rejects the attempt.
+
+    Three hexagons ring the triangle of a dodecahedron with one vertex cut
+    off.  An attempt may bind F5 and the wildcards F4 and F6 to them, and
+    then F3's slot 4 leads to F6's face.  That slot is a run by itself:
+    it follows F3's edge to F4, and F4's slot at their common vertex lies
+    outside its arc.  A program that pairs it with a B slot of F4 that
+    reaches another face, such as F4's slot 1 at the far end of their
+    edge, loses the check and matches these attempts.
+    """
+    d = seed_dodecahedron()
+    cut = truncate(d, TruncationSpec(d, 0, 0)).map
+    pat = PatchPattern({"F4": ("F3", B, B, "F5", B),
+                        "F5": ("F4", B, B, B, "F6", B),
+                        "F6": ("F5", B, B),
+                        "F3": (B, B, B, "F4", B)}, wildcard=["F4", "F6"])
+    wrapped = [(mirrored, d0) for mirrored in (False, True)
+               for d0 in range(3 * cut.f0)
+               if reference_try_match(cut, pat, pat.first, d0, mirrored,
+                                      check_b=False) is not None
+               and reference_try_match(cut, pat, pat.first, d0,
+                                       mirrored) is None]
+    assert len(wrapped) == 6
+    assert assert_same_matches(cut, pat) > 0
 
 
 # -- anchors and programs -----------------------------------------------------

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fullerkit.growth import seed_family_one, seed_family_two
+from fullerkit.growth import (apply_rule, enumerate_maps, load_rules,
+                              seed_family_one, seed_family_two)
 from fullerkit.maps import CombMap, MapError
+from fullerkit.patterns import match_pattern
 from fullerkit.planarcode import (HEADER, BadHeader, TruncatedRecord,
                                   ValidationFailure, read_planar_code,
                                   write_planar_code)
@@ -36,6 +38,40 @@ def test_read_accepts_stream(dodecahedron):
     data = write_planar_code([dodecahedron])
     (m,) = read_planar_code(io.BytesIO(data))
     assert m.is_isomorphic(dodecahedron)
+
+
+def reference_write_planar_code(maps):
+    """Reference: each record read off the maps' rotation rows, in the
+    given order."""
+    out = bytearray(HEADER)
+    for m in maps:
+        out.append(m.f0)
+        for nbrs in m.rotations:
+            out.extend(v + 1 for v in nbrs)
+            out.append(0)
+    return bytes(out)
+
+
+def test_writer_agrees_with_reference(dodecahedron, barrel):
+    rules = load_rules()
+    children = [apply_rule(m, rule, at) for m in enumerate_maps(6).values()
+                for rule in rules for at in match_pattern(m, rule.lhs)]
+    # the largest family-one map whose vertex numbers fit one byte
+    largest = seed_family_one(23)
+    assert largest.f0 == 250 and len(children) > 500
+    for maps in (corpus(dodecahedron, barrel), children, [largest]):
+        for sort in (False, True):
+            want = sorted(maps, key=lambda m: (m.f0, m.canonical_code())) \
+                if sort else maps
+            assert write_planar_code(maps, sort) == \
+                reference_write_planar_code(want)
+
+
+def test_writer_refuses_256_vertices():
+    big = seed_family_one(24)
+    assert big.f0 >= 256
+    with pytest.raises(MapError):
+        write_planar_code([big], sort=False)
 
 
 @pytest.mark.parametrize("wrap", [bytearray, memoryview])
