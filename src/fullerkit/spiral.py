@@ -10,13 +10,13 @@ run that also touches the face added last.  This is the classic sequential
 given face count by a depth-first search over sequence prefixes.  The run a
 face is glued over depends only on the boundary that the faces before it
 leave, so a search node is that boundary alone: the owners of its open
-edges and its vertex degrees, two strings updated by the ``_splice`` that
-``PatchBuilder.glue`` makes.  A prefix that cannot be glued rules out all
-of its extensions at once.  Each complete sequence is wound by ``wind``,
-which validates the map, and the survivors are deduplicated by an
-``IsomerSet``.  The generator is deliberately independent of the
-pattern-replacement machinery so that it can serve as a cross-check for
-the growth enumeration.
+edges and its vertex degrees, two strings.  Its children share one
+``_cut`` of its run, the cut that ``PatchBuilder.glue`` makes, and a prefix
+that cannot be glued rules out all of its extensions at once.  Each
+complete sequence is wound by ``wind``, which validates the map, and the
+survivors are deduplicated by an ``IsomerSet``.  The generator is
+deliberately independent of the pattern-replacement machinery so that it
+can serve as a cross-check for the growth enumeration.
 
 The search also cuts, by a degree-2 budget, prefixes that cannot complete.
 Let n2 be the number of degree-2 boundary vertices.  Gluing a face
@@ -54,17 +54,18 @@ one the interior edge lies between the faces that own the two boundary
 edges, and those differ, since a glued face meets only faces glued
 before it.  Everything the subtree below a node reads is a function of
 the key, F and the root size: ``_next_run`` reads owner ids only through
-``min``, equality with j - 1 and distinctness, ``_splice`` writes j, and
-the cuts read n2 (the ``'2'`` count of ``vdeg``), the run length, j, the
-root size and the pentagon count p5.  That count is read
-off the boundary as well.  Gluing a face of size s over l edges changes
-the boundary length b by s - 2l and n2 by s - l - 3, so b - 2 n2 rises by
-6 - s; one face has b = n2 = s, so p5 = b - 2 n2 + 6 at every node (Euler).
-A memoised node therefore passes up the suffixes its own search would
-give, in the same order, and each complete sequence still goes through the
-mirror filter, ``wind`` and the ``IsomerSet``, so the output is the same
-with or without the memo.  The memo dies with the call: the search is a
-module function that is handed the memo, so no closure keeps it alive.
+``min``, equality with j - 1 and distinctness, ``_cut`` only through
+distinctness, a child's new face writes j, and the cuts read n2 (the
+``'2'`` count of ``vdeg``), the run length, j, the root size and the
+pentagon count p5.  That count is read off the boundary as well.  Gluing
+a face of size s over l edges changes the boundary length b by s - 2l
+and n2 by s - l - 3, so b - 2 n2 rises by 6 - s; one face has b = n2 =
+s, so p5 = b - 2 n2 + 6 at every node (Euler).  A memoised node
+therefore passes up the suffixes its own search would give, in the same
+order, and each complete sequence still goes through the mirror filter,
+``wind`` and the ``IsomerSet``, so the output is the same with or
+without the memo.  The memo dies with the call: the search is a module
+function that is handed the memo, so no closure keeps it alive.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .maps import CombMap, IsomerSet, MapError
-from .winding import PatchBuilder, WindingError, _splice
+from .winding import PatchBuilder, WindingError, _cut
 
 
 def _next_run(owners: str, vdeg: str, last: int
@@ -91,29 +92,29 @@ def _next_run(owners: str, vdeg: str, last: int
     """
     if not owners:
         return None
-    b = len(owners)
     first = vdeg.find("2")
     if first < 0:
-        return 0, b
+        return 0, len(owners)
+    last2 = vdeg.rfind("2")
     earliest = min(owners)
     latest = chr(last)
-    # rotated to begin at the first degree-2 vertex, so every run is a slice
-    edges = owners[first:] + owners[:first]
-    degs = vdeg[first:] + vdeg[:first]
     fallback = None
     # the runs that hold an edge of the earliest face, in boundary order;
-    # a run begins after the last degree-2 vertex at or before that edge
-    i = edges.find(earliest)
+    # a run begins at the last degree-2 vertex at or before that edge
+    i = owners.find(earliest, first, last2)
     while i >= 0:
-        start = degs.rfind("2", 0, i + 1)
-        end = degs.find("2", i + 1)
-        if end < 0:
-            end = b
-        if latest in edges[start:end]:
-            return first + start, end - start
+        start = vdeg.rfind("2", 0, i + 1)
+        end = vdeg.find("2", i + 1)
+        if owners.find(latest, start, end) >= 0:
+            return start, end - start
         if fallback is None:
-            fallback = first + start, end - start
-        i = edges.find(earliest, end)
+            fallback = start, end - start
+        i = owners.find(earliest, end, last2)
+    # last, the run that wraps past position 0: the earliest face owns an
+    # edge there if in no run before
+    wrap = owners[last2:] + owners[:first]
+    if fallback is None or earliest in wrap and latest in wrap:
+        return last2, len(owners) - last2 + first
     return fallback
 
 
@@ -156,7 +157,8 @@ def _suffixes(owners: str, vdeg: str, j: int, n2: int, pents: int,
     pentagon count.  ``memo[i]`` maps ``owners`` of a state with ``i``
     faces, which fixes its ``vdeg`` (module docstring), to its suffixes;
     its length is the face count less one.
-    A state whose next face cannot be glued gives ``()``.
+    A state whose next face cannot be glued gives ``()``.  The run is cut
+    once: ``_cut`` reads only the run, so it refuses both sizes or neither.
     """
     face_count = len(memo) + 1
     run = _next_run(owners, vdeg, j - 1)
@@ -171,24 +173,28 @@ def _suffixes(owners: str, vdeg: str, j: int, n2: int, pents: int,
     # less the last one after a hexagon (module docstring)
     room = face_count - 1 - j - hexagon_first
     found: List[str] = []
+    cut = None
     for s, c in ((5, "5"), (6, "6")):
         p = pents + (s == 5)
         if p > 12 or 12 - p > room or not length < s <= max_size:
             continue
-        try:
-            child, child_vdeg = _splice(owners, vdeg, j, s, start, length)
-        except WindingError:
-            continue
+        if cut is None:
+            try:
+                cut = _cut(owners, vdeg, start, length)
+            except WindingError:
+                return ()
         if j + 1 == face_count - 1:
             # a leaf: the last face completes the 12 pentagons
             found.append(c + ("5" if p == 11 else "6"))
             continue
+        k = s - length      # the child is what ``_splice`` would make
+        child = chr(j) * k + cut[0]
         level = memo[j + 1]
         below = level.get(child)
         if below is None:
             below = level[child] = _suffixes(
-                child, child_vdeg, j + 1, n2 + s - length - 3, p, memo,
-                hexagon_first)
+                child, "3" + "2" * (k - 1) + "3" + cut[1], j + 1,
+                n2 + k - 3, p, memo, hexagon_first)
         found.extend([c + t for t in below])
     return tuple(found)
 

@@ -11,9 +11,10 @@ A boundary is two immutable strings of one length b, in boundary order:
 ``owners`` holds ``chr(face id)`` for each open edge, and ``vdeg`` holds
 ``'2'`` or ``'3'`` for the boundary vertex before each edge.  On strings
 the run rule and the splice are slices, ``find`` and ``in`` tests that run
-in C, and the two strings can be shared by a search node's children.
-``owners`` alone is a whole boundary state in one hashable key, since it
-fixes ``vdeg`` (see ``spiral``).
+in C.  ``_cut`` slices round a run whatever face covers it, rotating only
+a run that wraps past position 0, so a search node's children share one
+cut.  ``owners`` alone is a whole boundary state in one hashable key,
+since it fixes ``vdeg`` (see ``spiral``).
 
 ``spiral.wind`` drives the builder, choosing each run by
 ``spiral._next_run``; every seed and the exhaustive face-spiral generator
@@ -66,17 +67,21 @@ class PatchBuilder:
         new_id = len(self.cycles)
         owners, vdeg = _splice(self.owners, self.vdeg, new_id, size, start,
                                length)
-        start %= len(self.owners)
-        faces = self.owners[start:] + self.owners[:start]
-        slots = self.slots[start:] + self.slots[:start]
+        edges, slots = self.owners, self.slots
+        start %= len(edges)
+        if start + length > len(edges):     # the run wraps: begin at it
+            edges = edges[start:] + edges[:start]
+            slots, start = slots[start:] + slots[:start], 0
+        end = start + length
+        faces = edges[start:end]
         # the new face traverses the shared edges opposite to the boundary
         # walk, so the covered owners appear reversed in its cycle
-        self.cycles.append([ord(f) for f in reversed(faces[:length])]
+        self.cycles.append([ord(f) for f in reversed(faces)]
                            + [None] * (size - length))
-        for f, slot in zip(faces[:length], slots):
+        for f, slot in zip(faces, slots[start:end]):
             self.cycles[ord(f)][slot] = new_id
         self.owners, self.vdeg = owners, vdeg
-        self.slots = list(range(length, size)) + slots[length:]
+        self.slots = list(range(length, size)) + slots[end:] + slots[:start]
         return new_id
 
     def close(self, size: int) -> int:
@@ -109,34 +114,38 @@ class PatchBuilder:
 def _splice(owners: str, vdeg: str, new_id: int, size: int, start: int,
             length: int) -> Tuple[str, str]:
     """The boundary after face ``new_id`` of ``size`` edges is glued over
-    the elementary run of ``length`` edges from position ``start``.
+    the elementary run of ``length`` edges from position ``start``: the new
+    face's open edges, then what :func:`_cut` leaves.  Raises WindingError
+    where ``_cut`` does, or, after its length check and before the rest,
+    where the face would leave no open edge.
+    """
+    if size <= length and 0 < length < len(owners):
+        raise WindingError("face of size %d cannot cover %d edges"
+                           % (size, length))
+    rest, rest_vdeg = _cut(owners, vdeg, start, length)
+    k = size - length   # the run's two end vertices are now degree 3
+    return chr(new_id) * k + rest, "3" + "2" * (k - 1) + "3" + rest_vdeg
 
-    Returns the new ``owners`` and ``vdeg``, both beginning with the new
-    face's open edges and going on round the boundary from the run's end.
 
-    Raises:
-        WindingError: the run is not elementary, the size does not leave at
-            least one open edge, or the new face would share more than one
-            edge with some existing face.
+def _cut(owners: str, vdeg: str, start: int, length: int
+         ) -> Tuple[str, str]:
+    """The boundary less the elementary run of ``length`` edges from
+    ``start``: the owners from the run's end round to its start, and the
+    degrees of the vertices between them.  Raises WindingError if the run
+    is not elementary or a face over it would meet one face twice.
     """
     b = len(owners)
     if not 1 <= length < b:
         raise WindingError("bad run length %d" % length)
-    if size - length < 1:
-        raise WindingError("face of size %d cannot cover %d edges"
-                           % (size, length))
-    # the boundary and its vertex degrees, rotated to begin at the run
     start %= b
-    edges = owners[start:] + owners[:start]
-    degs = vdeg[start:] + vdeg[:start]
-    if degs[0] != "2" or degs[length] != "2":
+    if start + length >= b:     # the run reaches position 0: begin at it
+        owners = owners[start:] + owners[:start]
+        vdeg, start = vdeg[start:] + vdeg[:start], 0
+    end = start + length
+    if vdeg[start] != "2" or vdeg[end] != "2":
         raise WindingError("run endpoints must be degree-2 vertices")
-    if "2" in degs[1:length]:
+    if vdeg.find("2", start + 1, end) >= 0:
         raise WindingError("run interior vertex has degree 2")
-    if len(set(edges[:length])) != length:
+    if len(set(owners[start:end])) != length:
         raise WindingError("face would share two edges with one face")
-    # the new open edges replace the run; the vertices before the first of
-    # them and after the last one are now degree 3
-    k = size - length
-    return (chr(new_id) * k + edges[length:],
-            "3" + "2" * (k - 1) + "3" + degs[length + 1:])
+    return owners[end:] + owners[:start], vdeg[end + 1:] + vdeg[:start]

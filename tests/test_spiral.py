@@ -4,6 +4,8 @@ from copy import copy
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fullerkit import spiral
 from fullerkit.growth import enumerate_maps
@@ -113,6 +115,60 @@ def reference_next_run(pb):
     return fallback
 
 
+def rotating_next_run(owners, vdeg, last):
+    """Reference: the run rule on the boundary rotated to begin at its first
+    degree-2 vertex, so that every run is a slice."""
+    if not owners:
+        return None
+    b = len(owners)
+    first = vdeg.find("2")
+    if first < 0:
+        return 0, b
+    earliest, latest = min(owners), chr(last)
+    edges = owners[first:] + owners[:first]
+    degs = vdeg[first:] + vdeg[:first]
+    fallback = None
+    i = edges.find(earliest)
+    while i >= 0:
+        start = degs.rfind("2", 0, i + 1)
+        end = degs.find("2", i + 1)
+        if end < 0:
+            end = b
+        if latest in edges[start:end]:
+            return first + start, end - start
+        if fallback is None:
+            fallback = first + start, end - start
+        i = edges.find(earliest, end)
+    return fallback
+
+
+@pytest.mark.parametrize("owners,vdeg,last,run", [
+    # one degree-2 vertex: the whole boundary from it is one run
+    ("\2\0\1\3", "3323", 3, (2, 4)),
+    # runs [1, 3), [3, 5) and [5, 7) round past position 0; the earliest
+    # face 0 is in the first and the last, and face 4 only in the last
+    ("\4\0\2\3\5\0", "323232", 4, (5, 2)),
+    ("\0\3\0\2\5\4", "323232", 4, (5, 2)),
+    # face 4 in no run with face 0: the first run with face 0
+    ("\0\0\2\3\4\1", "323232", 4, (1, 2)),
+    # face 0 in the wrapping run alone
+    ("\0\1\2\4\3\5", "323232", 4, (5, 2)),
+])
+def test_next_run_on_runs_that_wrap(owners, vdeg, last, run):
+    assert _next_run(owners, vdeg, last) == run
+    assert rotating_next_run(owners, vdeg, last) == run
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.text("\0\1\2\3\4\5", max_size=12).flatmap(
+    lambda owners: st.tuples(st.just(owners),
+                             st.text("23", min_size=len(owners),
+                                     max_size=len(owners)),
+                             st.integers(0, 5))))
+def test_next_run_matches_the_rotating_reference(args):
+    assert _next_run(*args) == rotating_next_run(*args)
+
+
 def copied(pb):
     """An independent builder in the state of ``pb``.  Its face cycles are
     copied; ``glue`` replaces the boundary strings and the slot list rather
@@ -184,6 +240,18 @@ def search_nodes(face_count, monkeypatch):
     generate_fullerenes(face_count)
     monkeypatch.undo()
     return nodes
+
+
+# nodes the search expands (``_suffixes`` calls, both roots) per face count,
+# as counted when each node spliced its run once per child: cutting the run
+# once per node must leave the search itself as it was, not only its output
+SEARCH_NODES = {12: 11, 13: 63, 14: 260, 15: 763, 16: 2096, 17: 4720,
+                18: 10394}
+
+
+@pytest.mark.parametrize("fc", sorted(SEARCH_NODES))
+def test_search_expands_the_same_nodes(fc, monkeypatch):
+    assert len(search_nodes(fc, monkeypatch)) == SEARCH_NODES[fc]
 
 
 @pytest.mark.parametrize("fc", range(12, 18))

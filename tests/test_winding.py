@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fullerkit.spiral import _next_run
 from fullerkit.winding import PatchBuilder, WindingError, _splice
@@ -99,6 +101,71 @@ def test_splice_leaves_its_arguments_as_they_are():
         with pytest.raises(WindingError, match=message):
             _splice(owners, vdeg, 2, size, *run)
         assert (owners, vdeg) == before
+
+
+def reference_splice(owners, vdeg, new_id, size, start, length):
+    """Reference: the splice that rotates the whole boundary to begin at
+    the run, with every check in its order."""
+    b = len(owners)
+    if not 1 <= length < b:
+        raise WindingError("bad run length %d" % length)
+    if size - length < 1:
+        raise WindingError("face of size %d cannot cover %d edges"
+                           % (size, length))
+    start %= b
+    edges = owners[start:] + owners[:start]
+    degs = vdeg[start:] + vdeg[:start]
+    if degs[0] != "2" or degs[length] != "2":
+        raise WindingError("run endpoints must be degree-2 vertices")
+    if "2" in degs[1:length]:
+        raise WindingError("run interior vertex has degree 2")
+    if len(set(edges[:length])) != length:
+        raise WindingError("face would share two edges with one face")
+    k = size - length
+    return (chr(new_id) * k + edges[length:],
+            "3" + "2" * (k - 1) + "3" + degs[length + 1:])
+
+
+@st.composite
+def splices(draw):
+    """A random boundary and glue.  The boundary is made of elementary runs
+    of 1 to 4 edges, or has random degrees; half of the glues cover one of
+    its elementary runs, the rest any length 0..b.  The boundary is then
+    turned by a random amount, or so that position 0 falls inside the run,
+    which then wraps; starts are shifted by whole turns, so many are
+    negative or past the end."""
+    runs = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    vdeg = "".join("2" + "3" * (n - 1) for n in runs)
+    b = len(vdeg)
+    owners = draw(st.text("\0\1\2\3\4\5\6\7\10\11", min_size=b,
+                          max_size=b))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(runs) - 1))
+        start, length = sum(runs[:i]), runs[i]
+    else:
+        if draw(st.booleans()):
+            vdeg = draw(st.text("23", min_size=b, max_size=b))
+        start = draw(st.integers(0, b - 1))
+        length = draw(st.integers(0, b))
+    r = draw(st.one_of(st.integers(0, b - 1),
+                       st.integers(start + 1, start + max(length - 1, 1))))
+    r %= b
+    owners, vdeg = owners[r:] + owners[:r], vdeg[r:] + vdeg[:r]
+    start += b * draw(st.integers(-2, 2)) - r
+    return owners, vdeg, 9, draw(st.integers(3, 8)), start, length
+
+
+def outcome(splice, args):
+    try:
+        return splice(*args)
+    except WindingError as e:
+        return "WindingError: %s" % e
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(splices())
+def test_splice_matches_the_rotating_reference(args):
+    assert outcome(_splice, args) == outcome(reference_splice, args)
 
 
 def test_failed_glue_over_one_face_twice_leaves_builder_unchanged():
