@@ -27,6 +27,14 @@ keep the faces distinct: every placed face but s lies in the neighbour set
 of the face before it, which is part of the union, b lies in N(s), and s
 is not above itself.
 
+Each N(f) is an int bit mask, bit g set for face g
+(:meth:`CombMap.face_neighbor_masks`), and so is "above s": union,
+intersection and difference are ``|``, ``&`` and ``& ~``, and the faces
+of a candidate mask are read off its set bits in increasing order.  For
+k = 3, the b that pair with a are the ends of s above a in N(a), less
+the faces next to a in s's row wherever a occurs there (a face may
+border s twice).
+
 On a 3-connected map a belt region is an annulus: its two boundary
 edge-cycles cut the rest of the sphere into two sides.  Cutting the sphere
 along a cycle, and the loop arithmetic on either side of the cut, live
@@ -70,9 +78,10 @@ def find_k_belts(m: CombMap, k: int) -> List[List[int]]:
     A belt is returned as the face sequence rotated to start at its smallest
     face id, in the direction that minimizes the sequence.  The search
     picks the belt's two faces next to that face first and then the inner
-    path between them by set differences, one level per inner face; the
-    module docstring states why it finds each belt exactly once.  It runs
-    once per map and k; every call returns fresh lists.
+    path between them, one level per inner face, each level one ``&`` and
+    ``& ~`` of the map's neighbour bit masks; the module docstring states
+    why it finds each belt exactly once.  It runs once per map and k;
+    every call returns fresh lists.
     """
     if k < 3:
         return []
@@ -84,38 +93,64 @@ def find_k_belts(m: CombMap, k: int) -> List[List[int]]:
 
 def _search_k_belts(m: CombMap, k: int) -> List[List[int]]:
     rows = m.face_cycles()
-    nbrs = m.face_neighbor_sets()
+    nbrs = m.face_neighbor_masks()
     out: List[List[int]] = []
     for s, row in enumerate(rows):
-        ends = {g for g in row if g > s}
-        corners = set(zip(row, row[1:] + row[:1])) if k == 3 else ()
-        for a in ends:
-            for b in (nbrs[a] & ends if k == 3 else ends - nbrs[a]):
-                if b <= a or (a, b) in corners or (b, a) in corners:
-                    continue
-                if k == 3:
-                    out.append([s, a, b])
-                    continue
-                # each partial path with the faces its next face must avoid
+        above = -1 << s + 1                 # the faces above s
+        rest = nbrs[s] & above
+        while rest & (rest - 1):            # b > a: a is not the top end
+            a = (rest & -rest).bit_length() - 1
+            rest &= rest - 1                # now the ends above a
+            if k == 3:
+                pair = nbrs[a] & rest
+                if pair:
+                    # b must not be next to a in s's row: s, a, b would
+                    # be the faces at a vertex
+                    for i, g in enumerate(row):
+                        if g == a:
+                            pair &= ~(1 << row[i - 1]
+                                      | 1 << row[(i + 1) % len(row)])
+                    if pair:
+                        out += [[s, a, b] for b in _faces(pair)]
+                continue
+            others = rest & ~nbrs[a]
+            while others:
+                b = (others & -others).bit_length() - 1
+                others &= others - 1
                 nb = nbrs[b]
+                # each partial path with the faces its next face must avoid
                 paths = [([s, a], nbrs[s])]
                 for _ in range(k - 4):
                     paths = [(path + [c], blocked | nbrs[path[-1]])
                              for path, blocked in paths
-                             for c in nbrs[path[-1]] - blocked - nb if c > s]
-                out += [path + [c, b] for path, blocked in paths
-                        for c in (nbrs[path[-1]] & nb) - blocked if c > s]
+                             for c in _faces(nbrs[path[-1]] & ~(blocked | nb)
+                                             & above)]
+                for path, blocked in paths:
+                    last = nbrs[path[-1]] & nb & ~blocked & above
+                    if last:
+                        out += [path + [c, b] for c in _faces(last)]
     out.sort()
+    return out
+
+
+def _faces(mask: int) -> List[int]:
+    """The faces whose bits are set in ``mask``, in increasing order."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
     return out
 
 
 def enclosed_faces(m: CombMap, belt: Sequence[int]) -> List[int]:
     """The faces that are a whole side of the belt, in increasing order:
-    those off the belt whose neighbour set is exactly the belt (module
+    those off the belt whose neighbour mask is exactly the belt (module
     docstring).  There are none, one or, as on the cube, two."""
-    region = set(belt)
-    nbrs = m.face_neighbor_sets()
-    return sorted(g for g in nbrs[belt[0]] - region if nbrs[g] == region)
+    region = 0
+    for f in belt:
+        region |= 1 << f
+    nbrs = m.face_neighbor_masks()
+    return [g for g in _faces(nbrs[belt[0]] & ~region) if nbrs[g] == region]
 
 
 def classify_five_belts(m: CombMap) -> FiveBeltReport:
@@ -133,6 +168,10 @@ def classify_five_belts(m: CombMap) -> FiveBeltReport:
 
 
 def _five_belt_kind(m: CombMap, belt: List[int]) -> Optional[str]:
+    """The kind of a 5-belt, or None for neither kind.  On a fullerene the
+    None guard is the paper's 5-belt statement: every 5-belt surrounds a
+    pentagon or is a hexagon ring, so only a counterexample reaches it;
+    maps with cuts reach it."""
     if any(m.face_size(g) == 5 for g in enclosed_faces(m, belt)):
         return "pentagon"
     if (all(m.face_size(f) == 6 for f in belt)

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import accumulate
-from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 # A dart's colour: the sizes of the faces (left, right, back, ahead)
 Colour = Tuple[int, int, int, int]
@@ -59,7 +58,7 @@ class CombMap:
     valid one and keeps the ``from_rotations`` face numbering.
     """
 
-    __slots__ = ("twin", "face_of", "faces", "_cycles", "_nbr_sets",
+    __slots__ = ("twin", "face_of", "faces", "_cycles", "_nbr_masks",
                  "_fullerene", "_belts", "_colours", "_words", "_frames")
 
     def __init__(self, twin: Tuple[int, ...], face_of: Tuple[int, ...],
@@ -68,7 +67,7 @@ class CombMap:
         self.face_of = face_of
         self.faces = faces
         self._cycles: Optional[Tuple[Tuple[int, ...], ...]] = None
-        self._nbr_sets: Optional[Tuple[FrozenSet[int], ...]] = None
+        self._nbr_masks: Optional[Tuple[int, ...]] = None
         self._fullerene: Optional[bool] = None
         # k -> the k-belts, filled by belts.find_k_belts
         self._belts: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
@@ -289,13 +288,20 @@ class CombMap:
                                  for orbit in self.faces)
         return self._cycles
 
-    def face_neighbor_sets(self) -> Tuple[FrozenSet[int], ...]:
-        """Per face, the set of faces across its darts: the rows of
-        :meth:`face_cycles` as sets, for the belt searches and enclosure.
-        Built on first use and cached."""
-        if self._nbr_sets is None:
-            self._nbr_sets = tuple(map(frozenset, self.face_cycles()))
-        return self._nbr_sets
+    def face_neighbor_masks(self) -> Tuple[int, ...]:
+        """Per face, the faces across its darts as a bit mask, bit g set for
+        face g: the rows of :meth:`face_cycles` as ints, for the belt
+        searches and enclosure.  Built on first use and cached."""
+        if self._nbr_masks is None:
+            bit = [1 << g for g in range(len(self.faces))]
+            masks = []
+            for row in self.face_cycles():
+                mask = 0
+                for g in row:
+                    mask |= bit[g]
+                masks.append(mask)
+            self._nbr_masks = tuple(masks)
+        return self._nbr_masks
 
     def face_neighbors(self, f: int) -> List[int]:
         """Distinct faces sharing an edge with ``f``, in cycle order."""

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from fullerkit.belts import (NotFullerene, classify_five_belts, enclosed_faces,
-                             find_k_belts)
+from fullerkit.belts import (NotFullerene, _five_belt_kind, classify_five_belts,
+                             enclosed_faces, find_k_belts)
 from fullerkit.growth import (enumerate_maps, seed_dodecahedron,
                               seed_family_one, seed_family_two)
 from fullerkit.maps import CombMap
@@ -117,7 +117,9 @@ def truncation_chain(seed, steps=8):
 
 def test_belts_match_the_walk_they_replace(joined_maps, joined_intermediate):
     maps = list(enumerate_maps(6).values())
-    maps += [seed_family_one(k) for k in range(7)]
+    # family one at k = 24 has 132 faces: its later faces' neighbour masks
+    # span three 64-bit words
+    maps += [seed_family_one(k) for k in (*range(7), 24)]
     maps += [seed_family_two(k) for k in range(7)]
     for seed in (1, 2, 3):
         maps += truncation_chain(seed)
@@ -212,7 +214,7 @@ def test_dodecahedron_five_belts(dodecahedron):
     assert rep.kinds == ["pentagon"] * 12
 
 
-@pytest.mark.parametrize("k", range(0, 4))
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 24])
 def test_family_one_five_belt_census(k):
     m = seed_family_one(k)
     belts = find_k_belts(m, 5)
@@ -220,6 +222,18 @@ def test_family_one_five_belt_census(k):
     rep = classify_five_belts(m)
     assert rep.kinds.count("pentagon") == 12
     assert rep.kinds.count("hexagon ring") == k
+
+
+def test_five_belt_kind_none_on_a_cut_map():
+    # a cut leaves 5-belts that neither surround a pentagon nor are a
+    # hexagon ring; a fullerene has none (the five-belt-kinds check)
+    m = truncation_chain(1)[0]
+    belts = find_k_belts(m, 5)
+    kinds = [_five_belt_kind(m, belt) for belt in belts]
+    assert len(belts) == 12 and kinds.count("pentagon") == 9
+    assert [b for b, kind in zip(belts, kinds) if kind is None] == [
+        [0, 1, 3, 4, 5], [0, 2, 4, 11, 7], [2, 3, 10, 11, 5]]
+    assert enclosed_faces(m, [0, 1, 3, 4, 5]) == []
 
 
 def test_tetrahedron_three_belt_absent():

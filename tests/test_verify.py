@@ -15,6 +15,11 @@ def test_fullerenes_pass(small_fullerenes):
     for m in small_fullerenes:
         rep = verify_fullerene(m)
         assert rep.passed, rep.failures()
+        assert repr(rep) == (
+            "TheoremReport(CheckResult(face-sizes, pass), "
+            "CheckResult(twelve-pentagons, pass), "
+            "CheckResult(no-3-belts, pass), CheckResult(no-4-belts, pass), "
+            "CheckResult(five-belt-kinds, pass))")
 
 
 def reference_opposite_contacts(m, belt):
@@ -74,6 +79,13 @@ def test_zero_cut_breaks_flag_check(dodecahedron):
     rep = verify_fullerene(out)
     assert not rep["no-3-belts"].passed
     assert not rep["face-sizes"].passed
+    # each failure prints its witness: the stray face size, the pentagon
+    # count and the first 3-belt
+    assert repr(rep) == (
+        "TheoremReport(CheckResult(face-sizes, FAIL witness=[3]), "
+        "CheckResult(twelve-pentagons, FAIL witness=9), "
+        "CheckResult(no-3-belts, FAIL witness=[0, 2, 5]), "
+        "CheckResult(no-4-belts, pass))")
 
 
 def test_intermediates_along_script_pass(dodecahedron):
