@@ -9,12 +9,12 @@ unmirrored only unless every embedding is asked for, since a reflection of
 the pattern turns each mirrored embedding into an unmirrored one of the
 same faces.  A pattern builds its face graph when it is made, and
 compiles from it, on first use of an anchor face, one flat program per
-orientation: a step per internal pattern edge that two verified edges at
-a pattern vertex do not already force, binding the most constrained face
-first, then one check per run of ``B`` slots along one outside face.  A
-run addresses darts by their position in the face orbit, read from the
-matcher's view of the map, which holds each dart's position and each
-orbit twice over, so an attempt builds no list or dict and wraps no
+orientation: a step per internal pattern edge, binding the most
+constrained face first and checking every edge that binds no face after
+the last bind, then one check per run of ``B`` slots along one outside
+face.  A run addresses darts by their position in the face orbit, read
+from the matcher's view of the map, which holds each dart's position and
+each orbit twice over, so an attempt builds no list or dict and wraps no
 index.  The anchor is the slot whose partial dart colour, the face sizes
 ``(left, right, back, ahead)`` that the pattern fixes around it, has the
 fewest darts in the map (see :meth:`CombMap.colour_classes`), and only
@@ -78,9 +78,6 @@ class PatchPattern:
         self._index = {name: i for i, name in enumerate(self.faces)}
         self._order = tuple((name, self._index[name])
                             for name in _bfs(self._nbrs, [self.first]))
-        # the vertices where three faces meet and the B slots to check,
-        # see _corners
-        self._corners: Optional[_Corners] = None
         # anchor name -> match programs, see _compile
         self._programs: Dict[str, _Compiled] = {}
         # mirrored -> anchor slots by partial colour, see _anchors
@@ -124,7 +121,18 @@ class PatchPattern:
     def boundary_walk(self) -> List[Tuple[str, int]]:
         """Boundary B-slots in cyclic walk order with the disk on the left.
 
-        Raises PatternError unless all B slots lie on one closed walk.
+        Raises PatternError unless all B slots lie on one closed walk, or
+        when more than ``3 * len(faces)`` inside edges meet at one boundary
+        vertex.
+
+        A step goes from a B slot to the next slot of its face, then, while
+        that slot holds a face Y, over the edge to Y and on to the next
+        slot there: round the vertex at the end of the B edge, to the next
+        B slot.  The slot before each slot entered is the B slot the step
+        began at, or the slot of Y that holds the face it came from, which
+        is not B; so, walking back, the B slot a step reaches fixes the one
+        it began at.  The walk from ``bslots[0]`` therefore comes back to
+        it before it meets any other B slot twice.
         """
         if any(self.is_wild(n) for n in self.faces):
             raise PatternError("boundary walk undefined for wildcard patterns")
@@ -133,7 +141,6 @@ class PatchPattern:
         if not bslots:
             raise PatternError("pattern has no boundary (it is a sphere)")
         walk = [bslots[0]]
-        seen = {bslots[0]}
         while True:
             name, i = walk[-1]
             # step to the next edge around the boundary vertex after slot i
@@ -147,10 +154,7 @@ class PatchPattern:
                     raise PatternError("boundary walk does not close")
             if (n2, j) == walk[0]:
                 break
-            if (n2, j) in seen:
-                raise PatternError("boundary walk revisits an edge")
             walk.append((n2, j))
-            seen.add((n2, j))
         if len(walk) != len(bslots):
             raise PatternError("boundary edges form more than one cycle")
         return walk
@@ -380,9 +384,6 @@ _Step = Tuple[int, int, int, int, int]
 _Slots = Tuple[Tuple[int, int], ...]
 _Program = Tuple[Tuple[_Step, ...], _Slots]
 _Compiled = Tuple[_Program, _Program]
-# The face index triples that meet at a pattern vertex, and the B slots to
-# check, unmirrored (see _corners)
-_Corners = Tuple[Tuple[Tuple[int, int, int], ...], _Slots]
 # An embedding as the search gives it (see _embeddings): the origin dart of
 # pat.first, the map faces covered, and per pattern face its doubled orbit
 # and the position of its origin dart in that orbit.
@@ -399,24 +400,9 @@ def _compile(pat: PatchPattern, anchor: str) -> _Compiled:
     anchor's size (to another pentagon, when the anchor is one), then the
     one with the most bound neighbours, then the first in breadth-first
     order from the anchor.  Of a face's edges to the faces bound before
-    it, the first binds it and the others are left to check after every
-    face is bound, so a wrong face size, which is how most attempts fail,
-    is met before any check.
-
-    An edge that two verified edges force is not checked.  Say faces X, Y
-    and Z meet at a pattern vertex v (see :func:`_corners`), and the map
-    darts of the X-Y and X-Z edges are verified twins, by a bind or a
-    check.  The binds put the three on distinct map faces.  Of the three
-    darts out of v, X's slot after v is on X and the twin of X's slot
-    before v is on Z; call the third e.  The dart of Y's X-edge enters v,
-    so the next dart along Y leaves v, and lying on Y it is e.  The dart
-    of Z before its X-edge enters v, and lying on Z it is neither X's slot
-    before v nor the twin of X's slot after v, which is on Y; so it is the
-    twin of e.  So Y and Z share the edge that the pattern gives them at
-    v, and the same holds, with the walks reversed, when the embedding is
-    mirrored.  The bind edges are verified first, then each left-over
-    edge in turn is checked unless the closure of the verified edges over
-    the pattern's vertices holds it.
+    it, the first binds it and each other one is checked after every face
+    is bound, so a wrong face size, which is how most attempts fail, is met
+    before any check.
     """
     compiled = pat._programs.get(anchor)
     if compiled is None:
@@ -444,14 +430,8 @@ def _compile(pat: PatchPattern, anchor: str) -> _Compiled:
             k = 2 * len(faces[g])
             steps.append(edges[0] + (-k if pat.is_wild(g) else k,))
             rest.extend(edges[1:])
-        vertices, bslots = _corners(pat)
-        verified = {frozenset((src, dst)) for src, _, dst, _, _ in steps}
-        for edge in rest:
-            _close(verified, vertices)
-            pair = frozenset((edge[0], edge[2]))
-            if pair not in verified:
-                verified.add(pair)
-                steps.append(edge + (0,))
+        steps.extend(edge + (0,) for edge in rest)
+        bslots = _b_slots(pat)
         compiled = pat._programs[anchor] = (
             (tuple(steps), bslots),
             (tuple((src, -i, dst, -j, k) for src, i, dst, j, k in steps),
@@ -459,75 +439,45 @@ def _compile(pat: PatchPattern, anchor: str) -> _Compiled:
     return compiled
 
 
-def _close(verified: Set[FrozenSet[int]],
-           vertices: Sequence[Tuple[int, int, int]]) -> None:
-    """Adds to ``verified`` every edge that two verified edges at one
-    vertex force, until there is none."""
-    grown = True
-    while grown:
-        grown = False
-        for x, y, z in vertices:
-            missing = {frozenset((x, y)), frozenset((y, z)),
-                       frozenset((x, z))} - verified
-            if len(missing) == 1:
-                verified |= missing
-                grown = True
-
-
-def _corners(pat: PatchPattern) -> _Corners:
-    """The pattern's vertices where three of its faces meet, as face
-    index triples, and the unmirrored B slots to check; built on first
-    use.
+def _b_slots(pat: PatchPattern) -> _Slots:
+    """The unmirrored B slots to check: the first slot of each run of B
+    slots along one outside face.
 
     Corner ``i`` of a face X is the vertex v between its entries
-    Z = X[i - 1] and Y = X[i]; a wildcard face has corners inside its arc
+    Z = X[i - 1] and X[i]; a wildcard face has corners inside its arc
     only.  Let Z be a face, with X at its slot ``l``.  Then Z's slot
-    ``l - 1`` is its edge at v that X does not have.  If Y is a face too,
-    with X at its slot ``j``, Y[j + 1] is Z and Z[l - 1] is Y, then X, Y
-    and Z meet at v.  If X[i] and Z[l - 1] are both B, the two slots lead
-    to one face, the third at v.  At a cubic vertex, the dart after one
-    into v along its face is the next dart out of v in rotation.  X's slot
-    ``i`` follows its slot ``i - 1``, and Z's slot ``l``, the twin of X's
-    slot ``i - 1``, follows Z's slot ``l - 1``.  So the dart after the
-    twin of X's slot ``i`` is the third dart e out of v, and Z's slot
-    ``l - 1`` is the twin of e: the faces across both slots hold e.  So
-    each run of B slots along one outside face needs one check, of its
-    first slot.  Both facts hold once the X-Z edge is verified, which a
-    program has done before its B checks.
+    ``l - 1`` is its edge at v that X does not have.  If X[i] and
+    Z[l - 1] are both B, the two slots lead to one face, the third at v.
+    At a cubic vertex, the dart after one into v along its face is the
+    next dart out of v in rotation.  X's slot ``i`` follows its slot
+    ``i - 1``, and Z's slot ``l``, the twin of X's slot ``i - 1``, follows
+    Z's slot ``l - 1``.  So the dart after the twin of X's slot ``i`` is
+    the third dart e out of v, and Z's slot ``l - 1`` is the twin of e:
+    the faces across both slots hold e.  So each run of B slots along one
+    outside face needs one check, of its first slot.  This holds once the
+    X-Z edge is verified, which a program has done before its B checks.
     """
-    if pat._corners is not None:
-        return pat._corners
-    faces, index = pat.faces, pat._index
+    faces = pat.faces
 
     def entry(name: str, s: int) -> Optional[str]:
         cyc = faces[name]
         return (cyc[s % len(cyc)] if pat.sizes[name] or 0 <= s < len(cyc)
                 else None)
 
-    vertices: Set[Tuple[int, int, int]] = set()
     bslots = [(x, i) for x, cyc in faces.items()
               for i, g in enumerate(cyc) if g == B]
     first = {s: s for s in bslots}  # B slot -> first slot of its face
-    for x, cyc in faces.items():
-        for i, y in enumerate(cyc):
-            z = entry(x, i - 1)
-            if z is None or z == B:
-                continue
-            l = faces[z].index(x) - 1
-            if y != B:
-                if entry(y, faces[y].index(x) + 1) == z and entry(z, l) == y:
-                    vertices.add(tuple(sorted((index[x], index[y],
-                                               index[z]))))
-            elif entry(z, l) == B:
-                keep, drop = sorted((first[x, i],
-                                     first[z, l % len(faces[z])]),
-                                    key=bslots.index)
-                first = {s: keep if r == drop else r
-                         for s, r in first.items()}
-    pat._corners = (tuple(sorted(vertices)),
-                    tuple((index[x], i) for x, i in bslots
-                          if first[x, i] == (x, i)))
-    return pat._corners
+    for x, i in bslots:
+        z = entry(x, i - 1)
+        if z is None or z == B:
+            continue
+        l = faces[z].index(x) - 1
+        if entry(z, l) == B:
+            keep, drop = sorted((first[x, i], first[z, l % len(faces[z])]),
+                                key=bslots.index)
+            first = {s: keep if r == drop else r for s, r in first.items()}
+    return tuple((pat._index[x], i) for x, i in bslots
+                 if first[x, i] == (x, i))
 
 
 def _bfs(nbrs: Dict[str, List[str]], roots: List[str]) -> Dict[str, int]:

@@ -89,6 +89,13 @@ def _next_run(owners: str, vdeg: str, last: int
     still-open face; the first such run that also touches face ``last`` is
     preferred.  Owner ids are read only through ``min``, equality with
     ``last`` and distinctness.
+
+    The answer is None only for an empty boundary, which neither ``wind``
+    nor ``_suffixes`` passes.  Their first face has at least 3 edges.  A
+    glue, or a search child, covers a run of ``0 < length < b`` edges of a
+    boundary of ``b`` by a face of ``size > length``, so the boundary it
+    leaves has ``size - length`` new edges and ``b - length`` old ones: at
+    least 2.
     """
     if not owners:
         return None
@@ -130,11 +137,8 @@ def wind(sizes: Sequence[int]) -> Optional[CombMap]:
         return None
     pb = PatchBuilder(sizes[0])
     for s in sizes[1:-1]:
-        run = _next_run(pb.owners, pb.vdeg, len(pb.cycles) - 1)
-        if run is None:
-            return None
         try:
-            pb.glue(s, *run)
+            pb.glue(s, *_next_run(pb.owners, pb.vdeg, len(pb.cycles) - 1))
         except WindingError:
             return None
     try:
@@ -161,10 +165,7 @@ def _suffixes(owners: str, vdeg: str, j: int, n2: int, pents: int,
     once: ``_cut`` reads only the run, so it refuses both sizes or neither.
     """
     face_count = len(memo) + 1
-    run = _next_run(owners, vdeg, j - 1)
-    if run is None:
-        return ()
-    start, length = run
+    start, length = _next_run(owners, vdeg, j - 1)
     # the degree-2 budget: a face of size s leaves n2 + s - length - 3
     # degree-2 vertices, which faces j + 1 .. face_count - 2 must bring
     # down to 0 at 2 per face

@@ -1,3 +1,6 @@
+import io
+import sys
+
 import pytest
 
 from fullerkit.cli import main
@@ -242,6 +245,7 @@ def test_unknown_subcommand_exits_two():
 
 
 DODECAHEDRON = write_planar_code([seed_dodecahedron()])
+TWO_DODECAHEDRA = write_planar_code([seed_dodecahedron()] * 2)
 
 
 @pytest.mark.parametrize("argv,data", [
@@ -257,11 +261,14 @@ DODECAHEDRON = write_planar_code([seed_dodecahedron()])
     (["match", "--pattern", "{tmp}/in.bin"], b""),
     (["gen", "--family", "dodeca", "--out", "{tmp}/nodir/x.bin"], None),
     (["canon", "--out", "{tmp}/nodir/x.txt"], DODECAHEDRON),
+    (["decompose", "--rule", "a"], TWO_DODECAHEDRA),
+    (["render"], TWO_DODECAHEDRA),
 ], ids=["bad-header", "truncated-record", "too-many-vertices",
         "too-many-vertices-family-two",
         "missing-input", "missing-pattern", "undecodable-pattern",
         "outer-face-too-large", "outer-face-negative", "empty-pattern",
-        "unwritable-maps-out", "unwritable-text-out"])
+        "unwritable-maps-out", "unwritable-text-out",
+        "decompose-two-maps", "render-two-maps"])
 def test_library_errors_are_one_line(tmp_path, capsys, argv, data):
     args = [a.format(tmp=tmp_path) for a in argv]
     if data is not None:
@@ -274,3 +281,35 @@ def test_library_errors_are_one_line(tmp_path, capsys, argv, data):
     err = capsys.readouterr().err
     assert err.startswith("fullerkit: ")
     assert err.count("\n") == 1
+
+
+def test_maps_pipe_through_stdin_and_stdout(capsysbinary, monkeypatch):
+    assert main(["gen", "--family", "dodeca"]) == 0
+    data = capsysbinary.readouterr().out
+    assert data == DODECAHEDRON
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    assert main(["canon"]) == 0
+    code = seed_dodecahedron().canonical_code()
+    assert capsysbinary.readouterr().out == code.hex().encode() + b"\n"
+
+
+class ClosedPipe:
+    """Standard output whose reader has gone: every write fails."""
+
+    buffer = property(lambda self: self)
+
+    def write(self, data):
+        raise BrokenPipeError
+
+
+@pytest.mark.parametrize("argv", [["gen", "--family", "dodeca"],
+                                  ["canon", "--in", "{tmp}/in.bin"]],
+                         ids=["maps", "text"])
+def test_a_closed_output_pipe_exits_zero(tmp_path, capsys, monkeypatch,
+                                         argv):
+    # capsys first, so that monkeypatch puts its stream back before capsys
+    # puts back the real one
+    (tmp_path / "in.bin").write_bytes(DODECAHEDRON)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 0
+    assert capsys.readouterr().err == ""

@@ -7,8 +7,13 @@ public name says what it is.
 import ast
 from pathlib import Path
 
+import pytest
+
 import fullerkit
+from fullerkit.growth import rules_by_id, seed_dodecahedron
 from fullerkit.maps import CombMap
+from fullerkit.patterns import B, MatchResult, PatchPattern
+from fullerkit.surgery import TruncationSpec
 
 SOURCES = sorted(Path(fullerkit.__file__).parent.glob("*.py"))
 TOOLS = sorted((Path(__file__).parent.parent / "tools").rglob("*.py"))
@@ -114,3 +119,18 @@ def test_comb_map_slots_are_set_in_init_and_read_elsewhere():
             and isinstance(node.ctx, ast.Load) and id(node) not in in_init}
     assert assigned == set(CombMap.__slots__)
     assert set(CombMap.__slots__) - read == set()
+
+
+@pytest.mark.parametrize("build,text", [
+    (seed_dodecahedron, "CombMap(f0=20, f1=30, f2=12)"),
+    (lambda: PatchPattern({"P": ["Q", B, B, B, B], "Q": ["P", B, B, B, B]}),
+     "PatchPattern(2 faces)"),
+    (lambda: MatchResult({"P": 0, "Q": 3}, {"P": 1, "Q": 7}, True),
+     "MatchResult({'P': 0, 'Q': 3}, mirrored=True)"),
+    (lambda: rules_by_id("g")[1], "GrowthRule(g1_2)"),
+    (lambda: TruncationSpec(seed_dodecahedron(), 0, 1),
+     "TruncationSpec(s=1, k=5; t0=5, t1=5)"),
+], ids=["CombMap", "PatchPattern", "MatchResult", "GrowthRule",
+        "TruncationSpec"])
+def test_reprs_name_the_class_and_its_key_facts(build, text):
+    assert repr(build()) == text

@@ -1,6 +1,7 @@
 import hashlib
 import os
 from collections import Counter
+from importlib import resources
 
 import pytest
 
@@ -15,6 +16,7 @@ from fullerkit.growth import (NegativeParameter, NotAMatch, ResultNotFullerene,
                               seed_family_two)
 from fullerkit.maps import CombMap, MapError
 from fullerkit.patterns import MatchResult, match_pattern
+from fullerkit.rulefile import parse_file
 from fullerkit.spiral import _next_run, generate_fullerenes
 from fullerkit.surgery import truncate
 from fullerkit.winding import PatchBuilder
@@ -240,6 +242,20 @@ def test_rewrite_checks_the_output_and_its_hexagon_count(
     with pytest.raises(ResultNotFullerene) as e:
         op(m, rule_c, at)
     assert str(e.value) == message
+
+
+def test_script_step_of_an_unpermitted_signature_is_refused(dodecahedron):
+    # rule a with its first cut four edges long: a pentagon cut along four
+    # edges, which is none of the seven truncations
+    text = (resources.files("fullerkit") / "data" / "rules.txt").read_text()
+    edited = text.replace("TRUNC C 4 3 Q1 C", "TRUNC C 4 4 Q1 C", 1)
+    assert edited != text
+    rule = next(r for r in parse_file(edited)[1] if r.id == "a")
+    at = match_pattern(dodecahedron, rule.lhs)[0]
+    with pytest.raises(ResultNotFullerene,
+                       match=r"^script step signature \(2, 5, 5, 5\) not "
+                             r"permitted$"):
+        apply_rule(dodecahedron, rule, at)
 
 
 def test_apply_rejects_foreign_match(dodecahedron):

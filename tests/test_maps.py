@@ -533,3 +533,13 @@ def test_from_face_cycles_rejects_repeated_neighbour(dodecahedron):
     with pytest.raises(MapError, match="twice"):
         CombMap.from_face_cycles(
             _dodecahedron_cycles_with(dodecahedron, 0, 0, cycles[0][1]))
+
+
+def test_from_face_cycles_rejects_a_vertex_of_degree_four():
+    # the octahedron: its face cycles are the vertex rotations of its dual,
+    # the cube, and four triangles meet at each vertex
+    octahedron = [[1, 3, 4], [2, 0, 5], [3, 1, 6], [0, 2, 7],
+                  [7, 5, 0], [4, 6, 1], [5, 7, 2], [6, 4, 3]]
+    with pytest.raises(MapError,
+                       match="^corner orbit of length 4; map is not cubic$"):
+        CombMap.from_face_cycles(octahedron)

@@ -187,6 +187,21 @@ def test_close_over_a_degree_two_vertex_leaves_builder_unchanged():
     assert _state(pb) == before
 
 
+def test_close_over_two_edges_of_one_face_leaves_builder_unchanged():
+    # triangles glued round a hexagon leave face 0 owning two of the six
+    # edges that remain, both between degree-3 vertices
+    pb = PatchBuilder(6)
+    for start, length in ((0, 1), (1, 2), (2, 1), (1, 2)):
+        pb.glue(3, start, length)
+    assert sorted(map(ord, pb.owners)) == [0, 0, 1, 2, 3, 4]
+    assert pb.vdeg == "333333"
+    before = _state(pb)
+    with pytest.raises(WindingError, match="^closing face would share two "
+                                           "edges with one face$"):
+        pb.close(6)
+    assert _state(pb) == before
+
+
 def _closed_dodecahedron():
     pb = PatchBuilder(5)
     for _ in range(10):
