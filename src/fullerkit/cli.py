@@ -61,19 +61,13 @@ def _read_maps(args) -> List[CombMap]:
     return read_planar_code(sys.stdin.buffer.read())
 
 
-def _write_maps(maps, args, sort: bool) -> None:
-    data = write_planar_code(maps, sort=sort)
+def _write(data, args) -> None:
+    """Bytes or text to --out, or else to standard output."""
+    binary = isinstance(data, bytes)
     if args.outfile:
-        _write_file(args.outfile, "wb", data)
+        _write_file(args.outfile, "wb" if binary else "w", data)
     else:
-        sys.stdout.buffer.write(data)
-
-
-def _write_text(text: str, args) -> None:
-    if args.outfile:
-        _write_file(args.outfile, "w", text)
-    else:
-        sys.stdout.write(text)
+        (sys.stdout.buffer if binary else sys.stdout).write(data)
 
 
 def _site(m: CombMap, args, inverse: bool = False):
@@ -100,7 +94,7 @@ def cmd_gen(args) -> int:
         print("fullerkit: --k applies only to --family one and two",
               file=sys.stderr)
         return 2
-    _write_maps([seed(family, args.k or 0)], args, sort=False)
+    _write(write_planar_code([seed(family, args.k or 0)], sort=False), args)
     return 0
 
 
@@ -109,13 +103,13 @@ def cmd_grow(args) -> int:
     inverse = args.command == "invert"
     out = [_rewrite(m, *_site(m, args, inverse), inverse)[1]
            for m in _read_maps(args)]
-    _write_maps(out, args, sort=False)
+    _write(write_planar_code(out, sort=False), args)
     return 0
 
 
 def cmd_enumerate(args) -> int:
     maps = enumerate_maps(args.max_p6)
-    _write_maps(maps.values(), args, sort=True)
+    _write(write_planar_code(maps.values(), sort=True), args)
     return 0
 
 
@@ -132,7 +126,7 @@ def cmd_verify(args) -> int:
             fails = "; ".join("%s (witness %r)" % (c.name, c.witness)
                               for c in report.failures())
             lines.append("record %d: FAIL %s" % (i, fails))
-    _write_text("".join(line + "\n" for line in lines), args)
+    _write("".join(line + "\n" for line in lines), args)
     return 0 if ok else 1
 
 
@@ -146,13 +140,14 @@ def cmd_decompose(args) -> int:
         print("step %d: cut %d-gon face %d along %d edges, signature %r"
               % (i, spec.k, spec.face, spec.s + 2, spec.signature),
               file=sys.stderr)
-    _write_maps([before for before, _ in steps] + [out], args, sort=False)
+    _write(write_planar_code([before for before, _ in steps] + [out],
+                             sort=False), args)
     return 0
 
 
 def cmd_canon(args) -> int:
     codes = sorted((m.f0, m.canonical_code()) for m in _read_maps(args))
-    _write_text("".join(c.hex() + "\n" for _, c in codes), args)
+    _write("".join(c.hex() + "\n" for _, c in codes), args)
     return 0
 
 
@@ -168,7 +163,7 @@ def cmd_match(args) -> int:
             found = match_pattern(m, patterns[name])
             lines.append("record %d pattern %s: %d matches"
                          % (i, name, len(found)))
-    _write_text("".join(line + "\n" for line in lines), args)
+    _write("".join(line + "\n" for line in lines), args)
     return 0
 
 
@@ -180,7 +175,7 @@ def cmd_render(args) -> int:
     if not 0 <= args.outer < m.f2:
         raise CliFailure("outer face %d out of range (map has %d faces)"
                          % (args.outer, m.f2))
-    _write_text(render_svg(m, outer=args.outer), args)
+    _write(render_svg(m, outer=args.outer), args)
     return 0
 
 

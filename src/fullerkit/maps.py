@@ -152,6 +152,11 @@ class CombMap:
         most one edge, so the pairing of dual darts is forced: the dart of f
         towards g pairs with the dart of g at f's place in its cycle.
 
+        Primal vertices are the corner orbits of ``step = prev o twin``
+        (``prev``: the dart before, in its face), read off one ``step``
+        table from each orbit's smallest dart d0 as the rotation ``(d0,
+        step[d0], step[step[d0]])``; only a refusal walks an orbit.
+
         Raises:
             MapError: a face lists an unknown face or one neighbour twice,
                 the cycles are inconsistent, or a corner orbit does not
@@ -159,12 +164,11 @@ class CombMap:
         """
         nf = len(cycles)
         offs = list(accumulate(map(len, cycles), initial=0))
-        owner: List[int] = []
         twin: List[int] = []
+        prev: List[int] = []
         for f, cyc in enumerate(cycles):
             if len(set(cyc)) != len(cyc):
                 raise MapError("face %d lists a neighbour twice" % f)
-            owner.extend([f] * len(cyc))
             for g in cyc:
                 if not 0 <= g < nf:
                     raise MapError("face %d lists unknown face %d" % (f, g))
@@ -173,31 +177,27 @@ class CombMap:
                 except ValueError:
                     raise MapError("face %d lists %d but not conversely"
                                    % (f, g)) from None
-        # corner orbits of the dual map are the primal vertices
-        deg = [len(cyc) for cyc in cycles]
+            if cyc:
+                prev.append(offs[f + 1] - 1)
+                prev.extend(range(offs[f], offs[f + 1] - 1))
+        step = [prev[t] for t in twin]
         corner_of = [-1] * len(twin)
         corners: List[Tuple[int, int, int]] = []
-        for d0 in range(len(twin)):
+        for d0, d1 in enumerate(step):
             if corner_of[d0] >= 0:
                 continue
-            vid = len(corners)
-            orbit = []
-            d = d0
-            while corner_of[d] < 0:
-                corner_of[d] = vid
-                orbit.append(d)
-                t = twin[d]
-                f = owner[t]
-                d = offs[f] + (t - offs[f] - 1) % deg[f]
-            if len(orbit) != 3:
+            d2 = step[d1]
+            if step[d2] != d0 or d1 == d0:
+                length, d = 1, d1
+                while d != d0:
+                    length, d = length + 1, step[d]
                 raise MapError("corner orbit of length %d; map is not cubic"
-                               % len(orbit))
-            corners.append((orbit[0], orbit[1], orbit[2]))
-        # primal vertex v has one edge per orbit dart d, leading to the
-        # vertex whose orbit contains twin(d); orbit order gives the rotation
-        rot = []
-        for orbit in corners:
-            rot.append(tuple(corner_of[twin[d]] for d in orbit))
+                               % length)
+            corner_of[d0] = corner_of[d1] = corner_of[d2] = len(corners)
+            corners.append((d0, d1, d2))
+        # the edge at orbit dart d leads to the orbit of twin(d)
+        head = [corner_of[t] for t in twin]
+        rot = [(head[a], head[b], head[c]) for a, b, c in corners]
         return cls.from_rotations(rot)
 
     # -- basic accessors ----------------------------------------------------
@@ -281,7 +281,7 @@ class CombMap:
     def face_cycles(self) -> Tuple[Tuple[int, ...], ...]:
         """The dual adjacency: per face, the face across each of its darts,
         in ``faces[f]`` order.  Built on first use and cached; every reader
-        of the dual graph goes through it."""
+        of the dual graph but :meth:`validate` goes through it."""
         if self._cycles is None:
             face_of, twin = self.face_of, self.twin
             self._cycles = tuple(tuple(face_of[twin[d]] for d in orbit)
@@ -323,10 +323,13 @@ class CombMap:
         no check either.  A cubic graph's vertex and edge connectivity
         agree, and a minimal edge cut of a plane graph is a cycle of its
         dual.  So the map is 3-connected iff no face borders itself and no
-        two faces share two edges, which is what is checked.
+        two faces share two edges, iff the darts' (left, right) face pairs
+        are distinct: an edge with one face on both sides gives its pair
+        twice.  One pass over darts, with no :meth:`face_cycles`.
         """
-        return all(f not in cyc and len(set(cyc)) == len(cyc)
-                   for f, cyc in enumerate(self.face_cycles()))
+        face_of = self.face_of
+        right = [face_of[t] for t in self.twin]
+        return len(set(zip(face_of, right))) == len(face_of)
 
     def is_fullerene(self) -> bool:
         """Pentagons and hexagons only, and twelve pentagons.  Decided on

@@ -140,7 +140,7 @@ class PatchPattern:
                   for i, g in enumerate(cyc) if g == B]
         if not bslots:
             raise PatternError("pattern has no boundary (it is a sphere)")
-        walk = [bslots[0]]
+        walk, most = [bslots[0]], 3 * len(self.faces)
         while True:
             name, i = walk[-1]
             # step to the next edge around the boundary vertex after slot i
@@ -150,8 +150,9 @@ class PatchPattern:
                 g = self.faces[n2][j]
                 n2, j = g, (self.slot_of(g, n2) + 1) % self.sizes[g]
                 guard += 1
-                if guard > 3 * len(self.faces):
-                    raise PatternError("boundary walk does not close")
+                if guard > most:
+                    raise PatternError("more than %d inside edges meet at "
+                                       "one boundary vertex" % most)
             if (n2, j) == walk[0]:
                 break
             walk.append((n2, j))

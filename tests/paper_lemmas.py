@@ -1,5 +1,6 @@
 """The paper's analyses that only the tests check: sphere cuts, thick paths,
-the two nanotube families and flagness across an edge merge.
+the two nanotube families and flagness across an edge merge; and reference
+constructions that the package's faster ones must agree with.
 
 Cutting the sphere along a simple edge-cycle leaves two disks; the faces
 met while walking round the cycle on either side form the bordering loops,
@@ -10,11 +11,12 @@ bounded by two such cycles, and the side beyond each is one disk.
 
 from collections import deque
 from importlib import resources
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from fullerkit.belts import NotFullerene, find_k_belts
 from fullerkit.growth import rules_by_id, seed_family_one, seed_family_two
-from fullerkit.maps import CombMap
+from fullerkit.maps import CombMap, MapError
 from fullerkit.patterns import B, PatchPattern, match_pattern, path_turns
 from fullerkit.rulefile import parse_file
 from fullerkit.surgery import edge_faces, is_flag, straighten
@@ -374,7 +376,50 @@ def flag_effects(m: CombMap, dart: int) -> FlagReport:
     return FlagReport(is_flag(m), is_flag(out), belts4)
 
 
-# -- relabelling and the fragment catalog -------------------------------------
+# -- relabelling, the reference dual constructor and the fragment catalog -----
+
+def reference_from_face_cycles(cycles: Sequence[Sequence[int]]) -> CombMap:
+    """Reference for ``CombMap.from_face_cycles``: the corner walk that
+    follows each orbit of ``prev o twin`` dart by dart, marking as it goes,
+    with ``prev`` found from each dart's face and offset.  Raises MapError
+    as the package does."""
+    nf = len(cycles)
+    offs = list(accumulate(map(len, cycles), initial=0))
+    owner: List[int] = []
+    twin: List[int] = []
+    for f, cyc in enumerate(cycles):
+        if len(set(cyc)) != len(cyc):
+            raise MapError("face %d lists a neighbour twice" % f)
+        owner.extend([f] * len(cyc))
+        for g in cyc:
+            if not 0 <= g < nf:
+                raise MapError("face %d lists unknown face %d" % (f, g))
+            try:
+                twin.append(offs[g] + cycles[g].index(f))
+            except ValueError:
+                raise MapError("face %d lists %d but not conversely"
+                               % (f, g)) from None
+    deg = [len(cyc) for cyc in cycles]
+    corner_of = [-1] * len(twin)
+    corners = []
+    for d0 in range(len(twin)):
+        if corner_of[d0] >= 0:
+            continue
+        orbit = []
+        d = d0
+        while corner_of[d] < 0:
+            corner_of[d] = len(corners)
+            orbit.append(d)
+            t = twin[d]
+            f = owner[t]
+            d = offs[f] + (t - offs[f] - 1) % deg[f]
+        if len(orbit) != 3:
+            raise MapError("corner orbit of length %d; map is not cubic"
+                           % len(orbit))
+        corners.append(orbit)
+    return CombMap.from_rotations(
+        [tuple(corner_of[twin[d]] for d in orbit) for orbit in corners])
+
 
 def relabel(m: CombMap, perm: Sequence[int]) -> CombMap:
     """New map with vertex ``v`` renamed ``perm[v]``."""

@@ -20,13 +20,14 @@ from fullerkit.belts import find_k_belts
 from fullerkit.growth import (apply_rule, decompose_rule, detect_growth_rules,
                               enumerate_maps, invert_rule, load_rules,
                               seed_family_one, seed_family_two)
+from fullerkit.maps import CombMap
 from fullerkit.patterns import match_pattern
 from fullerkit.planarcode import read_planar_code, write_planar_code
 from fullerkit.spiral import generate_fullerenes, wind
 from fullerkit.surgery import (TruncationSpec, can_straighten, is_flag,
                                straighten, truncate)
 from fullerkit.verify import verify_intermediate
-from paper_lemmas import flag_effects
+from paper_lemmas import flag_effects, reference_from_face_cycles
 
 SEED = 20260823
 
@@ -95,6 +96,13 @@ ORACLE_WIND_CALLS = {12: 1, 13: 0, 14: 3, 15: 6, 16: 16, 17: 37, 18: 89,
 
 def test_oracle_winds_the_same_leaves(oracle_run):
     assert oracle_run[1] == ORACLE_WIND_CALLS
+
+
+def test_oracle_maps_rebuild_as_the_reference_corner_walk_does(oracle):
+    for m in (m for fc in sorted(oracle) for m in oracle[fc]):
+        a = CombMap.from_face_cycles(m.face_cycles())
+        b = reference_from_face_cycles(m.face_cycles())
+        assert (a.twin, a.face_of, a.faces) == (b.twin, b.face_of, b.faces)
 
 
 @pytest.fixture(scope="module")

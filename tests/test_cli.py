@@ -1,4 +1,5 @@
 import io
+import runpy
 import sys
 
 import pytest
@@ -313,3 +314,18 @@ def test_a_closed_output_pipe_exits_zero(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     assert main([a.format(tmp=tmp_path) for a in argv]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_module_run_as_a_script_exits_with_main_s_code(tmp_path, monkeypatch,
+                                                       dodecahedron):
+    # ``python -m fullerkit.cli``, run in this process; runpy warns that
+    # the module is imported already, and runs it afresh as ``__main__``
+    out = tmp_path / "seed.bin"
+    monkeypatch.setattr(sys, "argv", ["fullerkit", "gen", "--family", "dodeca",
+                                      "--out", str(out)])
+    with pytest.warns(RuntimeWarning, match="fullerkit.cli"), \
+            pytest.raises(SystemExit) as exit_:
+        runpy.run_module("fullerkit.cli", run_name="__main__")
+    assert exit_.value.code == 0
+    (m,) = read_planar_code(out.read_bytes())
+    assert m.is_isomorphic(dodecahedron)

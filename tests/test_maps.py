@@ -10,7 +10,7 @@ from fullerkit.maps import (AsymmetricAdjacency, CombMap, Disconnected,
                             IsomerSet, MapError, NonCubic, NonPlanar)
 from fullerkit.patterns import match_pattern
 from fullerkit.spiral import generate_fullerenes, wind
-from paper_lemmas import relabel
+from paper_lemmas import reference_from_face_cycles, relabel
 
 
 def tetrahedron():
@@ -543,3 +543,47 @@ def test_from_face_cycles_rejects_a_vertex_of_degree_four():
     with pytest.raises(MapError,
                        match="^corner orbit of length 4; map is not cubic$"):
         CombMap.from_face_cycles(octahedron)
+
+
+@pytest.mark.parametrize("length", [1, 2, 5])
+def test_corner_orbit_refusals_name_the_orbit_length(length, dodecahedron):
+    # one face bordering itself; two faces each bordering the other once;
+    # the icosahedron, whose face cycles are the dodecahedron's rotations
+    cycles = {1: [[0]], 2: [[1], [0]], 5: dodecahedron.rotations}[length]
+    message = "^corner orbit of length %d; map is not cubic$" % length
+    for build in (CombMap.from_face_cycles, reference_from_face_cycles):
+        with pytest.raises(MapError, match=message):
+            build(cycles)
+
+
+def fields(m):
+    return m.twin, m.face_of, m.faces
+
+
+def wound_cycles(face_count, monkeypatch):
+    """The builder cycles of every leaf that ``generate_fullerenes`` winds
+    to a closed patch, copied as ``to_map`` hands them over."""
+    build = CombMap.from_face_cycles.__func__
+    seen = []
+
+    def recording(cls, cycles):
+        seen.append([list(c) for c in cycles])
+        return build(cls, cycles)
+
+    monkeypatch.setattr(CombMap, "from_face_cycles", classmethod(recording))
+    generate_fullerenes(face_count)
+    monkeypatch.undo()
+    return seen
+
+
+def test_from_face_cycles_matches_the_reference_corner_walk(polytopes,
+                                                            monkeypatch):
+    for m in polytopes:
+        cycles = m.face_cycles()
+        assert (fields(CombMap.from_face_cycles(cycles))
+                == fields(reference_from_face_cycles(cycles)))
+    leaves = [c for fc in range(12, 17) for c in wound_cycles(fc, monkeypatch)]
+    assert len(leaves) == 26
+    for cycles in leaves:
+        assert (fields(CombMap.from_face_cycles(cycles))
+                == fields(reference_from_face_cycles(cycles)))

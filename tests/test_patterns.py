@@ -64,7 +64,8 @@ K5_WITH_ONE_B = {"a": ["b", B, "c", "d", "e"], "b": ["a", "c", "d", "e"],
 @pytest.mark.parametrize("faces,wildcard,message", [
     ({}, None, r"^empty pattern$"),
     ({"A": [B] * 5}, {"Z"}, r"^wildcard names \['Z'\] not in pattern$"),
-    (K5_WITH_ONE_B, None, r"^boundary walk does not close$"),
+    (K5_WITH_ONE_B, None,
+     r"^more than 15 inside edges meet at one boundary vertex$"),
 ], ids=["empty", "unknown_wildcard", "vertex_of_20_edges"])
 def test_pattern_validation_messages(faces, wildcard, message):
     with pytest.raises(PatternError, match=message):
