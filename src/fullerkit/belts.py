@@ -13,12 +13,12 @@ vertex lies between two consecutive edges of each of its faces on any map,
 3-connected or not.
 
 :func:`find_k_belts` writes a belt as s, c1, ..., c(k-1) from its smallest
-face s, in the direction with c1 < c(k-1), so it fixes the two ends first:
-a pair a < b of neighbours of s above s, adjacent and not consecutive in
-s's row for k = 3 (the vertex rule above), not adjacent for k >= 4.  The
-inner faces c2 .. c(k-2) then form a path from a above s, and each ci
-shares no edge with s or with any placed face but its predecessor: it lies
-in N(c(i-1)) and outside N(s) | N(c1) | ... | N(c(i-2)), N(f) being the
+face s, in the direction with c1 < c(k-1), so its two ends are a pair
+a < b of neighbours of s above s, adjacent and not consecutive in s's row
+for k = 3 (the vertex rule above), not adjacent for k >= 4.  The inner
+faces c2 .. c(k-2) then form a path from a above s, and each ci shares no
+edge with s or with any placed face but its predecessor: it lies in
+N(c(i-1)) and outside N(s) | N(c1) | ... | N(c(i-2)), N(f) being the
 neighbour set of f.  Every inner face but the last also lies outside
 N(b), and the last lies in N(b).  These set tests say exactly that
 non-consecutive faces are disjoint, so every sequence found is a belt, and
@@ -26,6 +26,17 @@ every belt is found once, at its one rotation and direction.  They also
 keep the faces distinct: every placed face but s lies in the neighbour set
 of the face before it, which is part of the union, b lies in N(s), and s
 is not above itself.
+
+For k >= 4 the search fixes a, extends c2 .. c(k-3) once for every b, and
+picks b last.  "Inner face outside N(b)" is the same test as "b outside
+N(inner face)", since sharing an edge is symmetric, so the ends still open
+after c(k-3) are one mask: N(s) above a, less N(a) | N(c2) | ... |
+N(c(k-3)).  Each b in it comes with its last faces: N(c(k-3)) & N(b), less
+N(s) | N(c1) | ... | N(c(k-4)) and the faces not above s.  The set of
+tests is the one above, only in another order, so the same argument holds.
+Partial paths deeper than c(k-3) wait on an explicit stack, not in
+recursion, and the level that reaches c(k-3) is closed where it is reached,
+so k = 4 and 5 never use the stack.
 
 Each N(f) is an int bit mask, bit g set for face g
 (:meth:`CombMap.face_neighbor_masks`), and so is "above s": union,
@@ -77,12 +88,15 @@ def find_k_belts(m: CombMap, k: int) -> List[List[int]]:
 
     A belt is returned as the face sequence rotated to start at its smallest
     face id, in the direction that minimizes the sequence.  The search
-    picks the belt's two faces next to that face first and then the inner
-    path between them, one level per inner face, each level one ``&`` and
-    ``& ~`` of the map's neighbour bit masks; the module docstring states
-    why it finds each belt exactly once.  It runs once per map and k;
-    every call returns fresh lists.
+    picks the belt's near end a next to that face first, then the inner
+    path from a, one level per inner face, each level one ``&`` and ``& ~``
+    of the map's neighbour bit masks, and the far end b last, off the mask
+    of ends still open; the module docstring states why it finds each belt
+    exactly once.  It runs once per map and k; every call returns fresh
+    lists.  ``k`` must be an int (a bool counts as one).
     """
+    if not isinstance(k, int):
+        raise TypeError("k must be an int, not %s" % type(k).__name__)
     if k < 3:
         return []
     found = m._belts.get(k)
@@ -95,9 +109,11 @@ def _search_k_belts(m: CombMap, k: int) -> List[List[int]]:
     rows = m.face_cycles()
     nbrs = m.face_neighbor_masks()
     out: List[List[int]] = []
+    stack: List[tuple] = []     # partial paths still to extend, k >= 6
     for s, row in enumerate(rows):
         above = -1 << s + 1                 # the faces above s
-        rest = nbrs[s] & above
+        ns = nbrs[s]
+        rest = ns & above
         while rest & (rest - 1):            # b > a: a is not the top end
             a = (rest & -rest).bit_length() - 1
             rest &= rest - 1                # now the ends above a
@@ -113,22 +129,35 @@ def _search_k_belts(m: CombMap, k: int) -> List[List[int]]:
                     if pair:
                         out += [[s, a, b] for b in _faces(pair)]
                 continue
-            others = rest & ~nbrs[a]
-            while others:
-                b = (others & -others).bit_length() - 1
-                others &= others - 1
-                nb = nbrs[b]
-                # each partial path with the faces its next face must avoid
-                paths = [([s, a], nbrs[s])]
-                for _ in range(k - 4):
-                    paths = [(path + [c], blocked | nbrs[path[-1]])
-                             for path, blocked in paths
-                             for c in _faces(nbrs[path[-1]] & ~(blocked | nb)
-                                             & above)]
-                for path, blocked in paths:
-                    last = nbrs[path[-1]] & nb & ~blocked & above
-                    if last:
-                        out += [path + [c, b] for c in _faces(last)]
+            na = nbrs[a]
+            ends = rest & ~na               # the far ends b still open
+            if not ends:
+                continue
+            # a partial path, the union of its faces' masks and the
+            # candidates for its next face: for k = 4 that face is a
+            path, blocked, tips = (([s], ns, 1 << a) if k == 4 else
+                                   ([s, a], ns | na, na & ~ns & above))
+            while True:
+                while tips:
+                    c = (tips & -tips).bit_length() - 1
+                    tips &= tips - 1
+                    nc = nbrs[c]
+                    e = ends & ~nc
+                    cand = e and nc & ~blocked & above  # c's successors
+                    if not cand:
+                        continue
+                    if len(path) < k - 3:   # c is not yet c(k-3)
+                        stack.append((path + [c], blocked | nc, cand, e))
+                        continue
+                    while e:                # b last, with its last faces
+                        b = (e & -e).bit_length() - 1
+                        e &= e - 1
+                        last = cand & nbrs[b]
+                        if last:
+                            out += [path + [c, g, b] for g in _faces(last)]
+                if not stack:
+                    break
+                path, blocked, tips, ends = stack.pop()
     out.sort()
     return out
 
@@ -149,6 +178,8 @@ def enclosed_faces(m: CombMap, belt: Sequence[int]) -> List[int]:
     region = 0
     for f in belt:
         region |= 1 << f
+    if not region:
+        return []       # no face has an empty neighbour mask
     nbrs = m.face_neighbor_masks()
     return [g for g in _faces(nbrs[belt[0]] & ~region) if nbrs[g] == region]
 

@@ -4,9 +4,11 @@ import pytest
 
 from fullerkit.belts import (NotFullerene, _five_belt_kind, classify_five_belts,
                              enclosed_faces, find_k_belts)
-from fullerkit.growth import (enumerate_maps, seed_dodecahedron,
-                              seed_family_one, seed_family_two)
+from fullerkit.growth import (apply_rule, enumerate_maps, load_rules,
+                              seed_dodecahedron, seed_family_one,
+                              seed_family_two)
 from fullerkit.maps import CombMap
+from fullerkit.patterns import match_pattern
 from fullerkit.surgery import TruncationSpec, truncate
 from paper_lemmas import (NotSimpleCycle, belt_boundary_cycles, belt_sides,
                           split_by_cycle)
@@ -160,6 +162,43 @@ def test_belts_match_both_references_on_cut_maps():
     assert all(counts.values()), counts
 
 
+def grown_fullerene(seed, min_n):
+    """A fullerene past ``min_n`` vertices, grown from the dodecahedron one
+    seeded step at a time: the first rule, in a seeded order, that matches,
+    at a seeded site."""
+    rng = random.Random(seed)
+    rules = load_rules()
+    m = seed_dodecahedron()
+    while m.f0 <= min_n:
+        for rule in rng.sample(rules, len(rules)):
+            sites = match_pattern(m, rule.lhs)
+            if sites:
+                m = apply_rule(m, rule, rng.choice(sites))
+                break
+    return m
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_belts_match_both_references_on_large_fullerenes(seed):
+    # the largest maps of the benchmark's analyze corpus are this size;
+    # over 64 faces, each neighbour mask spans two 64-bit words
+    m = grown_fullerene(seed, 180)
+    assert m.is_fullerene() and m.f0 > 180 and m.f2 > 64
+    for k in range(3, 8):
+        belts = find_k_belts(m, k)
+        assert belts == reference_k_belts(m, k) == walk_k_belts(m, k)
+        assert bool(belts) == (k >= 5)
+
+
+@pytest.mark.parametrize("k", [5.0, "5", None])
+def test_find_k_belts_rejects_a_k_that_is_not_an_int(k):
+    m = seed_dodecahedron()
+    with pytest.raises(TypeError, match="k must be an int"):
+        find_k_belts(m, k)
+    assert not m._belts                     # the memo is untouched
+    assert find_k_belts(m, True) == []      # a bool is an int
+
+
 def test_belt_memo_equals_a_fresh_search(polytopes, joined_maps):
     for m in polytopes + joined_maps:
         for k in range(3, 7):
@@ -234,6 +273,11 @@ def test_five_belt_kind_none_on_a_cut_map():
     assert [b for b, kind in zip(belts, kinds) if kind is None] == [
         [0, 1, 3, 4, 5], [0, 2, 4, 11, 7], [2, 3, 10, 11, 5]]
     assert enclosed_faces(m, [0, 1, 3, 4, 5]) == []
+
+
+def test_enclosed_faces_of_no_faces(dodecahedron):
+    # no face has an empty neighbour mask
+    assert enclosed_faces(dodecahedron, []) == []
 
 
 def test_tetrahedron_three_belt_absent():
