@@ -47,13 +47,10 @@ PERMITTED_SIGNATURES = (
 )
 
 
-def signature_key(sig: Tuple[int, int, int, int]) -> Tuple[int, Optional[int], Tuple[int, int]]:
-    s, k, t0, t1 = sig
-    return (s, None if s == 1 else k, tuple(sorted((t0, t1))))
-
-
 def is_permitted(sig: Tuple[int, int, int, int]) -> bool:
-    return signature_key(sig) in PERMITTED_SIGNATURES
+    s, k, t0, t1 = sig
+    return ((s, None if s == 1 else k, tuple(sorted((t0, t1))))
+            in PERMITTED_SIGNATURES)
 
 
 # -- seeds ------------------------------------------------------------------
@@ -89,7 +86,7 @@ def seed_family_two(k: int) -> CombMap:
 
     The tests match it to the member glued by hand for k = 0..39 (254
     vertices, the canonical code's limit).  Past that, by periodicity: all
-    that ``_next_run``, ``_splice`` and ``close`` read before a glue is, per
+    that ``_next_run``, ``glue`` and ``close`` read before a glue is, per
     open edge, the degree of its first vertex and the age of its face
     relative to the newest face.  Once eight faces are glued this repeats
     every six hexagons (two screw steps), and the spiral of k + 2 is that
@@ -306,8 +303,11 @@ def enumerate_maps(max_p6: int) -> Dict[bytes, CombMap]:
     So a repeat pays for one BFS word, and only a new child for its class
     words, which also give its canonical code and the automorphisms,
     orientation preserving and reversing, that it skips sites by as a
-    parent.
+    parent.  ``max_p6`` must be an int (a bool counts as one).
     """
+    if not isinstance(max_p6, int):
+        raise TypeError("max_p6 must be an int, not %s"
+                        % type(max_p6).__name__)
     if max_p6 < 0:
         raise NegativeParameter("max_p6 must be >= 0")
     found = [seed_dodecahedron()]

@@ -46,15 +46,18 @@ sequence, so each map it returns has 12 pentagons and F - 12 hexagons.
 
 Equal boundaries are searched once.  A node gives the size suffixes below
 it that reach a leaf, and one call of ``generate_fullerenes`` memoises
-them per root size, keyed by the number j of faces glued and the string
-``owners``.  That string fixes ``vdeg`` as well: ``vdeg[i]`` is ``'2'``
-exactly when ``owners[i - 1] == owners[i]``.  A degree-2 boundary vertex
-lies on one face, which owns both boundary edges there.  At a degree-3
-one the interior edge lies between the faces that own the two boundary
-edges, and those differ, since a glued face meets only faces glued
-before it.  Everything the subtree below a node reads is a function of
-the key, F and the root size: ``_next_run`` reads owner ids only through
-``min``, equality with j - 1 and distinctness, ``_cut`` only through
+them per root size in one dict keyed by the string ``owners``.  The key
+fixes the number j of faces glued, as the newest face j - 1 owns its
+largest character: a child's key is ``chr(j) * k + rest``, with k >= 1
+and every owner in ``rest`` below j, so keys of different depths never
+collide.  It fixes ``vdeg`` too: ``vdeg[i]`` is ``'2'`` exactly when
+``owners[i - 1] == owners[i]``.  A degree-2 boundary vertex lies on one
+face, which owns both boundary edges there.  At a degree-3 one the
+interior edge lies between the faces that own the two boundary edges,
+and those differ, since a glued face meets only faces glued before it.
+Everything the subtree below a node reads is a function of the key, F
+and the root size: ``_next_run`` reads owner ids only through ``min``,
+equality with j - 1 and distinctness, ``_cut`` only through
 distinctness, a child's new face writes j, and the cuts read n2 (the
 ``'2'`` count of ``vdeg``), the run length, j, the root size and the
 pentagon count p5.  That count is read off the boundary as well.  Gluing
@@ -64,8 +67,9 @@ s, so p5 = b - 2 n2 + 6 at every node (Euler).  A memoised node
 therefore passes up the suffixes its own search would give, in the same
 order, and each complete sequence still goes through the mirror filter,
 ``wind`` and the ``IsomerSet``, so the output is the same with or
-without the memo.  The memo dies with the call: the search is a module
-function that is handed the memo, so no closure keeps it alive.
+without the memo.  The memo dies before the leaves are wound, so the
+two do not add up: each root's search is handed a new dict that nothing
+else holds.
 """
 
 from __future__ import annotations
@@ -76,9 +80,8 @@ from .maps import CombMap, IsomerSet, MapError
 from .winding import PatchBuilder, WindingError, _cut
 
 
-def _next_run(owners: str, vdeg: str, last: int
-              ) -> Optional[Tuple[int, int]]:
-    """The elementary run the next face is glued over, or None.
+def _next_run(owners: str, vdeg: str, last: int) -> Tuple[int, int]:
+    """The elementary run the next face is glued over.
 
     ``owners`` and ``vdeg`` are a patch's boundary, as ``PatchBuilder``
     keeps it, and ``last`` is the id of the face added last.  The
@@ -90,15 +93,13 @@ def _next_run(owners: str, vdeg: str, last: int
     preferred.  Owner ids are read only through ``min``, equality with
     ``last`` and distinctness.
 
-    The answer is None only for an empty boundary, which neither ``wind``
-    nor ``_suffixes`` passes.  Their first face has at least 3 edges.  A
-    glue, or a search child, covers a run of ``0 < length < b`` edges of a
+    The boundary is never empty: neither ``wind`` nor ``_suffixes``
+    passes an empty one.  Their first face has at least 3 edges.  A glue,
+    or a search child, covers a run of ``0 < length < b`` edges of a
     boundary of ``b`` by a face of ``size > length``, so the boundary it
     leaves has ``size - length`` new edges and ``b - length`` old ones: at
     least 2.
     """
-    if not owners:
-        return None
     first = vdeg.find("2")
     if first < 0:
         return 0, len(owners)
@@ -155,21 +156,22 @@ def wind(sizes: Sequence[int]) -> Optional[CombMap]:
     return m
 
 
-def _suffixes(owners: str, vdeg: str, j: int, n2: int, pents: int,
-              memo: List[Dict[str, Tuple[str, ...]]], hexagon_first: bool
+def _suffixes(owners: str, vdeg: str, j: int, n2: int, face_count: int,
+              memo: Dict[str, Tuple[str, ...]], hexagon_first: bool
               ) -> Tuple[str, ...]:
     """The size suffixes, as strings of ``'5'`` and ``'6'``, that take a
-    prefix of ``j`` faces with this boundary to a leaf, in search order.
+    prefix of ``j`` faces with this boundary to a ``face_count``-face leaf,
+    in search order.
 
-    ``n2`` is the boundary's number of degree-2 vertices and ``pents`` its
-    pentagon count.  ``memo[i]`` maps ``owners`` of a state with ``i``
-    faces, which fixes its ``vdeg`` (module docstring), to its suffixes;
-    its length is the face count less one.
-    A state whose next face cannot be glued gives ``()``.  The run is cut
-    once: ``_cut`` reads only the run, so it refuses both sizes or neither.
+    ``n2`` is the boundary's number of degree-2 vertices, which with its
+    length gives its pentagon count.  ``memo`` maps ``owners`` of each
+    state below the root, which fixes its j and ``vdeg`` (module
+    docstring), to its suffixes.  A state whose next face cannot be glued
+    gives ``()``.  The run is cut once: ``_cut`` reads only the run, so it
+    refuses both sizes or neither.
     """
-    face_count = len(memo) + 1
     start, length = _next_run(owners, vdeg, j - 1)
+    pents = len(owners) - 2 * n2 + 6
     # the degree-2 budget: a face of size s leaves n2 + s - length - 3
     # degree-2 vertices, which faces j + 1 .. face_count - 2 must bring
     # down to 0 at 2 per face
@@ -192,14 +194,13 @@ def _suffixes(owners: str, vdeg: str, j: int, n2: int, pents: int,
             # a leaf: the last face completes the 12 pentagons
             found.append(c + ("5" if p == 11 else "6"))
             continue
-        k = s - length      # the child is what ``_splice`` would make
+        k = s - length      # the child is the boundary ``glue`` would make
         child = chr(j) * k + cut[0]
-        level = memo[j + 1]
-        below = level.get(child)
+        below = memo.get(child)
         if below is None:
-            below = level[child] = _suffixes(
+            below = memo[child] = _suffixes(
                 child, "3" + "2" * (k - 1) + "3" + cut[1], j + 1,
-                n2 + k - 3, p, memo, hexagon_first)
+                n2 + k - 3, face_count, memo, hexagon_first)
         if below:   # most children are dead ends
             found.extend([c + t for t in below])
     return tuple(found)
@@ -214,20 +215,20 @@ def generate_fullerenes(face_count: int) -> List[CombMap]:
     cuts.  A complete sequence larger than its reversal is skipped (the two
     wind to reflected maps); the rest go to ``wind``, and an
     :class:`IsomerSet` keeps the first map found per isomorphism class, for
-    one BFS word per repeat.
+    one BFS word per repeat.  ``face_count`` must be an int (a bool
+    counts as one).
     """
+    if not isinstance(face_count, int):
+        raise TypeError("face_count must be an int, not %s"
+                        % type(face_count).__name__)
     if face_count < 12:
         return []
     out: List[CombMap] = []
     kept = IsomerSet()
     for first in (5, 6):
         root = PatchBuilder(first)
-        memo: List[Dict[str, Tuple[str, ...]]] = [
-            {} for _ in range(face_count - 1)]
-        tails = _suffixes(root.owners, root.vdeg, 1, first, first == 5,
-                          memo, first == 6)
-        memo.clear()    # before the leaves are wound, so the two do not add up
-        for tail in tails:
+        for tail in _suffixes(root.owners, root.vdeg, 1, first, face_count,
+                              {}, first == 6):
             seq = str(first) + tail
             if seq > seq[::-1]:
                 continue

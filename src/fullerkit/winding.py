@@ -11,10 +11,11 @@ A boundary is two immutable strings of one length b, in boundary order:
 ``owners`` holds ``chr(face id)`` for each open edge, and ``vdeg`` holds
 ``'2'`` or ``'3'`` for the boundary vertex before each edge.  On strings
 the run rule and the splice are slices, ``find`` and ``in`` tests that run
-in C.  ``_cut`` slices round a run whatever face covers it, rotating only
-a run that wraps past position 0, so a search node's children share one
-cut.  ``owners`` alone is a whole boundary state in one hashable key,
-since it fixes ``vdeg`` (see ``spiral``).
+in C.  ``glue`` and the oracle's search both cut a run by ``_cut``, which
+slices round it whatever face covers it, rotating only a run that wraps
+past position 0, so a search node's children share one cut.  ``owners``
+alone is a whole boundary state in one hashable key, since it fixes
+``vdeg`` (see ``spiral``).
 
 ``spiral.wind`` drives the builder, choosing each run by
 ``spiral._next_run``; every seed and the exhaustive face-spiral generator
@@ -53,35 +54,28 @@ class PatchBuilder:
         self.closed = False
 
     def glue(self, size: int, start: int, length: int) -> int:
-        """Glue a new face of ``size`` edges over the given elementary run.
-
-        Returns the id of the new face.
+        """Glue a face of ``size`` edges over an elementary run; return its id.
 
         Raises:
-            WindingError: the patch is closed, or :func:`_splice` rejects the
-                run.  Every check comes before any change, so a failed glue
-                leaves the builder as it was.
+            WindingError: the patch is closed, the face is no longer than the
+                run, or :func:`_cut` rejects it.  Every check comes before any
+                change, so a failed glue leaves the builder as it was.
         """
         if self.closed:
             raise WindingError("patch already closed")
-        new_id = len(self.cycles)
-        owners, vdeg = _splice(self.owners, self.vdeg, new_id, size, start,
-                               length)
-        edges, slots = self.owners, self.slots
-        start %= len(edges)
-        if start + length > len(edges):     # the run wraps: begin at it
-            edges = edges[start:] + edges[:start]
-            slots, start = slots[start:] + slots[:start], 0
-        end = start + length
-        faces = edges[start:end]
-        # the new face traverses the shared edges opposite to the boundary
-        # walk, so the covered owners appear reversed in its cycle
-        self.cycles.append([ord(f) for f in reversed(faces)]
-                           + [None] * (size - length))
-        for f, slot in zip(faces, slots[start:end]):
-            self.cycles[ord(f)][slot] = new_id
-        self.owners, self.vdeg = owners, vdeg
-        self.slots = list(range(length, size)) + slots[end:] + slots[:start]
+        owners, b = self.owners, len(self.owners)
+        if size <= length and 0 < length < b:
+            raise WindingError("face of size %d cannot cover %d edges"
+                               % (size, length))
+        rest, rest_vdeg = _cut(owners, self.vdeg, start, length)
+        start %= b
+        # every slot from the run's first edge, round to the edge before it
+        slots = (self.slots * 2)[start:start + b]
+        new_id = self._cover((owners * 2)[start:start + length], slots, size)
+        k = size - length   # the run's two end vertices are now degree 3
+        self.owners = chr(new_id) * k + rest
+        self.vdeg = "3" + "2" * (k - 1) + "3" + rest_vdeg
+        self.slots = list(range(length, size)) + slots[length:]
         return new_id
 
     def close(self, size: int) -> int:
@@ -96,35 +90,28 @@ class PatchBuilder:
             raise WindingError("boundary vertex of degree 2 at closure")
         if len(set(self.owners)) != b:
             raise WindingError("closing face would share two edges with one face")
-        new_id = len(self.cycles)
-        self.cycles.append([ord(f) for f in reversed(self.owners)])
-        for f, slot in zip(self.owners, self.slots):
-            self.cycles[ord(f)][slot] = new_id
+        new_id = self._cover(self.owners, self.slots, size)
         self.owners = self.vdeg = ""
         self.slots = []
         self.closed = True
+        return new_id
+
+    def _cover(self, faces: str, slots: List[int], size: int) -> int:
+        """Add a face of ``size`` edges over the open edges ``faces``, whose
+        slots in their own faces are ``slots``; returns its id."""
+        new_id = len(self.cycles)
+        # the new face traverses the shared edges opposite to the boundary
+        # walk, so the covered owners appear reversed in its cycle
+        self.cycles.append([ord(f) for f in reversed(faces)]
+                           + [None] * (size - len(faces)))
+        for f, slot in zip(faces, slots):
+            self.cycles[ord(f)][slot] = new_id
         return new_id
 
     def to_map(self) -> CombMap:
         if not self.closed:
             raise WindingError("patch is not closed")
         return CombMap.from_face_cycles(self.cycles)  # may raise MapError
-
-
-def _splice(owners: str, vdeg: str, new_id: int, size: int, start: int,
-            length: int) -> Tuple[str, str]:
-    """The boundary after face ``new_id`` of ``size`` edges is glued over
-    the elementary run of ``length`` edges from position ``start``: the new
-    face's open edges, then what :func:`_cut` leaves.  Raises WindingError
-    where ``_cut`` does, or, after its length check and before the rest,
-    where the face would leave no open edge.
-    """
-    if size <= length and 0 < length < len(owners):
-        raise WindingError("face of size %d cannot cover %d edges"
-                           % (size, length))
-    rest, rest_vdeg = _cut(owners, vdeg, start, length)
-    k = size - length   # the run's two end vertices are now degree 3
-    return chr(new_id) * k + rest, "3" + "2" * (k - 1) + "3" + rest_vdeg
 
 
 def _cut(owners: str, vdeg: str, start: int, length: int

@@ -10,6 +10,7 @@ bounded by two such cycles, and the side beyond each is one disk.
 """
 
 from collections import deque
+from copy import copy
 from importlib import resources
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -303,6 +304,15 @@ def run_faces(pb: PatchBuilder, start: int, length: int) -> List[int]:
     """The faces that own the run's edges, in boundary order."""
     b = len(pb.owners)
     return [ord(pb.owners[(start + i) % b]) for i in range(length)]
+
+
+def copied(pb: PatchBuilder) -> PatchBuilder:
+    """An independent builder in the state of ``pb``.  Its face cycles are
+    copied; ``glue`` replaces the boundary strings and the slot list rather
+    than mutating them, so those are shared."""
+    twin = copy(pb)
+    twin.cycles = [c[:] for c in pb.cycles]
+    return twin
 
 
 def _glue_on(pb: PatchBuilder, size: int, faces: Sequence[int]) -> int:

@@ -7,6 +7,7 @@ import pytest
 
 import fullerkit.growth as growth
 import fullerkit.maps as maps
+import fullerkit.spiral as spiral
 from fullerkit.belts import NotFullerene
 from fullerkit.growth import (NegativeParameter, NotAMatch, ResultNotFullerene,
                               apply_rule, decompose_rule, detect_growth_rules,
@@ -350,6 +351,25 @@ def test_seed_family_one_unclosed_spiral_raises(monkeypatch):
 def test_enumeration_refuses_a_negative_bound():
     with pytest.raises(NegativeParameter, match="max_p6"):
         enumerate_maps(-1)
+
+
+@pytest.mark.parametrize("bound", [20.0, 12.5, "3", None])
+def test_enumeration_and_oracle_refuse_a_bound_that_is_not_an_int(
+        bound, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work began before the bound was checked")
+
+    monkeypatch.setattr(growth, "seed_dodecahedron", no_work)
+    monkeypatch.setattr(spiral, "_suffixes", no_work)
+    with pytest.raises(TypeError, match="^max_p6 must be an int, not "):
+        enumerate_maps(bound)
+    with pytest.raises(TypeError, match="^face_count must be an int, not "):
+        generate_fullerenes(bound)
+
+
+def test_enumeration_and_oracle_take_a_bool_as_an_int():
+    assert list(enumerate_maps(True)) == list(enumerate_maps(1))
+    assert generate_fullerenes(True) == []
 
 
 def test_enumeration_small_counts():

@@ -1,6 +1,5 @@
 import gc
 import os
-from copy import copy
 from itertools import combinations
 
 import pytest
@@ -12,7 +11,7 @@ from fullerkit.growth import enumerate_maps
 from fullerkit.maps import CombMap
 from fullerkit.spiral import _next_run, generate_fullerenes, wind
 from fullerkit.winding import PatchBuilder, WindingError
-from paper_lemmas import run_faces, runs
+from paper_lemmas import copied, run_faces, runs
 
 # counts established by this generator and used as the reference everywhere
 # (face count -> number of fullerene isomers)
@@ -118,8 +117,6 @@ def reference_next_run(pb):
 def rotating_next_run(owners, vdeg, last):
     """Reference: the run rule on the boundary rotated to begin at its first
     degree-2 vertex, so that every run is a slice."""
-    if not owners:
-        return None
     b = len(owners)
     first = vdeg.find("2")
     if first < 0:
@@ -160,22 +157,13 @@ def test_next_run_on_runs_that_wrap(owners, vdeg, last, run):
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
-@given(st.text("\0\1\2\3\4\5", max_size=12).flatmap(
+@given(st.text("\0\1\2\3\4\5", min_size=1, max_size=12).flatmap(
     lambda owners: st.tuples(st.just(owners),
                              st.text("23", min_size=len(owners),
                                      max_size=len(owners)),
                              st.integers(0, 5))))
 def test_next_run_matches_the_rotating_reference(args):
     assert _next_run(*args) == rotating_next_run(*args)
-
-
-def copied(pb):
-    """An independent builder in the state of ``pb``.  Its face cycles are
-    copied; ``glue`` replaces the boundary strings and the slot list rather
-    than mutating them, so those are shared."""
-    twin = copy(pb)
-    twin.cycles = [c[:] for c in pb.cycles]
-    return twin
 
 
 def reference_search(face_count, visit=lambda pb, sizes: None):
@@ -217,24 +205,25 @@ def reference_search(face_count, visit=lambda pb, sizes: None):
 
 def search_nodes(face_count, monkeypatch):
     """Run ``generate_fullerenes`` and return every node that its search
-    expands, as (prefix, owners, vdeg, n2, pents), with the carried n2 and
-    pentagon count.  The prefix is rebuilt from the calls: a node of j faces
-    is a child of the expanding node of j - 1, and its last face is a
-    pentagon exactly when its pentagon count rose."""
+    expands, as (prefix, owners, vdeg, n2), with the carried n2.  The
+    prefix is rebuilt from the calls: a node of j faces is a child of the
+    expanding node of j - 1 faces, and the size of its last face, j - 1,
+    is the k open edges it owns plus the ``b_parent + k - b`` it covered."""
     nodes = []
-    path = []       # path[i]: (prefix, pents) of the open node of i + 1 faces
+    path = []       # path[i]: (prefix, b) of the open node of i + 1 faces
     suffixes = spiral._suffixes
 
-    def recording_suffixes(owners, vdeg, j, n2, pents, memo, hexagon_first):
+    def recording_suffixes(owners, vdeg, j, n2, *rest):
+        b = len(owners)
         if j == 1:
-            prefix = [len(owners)]
+            prefix = [b]
         else:
-            parent, parent_pents = path[j - 2]
-            prefix = parent + [5 if pents > parent_pents else 6]
+            parent, parent_b = path[j - 2]
+            prefix = parent + [2 * owners.count(chr(j - 1)) + parent_b - b]
         del path[j - 1:]
-        path.append((prefix, pents))
-        nodes.append((prefix, owners, vdeg, n2, pents))
-        return suffixes(owners, vdeg, j, n2, pents, memo, hexagon_first)
+        path.append((prefix, b))
+        nodes.append((prefix, owners, vdeg, n2))
+        return suffixes(owners, vdeg, j, n2, *rest)
 
     monkeypatch.setattr(spiral, "_suffixes", recording_suffixes)
     generate_fullerenes(face_count)
@@ -277,22 +266,24 @@ def test_boundary_degree_identity_and_one_pass_run(fc, monkeypatch):
     # cut reasons about the patches that ``wind`` builds
     searched = search_nodes(fc, monkeypatch)
     assert searched
-    for prefix, owners, vdeg, n2, _ in searched:
+    for prefix, owners, vdeg, n2 in searched:
         assert n2 == vdeg.count("2")
         assert (owners, vdeg) == states[tuple(prefix)]
 
 
 @pytest.mark.parametrize("fc", range(12, 19))
 def test_search_state_fixes_the_pentagon_count(fc, monkeypatch):
-    # the memo key (j, owners + vdeg) stands for the pentagon count that
-    # the cuts read, by p5 = b - 2 n2 + 6 (the ``spiral`` docstring); and
-    # the memo expands each state once per root size
+    # the memo key ``owners`` stands for the pentagon count that the cuts
+    # read, by p5 = b - 2 n2 + 6 (the ``spiral`` docstring), and for the
+    # depth, since the newest face owns its largest character, so keys of
+    # different depths never collide in the one memo dict; and the memo
+    # expands each state once per root size
     searched = search_nodes(fc, monkeypatch)
     assert searched
-    for prefix, owners, vdeg, n2, pents in searched:
-        assert pents == prefix.count(5) == len(owners) - 2 * n2 + 6
-    keys = [(prefix[0], len(prefix), owners + vdeg)
-            for prefix, owners, vdeg, _, _ in searched]
+    for prefix, owners, vdeg, n2 in searched:
+        assert prefix.count(5) == len(owners) - 2 * n2 + 6
+        assert max(owners) == chr(len(prefix) - 1)
+    keys = [(prefix[0], owners) for prefix, owners, _, _ in searched]
     assert len(set(keys)) == len(keys)
 
 

@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fullerkit.spiral import _next_run
-from fullerkit.winding import PatchBuilder, WindingError, _splice
-from paper_lemmas import run_faces, runs, screw_family_two
+from fullerkit.winding import PatchBuilder, WindingError
+from paper_lemmas import copied, run_faces, runs, screw_family_two
 
 
 def test_single_face_boundary():
@@ -84,23 +84,27 @@ def test_failed_glue_leaves_builder_unchanged(size, run, message):
 
 
 def test_splice_leaves_its_arguments_as_they_are():
-    # the prefix search hands one boundary to both children of a node
+    # a glue replaces the boundary strings and the slot list rather than
+    # mutating them, so a copied builder (the reference searches copy one
+    # per child) shares them safely
     pb = PatchBuilder(5)
     pb.glue(5, 0, 1)
-    owners, vdeg = pb.owners, pb.vdeg
-    before = owners, vdeg
-    new, new_vdeg = _splice(owners, vdeg, 2, 6, 1, 1)
-    assert (owners, vdeg) == before
+    owners, vdeg, slots = pb.owners, pb.vdeg, pb.slots
+    before = owners, vdeg, slots[:]
+    twin = copied(pb)
+    assert twin.glue(6, 1, 1) == 2
+    assert (pb.owners, pb.vdeg, pb.slots) == (owners, vdeg, slots) == before
     # the five new open edges replace the covered edge 1, and the boundary
     # goes on from edge 2
-    assert new == "\2" * 5 + owners[2:] + owners[:1]
-    assert new_vdeg == "322223" + vdeg[3:] + vdeg[:1]
-    assert len(new) == len(new_vdeg) == len(owners) + 4
+    assert twin.owners == "\2" * 5 + owners[2:] + owners[:1]
+    assert twin.vdeg == "322223" + vdeg[3:] + vdeg[:1]
+    assert twin.slots == [1, 2, 3, 4, 5] + slots[2:] + slots[:1]
+    assert len(twin.owners) == len(twin.vdeg) == len(owners) + 4
     for size, run, message in [(5, (0, 1), "endpoints must be degree-2"),
                                (6, (1, 2), "interior vertex has degree 2")]:
         with pytest.raises(WindingError, match=message):
-            _splice(owners, vdeg, 2, size, *run)
-        assert (owners, vdeg) == before
+            copied(pb).glue(size, *run)
+        assert (pb.owners, pb.vdeg, pb.slots) == before
 
 
 def reference_splice(owners, vdeg, new_id, size, start, length):
@@ -152,20 +156,62 @@ def splices(draw):
     r %= b
     owners, vdeg = owners[r:] + owners[:r], vdeg[r:] + vdeg[:r]
     start += b * draw(st.integers(-2, 2)) - r
-    return owners, vdeg, 9, draw(st.integers(3, 8)), start, length
+    return owners, vdeg, draw(st.integers(3, 8)), start, length
 
 
-def outcome(splice, args):
+def builder(owners, vdeg):
+    """A builder whose boundary is ``owners`` and ``vdeg``, for faces 0..9.
+    Each face's cycle has a closed edge, marked 99, on each side of its
+    open ones, and its open edges take their slots in reverse boundary
+    order, so a slot read off the wrong edge shows."""
+    pb = PatchBuilder(3)
+    pb.cycles = [[99] + [None] * owners.count(chr(f)) + [99]
+                 for f in range(10)]
+    seen = [0] * 10
+    pb.slots = []
+    for f in map(ord, owners):
+        seen[f] += 1
+        pb.slots.append(owners.count(chr(f)) + 1 - seen[f])
+    pb.owners, pb.vdeg = owners, vdeg
+    return pb
+
+
+def reference_glue(pb, size, start, length):
+    """Reference: the glue on the whole boundary rotated to begin at the
+    run.  Returns what the builder would hold after it."""
+    new_id = len(pb.cycles)
+    owners, vdeg = reference_splice(pb.owners, pb.vdeg, new_id, size,
+                                    start, length)
+    start %= len(pb.owners)
+    edges = pb.owners[start:] + pb.owners[:start]
+    slots = pb.slots[start:] + pb.slots[:start]
+    cycles = [c[:] for c in pb.cycles]
+    cycles.append([ord(f) for f in reversed(edges[:length])]
+                  + [None] * (size - length))
+    for f, slot in zip(edges[:length], slots[:length]):
+        cycles[ord(f)][slot] = new_id
+    return owners, vdeg, list(range(length, size)) + slots[length:], cycles
+
+
+def glued(pb, size, start, length):
+    before = _state(pb)
     try:
-        return splice(*args)
+        assert pb.glue(size, start, length) == len(pb.cycles) - 1
     except WindingError as e:
+        assert _state(pb) == before
         return "WindingError: %s" % e
+    return pb.owners, pb.vdeg, pb.slots, pb.cycles
 
 
 @settings(max_examples=600, derandomize=True, database=None, deadline=None)
 @given(splices())
 def test_splice_matches_the_rotating_reference(args):
-    assert outcome(_splice, args) == outcome(reference_splice, args)
+    owners, vdeg, size, start, length = args
+    try:
+        want = reference_glue(builder(owners, vdeg), size, start, length)
+    except WindingError as e:
+        want = "WindingError: %s" % e
+    assert glued(builder(owners, vdeg), size, start, length) == want
 
 
 def test_failed_glue_over_one_face_twice_leaves_builder_unchanged():
