@@ -8,9 +8,9 @@ a cubic map share an edge there, so a k-belt is a chordless k-cycle of the
 dual graph, for k = 3 one not around a vertex (a cyclic k-edge cut, Doslic
 2003).  The three faces at a vertex of a face f are f and the faces across
 two consecutive edges of f, so a dual triangle on f is a vertex exactly
-when its other two faces are consecutive in f's ``face_cycles()`` row; a
-vertex lies between two consecutive edges of each of its faces on any map,
-3-connected or not.
+when its other two faces are consecutive in f's row, the faces across its
+darts in orbit order; a vertex lies between two consecutive edges of each
+of its faces on any map, 3-connected or not.
 
 :func:`find_k_belts` writes a belt as s, c1, ..., c(k-1) from its smallest
 face s, in the direction with c1 < c(k-1), so its two ends are a pair
@@ -44,7 +44,27 @@ intersection and difference are ``|``, ``&`` and ``& ~``, and the faces
 of a candidate mask are read off its set bits in increasing order.  For
 k = 3, the b that pair with a are the ends of s above a in N(a), less
 the faces next to a in s's row wherever a occurs there (a face may
-border s twice).
+border s twice).  Each face y next to a there is the third face at an
+end of an s-a edge, so y lies in N(s) & N(a): the three faces at a vertex
+pairwise share its edges.  A b left over is a common face too, and not
+next to a.  On a 3-connected map the faces next to a are two, the faces
+at the ends of the one s-a edge, so a b needs three common faces (and a
+third one makes a 3-belt with s and a, so on a flag map no pair has
+three).  On any map a b needs three: with at most two, a would have one
+face y next to it at every place in s's row, and no case leaves a b:
+
+- y = a: then a fills s's row, and N(s) = {a} holds no b.
+- y = s: at each end of an s-a edge the third face is s, so the next edge
+  of a borders s too.  Going round a, every edge of a borders s, and
+  N(a) = {s} holds no b.
+- otherwise y borders s on both sides of an s-a edge.  A closed curve
+  through s and y, crossing those two edges, cuts the sphere in two; a
+  lies on one side, and there s has only the s-a edge.  b borders a and
+  is neither s nor y, so it lies on a's side too and can border s only
+  across that edge: b = a.
+
+So the search reads s's row off its darts only where N(s) & N(a) holds
+three faces or more, and needs no check that s's row repeats no face.
 
 On a 3-connected map a belt region is an annulus: its two boundary
 edge-cycles cut the rest of the sphere into two sides.  Cutting the sphere
@@ -106,22 +126,25 @@ def find_k_belts(m: CombMap, k: int) -> List[List[int]]:
 
 
 def _search_k_belts(m: CombMap, k: int) -> List[List[int]]:
-    rows = m.face_cycles()
+    faces, face_of, twin = m.faces, m.face_of, m.twin
     nbrs = m.face_neighbor_masks()
     out: List[List[int]] = []
     stack: List[tuple] = []     # partial paths still to extend, k >= 6
-    for s, row in enumerate(rows):
+    for s, ns in enumerate(nbrs):
         above = -1 << s + 1                 # the faces above s
-        ns = nbrs[s]
         rest = ns & above
         while rest & (rest - 1):            # b > a: a is not the top end
             a = (rest & -rest).bit_length() - 1
             rest &= rest - 1                # now the ends above a
             if k == 3:
-                pair = nbrs[a] & rest
-                if pair:
+                # with two common neighbours or fewer the row rule
+                # leaves no b (module docstring)
+                common = nbrs[a] & ns
+                pair = common & rest
+                if common.bit_count() > 2 and pair:
                     # b must not be next to a in s's row: s, a, b would
                     # be the faces at a vertex
+                    row = [face_of[twin[d]] for d in faces[s]]
                     for i, g in enumerate(row):
                         if g == a:
                             pair &= ~(1 << row[i - 1]

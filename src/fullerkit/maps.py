@@ -85,7 +85,8 @@ class CombMap:
         """Build a map from per-vertex cyclic neighbour lists.
 
         Args:
-            rotations: for each vertex, its three neighbours in cyclic order.
+            rotations: for each vertex, its three neighbours in cyclic order;
+                entries that are not ints are coerced with ``int()``.
 
         Raises:
             NonCubic: a vertex has a degree other than 3, a loop, or a
@@ -97,7 +98,12 @@ class CombMap:
         n = len(rotations)
         rot: List[Tuple[int, int, int]] = []
         for v, nbrs in enumerate(rotations):
-            nbrs = tuple(map(int, nbrs))
+            nbrs = tuple(nbrs)
+            # entries go through int() row by row, so the first faulty row
+            # is the one reported; a row of three ints needs no coercion
+            if len(nbrs) != 3 or not (type(nbrs[0]) is type(nbrs[1])
+                                      is type(nbrs[2]) is int):
+                nbrs = tuple(map(int, nbrs))
             # a row of another length is refused as a loop would be
             a, b, c = nbrs if len(nbrs) == 3 else (v, v, v)
             if v == a or v == b or v == c or a == b or b == c or c == a:
@@ -280,8 +286,10 @@ class CombMap:
 
     def face_cycles(self) -> Tuple[Tuple[int, ...], ...]:
         """The dual adjacency: per face, the face across each of its darts,
-        in ``faces[f]`` order.  Built on first use and cached; every reader
-        of the dual graph but :meth:`validate` goes through it."""
+        in ``faces[f]`` order.  Built on first use and cached, for the
+        readers of whole rows (:meth:`face_neighbors`, path turns, the
+        round trip through :meth:`from_face_cycles`); the belt searches
+        and surgery read masks or single rows off the darts instead."""
         if self._cycles is None:
             face_of, twin = self.face_of, self.twin
             self._cycles = tuple(tuple(face_of[twin[d]] for d in orbit)
@@ -290,15 +298,17 @@ class CombMap:
 
     def face_neighbor_masks(self) -> Tuple[int, ...]:
         """Per face, the faces across its darts as a bit mask, bit g set for
-        face g: the rows of :meth:`face_cycles` as ints, for the belt
-        searches and enclosure.  Built on first use and cached."""
+        face g, for the belt searches and enclosure.  Built on first use
+        and cached, in one pass over each face orbit that ORs in the bit of
+        the face across each dart, with no :meth:`face_cycles` rows."""
         if self._nbr_masks is None:
+            face_of, twin = self.face_of, self.twin
             bit = [1 << g for g in range(len(self.faces))]
             masks = []
-            for row in self.face_cycles():
+            for orbit in self.faces:
                 mask = 0
-                for g in row:
-                    mask |= bit[g]
+                for d in orbit:
+                    mask |= bit[face_of[twin[d]]]
                 masks.append(mask)
             self._nbr_masks = tuple(masks)
         return self._nbr_masks

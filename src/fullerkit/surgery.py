@@ -23,12 +23,20 @@ face and joining the midpoints across it keeps the map cubic, connected and
 planar.  So ``truncate`` builds its output by copying and patching its
 input's ``twin`` and face tables, not by a rebuild, and calls the trusted
 ``CombMap`` constructor; it checks only that the spec is a run of the map.
-``straighten`` still rebuilds through ``from_rotations``.
+``straighten`` still rebuilds through ``from_rotations``, from rows it
+renumbers by arithmetic: each kept vertex moves down by the number of
+removed ends below it.  ``can_straighten`` reads the rows of its two faces
+off their darts.  So a round trip builds no index of the whole dual graph;
+only :func:`is_flag` searches the whole map, for 3-belts.
+
+Darts and run lengths must be ints (a bool counts as one); anything else
+is refused with a TypeError naming the argument, before any work.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain, count
 from operator import itemgetter
 from typing import Dict, Optional, Tuple
 
@@ -52,6 +60,14 @@ class IsSimplex(Exception):
     """The tetrahedron admits no straightening."""
 
 
+def _check_int(value: object, name: str) -> None:
+    """Raise TypeError, naming the argument, unless ``value`` is an int (a
+    bool counts as one)."""
+    if not isinstance(value, int):
+        raise TypeError("%s must be an int, not %s"
+                        % (name, type(value).__name__))
+
+
 def _check_dart(m: CombMap, dart: int, error: type) -> None:
     """Raise ``error`` unless ``dart`` is a dart of ``m``.  Negative indices
     would wrap round the dart tables."""
@@ -65,10 +81,12 @@ class TruncationSpec:
     The first dart must have the face on its left; the run follows the face
     traversal.  The derived signature is (s, k; t0, t1) where k is the face
     size and t0, t1 are the sizes of the faces across the first and last run
-    edges.
+    edges.  ``start_dart`` and ``s`` must be ints (a bool counts as one).
     """
 
     def __init__(self, m: CombMap, start_dart: int, s: int) -> None:
+        _check_int(start_dart, "start_dart")
+        _check_int(s, "s")
         _check_dart(m, start_dart, InvalidRun)
         face = m.face_of[start_dart]
         k = m.face_size(face)
@@ -219,13 +237,14 @@ def can_straighten(m: CombMap, dart: int) -> bool:
 
     This equals "no 3-belt contains both faces" on 3-connected maps only
     (module docstring); elsewhere, e.g. across a 2-edge cut, the two can
-    differ and the neighbour-set answer stands.
+    differ and the neighbour-set answer stands.  ``dart`` must be an int
+    (a bool counts as one).
     """
+    _check_int(dart, "dart")
     _check_dart(m, dart, NotDefined)
     if m.f0 == 4:
         return False
-    x, y = m.tail(dart), m.head(dart)
-    twin = m.twin
+    twin, face_of = m.twin, m.face_of
     # the merge joins each end's two other neighbours p, q by an edge: the
     # heads of its next and previous darts, the vertices of their twins
     ends = []
@@ -235,24 +254,27 @@ def can_straighten(m: CombMap, dart: int) -> bool:
     if set(ends[0]) == set(ends[1]) or any(
             t // 3 == q for p, q in ends for t in twin[3 * p:3 * p + 3]):
         return False
-    f1, f2 = edge_faces(m, dart)
-    # the faces at the two endpoints of the edge meet both f1 and f2 by
+    # the two faces' neighbours, read off their darts; the faces at the
+    # edge's two ends (the two faces themselves among them) meet both by
     # construction and do not obstruct straightening
-    at_ends = {m.face_of[3 * v + i] for v in (x, y) for i in range(3)}
-    cycles = m.face_cycles()
-    n1 = set(cycles[f1]) - {f2} - at_ends
-    n2 = set(cycles[f2]) - {f1} - at_ends
-    return not (n1 & n2)
+    x, y = 3 * m.tail(dart), 3 * m.head(dart)  # the ends' first darts
+    at_ends = set(face_of[x:x + 3] + face_of[y:y + 3])
+    n1, n2 = ({face_of[twin[d]] for d in m.faces[f]}
+              for f in edge_faces(m, dart))
+    return n1 & n2 <= at_ends
 
 
 def straighten(m: CombMap, dart: int) -> StraighteningResult:
-    """Delete the edge and smooth its endpoints, merging its two faces."""
+    """Delete the edge and smooth its endpoints, merging its two faces.
+    ``dart`` must be an int (a bool counts as one)."""
+    _check_int(dart, "dart")
     if m.f0 == 4:
         raise IsSimplex("the simplex admits no straightening")
     if not can_straighten(m, dart):
         raise NotDefined("the two faces have a common neighbour, or the "
                          "merge would make a parallel edge")
-    x, y = m.tail(dart), m.head(dart)
+    n = m.f0
+    lo, hi = sorted((m.tail(dart), m.head(dart)))
     twin = list(m.twin)
     # at each end, the darts by which its two other neighbours reach it
     # become twins, so those neighbours are joined and the end drops out
@@ -260,15 +282,18 @@ def straighten(m: CombMap, dart: int) -> StraighteningResult:
         v = e - e % 3
         a, b = twin[v + (e + 1) % 3], twin[v + (e + 2) % 3]
         twin[a], twin[b] = b, a
-    vertex_map = {v: i for i, v in enumerate(
-        v for v in range(m.f0) if v not in (x, y))}
-    # every dart's head, renumbered; the two ends' rows are dropped
-    heads = [vertex_map.get(t // 3) for t in twin]
+    # every other vertex moves down by the number of ends below it; no
+    # kept dart points at an end, so the ends' own entries go unread
+    vertex_map = dict(zip(chain(range(lo), range(lo + 1, hi),
+                                range(hi + 1, n)), count()))
+    new_id = [*range(lo + 1), *range(lo, hi), *range(hi - 1, n - 2)]
+    heads = [new_id[t // 3] for t in twin]
     rows = list(zip(heads[0::3], heads[1::3], heads[2::3]))
-    out = CombMap.from_rotations([rows[v] for v in vertex_map])
+    del rows[hi], rows[lo]
+    out = CombMap.from_rotations(rows)
     res = StraighteningResult(out, vertex_map, -1)
-    # the dart before ``dart`` on its face leaves x's other neighbour there,
-    # so it survives and lies on the merged face
+    # the dart before ``dart`` on its face leaves the tail's other neighbour
+    # there, so it survives and lies on the merged face
     res.merged_face = out.face_of[res.map_dart(m.face_prev(dart))]
     return res
 

@@ -162,6 +162,45 @@ def test_belts_match_both_references_on_cut_maps():
     assert all(counts.values()), counts
 
 
+def flanked_pairs(m):
+    """The pairs (s, a) with a next to s and at most two common neighbours
+    where a, at every place in s's row, lies between two faces y that are
+    one face, neither s nor a: the one case in which a repeated face in
+    s's row makes the k = 3 shortcut need the curve argument of the
+    ``belts`` docstring."""
+    nbrs = m.face_neighbor_masks()
+    out = []
+    for s, row in enumerate(m.face_cycles()):
+        for a in set(row) - {s}:
+            ys = {row[(i + d) % len(row)] for i, g in enumerate(row)
+                  if g == a for d in (-1, 1)}
+            if (len(ys) == 1 and not ys & {s, a}
+                    and (nbrs[s] & nbrs[a]).bit_count() <= 2):
+                out.append((s, a))
+    return out
+
+
+def test_three_belts_where_one_face_flanks_another(joined_maps):
+    # two dodecahedra across a 2-edge cut; face 0 borders the cut twice
+    # and is truncated along both cut edges and its four edges in the
+    # second dodecahedron.  The new piece, face 13, then lies in face 0's
+    # row between two edges of face 2, the other face across the cut
+    j = joined_maps[0]
+    m = truncate(j, TruncationSpec(j, 0, 4)).map
+    assert m.face_cycles()[0] == (2, 13, 2, 5, 6, 7, 1)
+    assert (0, 13) in flanked_pairs(m)
+    # every s = 0 cut adds a triangle, and with it 3-belts
+    cuts = [truncate(m, TruncationSpec(m, d, 0)).map
+            for d in range(3 * m.f0)]
+    assert sum(bool(flanked_pairs(c)) for c in cuts) > 100
+    found = 0
+    for c in [m] + cuts:
+        belts = find_k_belts(c, 3)
+        assert belts == reference_k_belts(c, 3) == walk_k_belts(c, 3)
+        found += len(belts)
+    assert found > 100
+
+
 def grown_fullerene(seed, min_n):
     """A fullerene past ``min_n`` vertices, grown from the dodecahedron one
     seeded step at a time: the first rule, in a seeded order, that matches,

@@ -94,6 +94,16 @@ def tetrahedron_with(*rows):
      "vertex 1 lists unknown vertex 9"),
     (tetrahedron_with((1, [1, 3, 2]), (3, [0, 9, 2])), NonCubic,
      "vertex 1 has neighbours (1, 3, 2)"),
+    # entries that are not ints are coerced before any check
+    (tetrahedron_with((0, ["1", "1", 2])), NonCubic,
+     "vertex 0 has neighbours (1, 1, 2)"),
+    (tetrahedron_with((0, [True, True, 2])), NonCubic,
+     "vertex 0 has neighbours (1, 1, 2)"),
+    (tetrahedron_with((0, [1.0, 1.0, 2])), NonCubic,
+     "vertex 0 has neighbours (1, 1, 2)"),
+    # a faulty row is reported before a later row is coerced
+    (tetrahedron_with((1, [0, 2]), (2, ["x", 1, 3])), NonCubic,
+     "vertex 1 has neighbours (0, 2)"),
     ([[1, 2, 3], [2, 0, 4], [0, 1, 5], [4, 5, 0], [5, 3, 1], [3, 4, 0]],
      AsymmetricAdjacency, "vertex 2 lists 5 but not conversely"),
     (tetrahedron_with() + [[w + 4 for w in r] for r in tetrahedron_with()],
@@ -102,13 +112,21 @@ def tetrahedron_with(*rows):
      NonPlanar, "Euler count 0 != 2"),
 ], ids=["short-row", "long-row", "repeated-neighbour", "self-loop",
         "unknown-vertex", "negative-vertex", "repeat-before-unknown",
-        "first-of-two-unknown", "first-of-two-loop", "asymmetry",
-        "disconnection", "non-planarity"])
+        "first-of-two-unknown", "first-of-two-loop", "str-entries",
+        "bool-entries", "float-entries", "fault-before-bad-entry",
+        "asymmetry", "disconnection", "non-planarity"])
 def test_from_rotations_names_the_first_fault(rot, error, message):
     with pytest.raises(MapError) as caught:
         CombMap.from_rotations(rot)
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("entry", ["1", True, 1.0])
+def test_from_rotations_coerces_entries_that_are_not_ints(entry):
+    m = CombMap.from_rotations(tetrahedron_with((0, [entry, 2, 3])))
+    assert m.twin == tetrahedron().twin
+    assert {type(d) for d in m.twin} == {int}
 
 
 def test_canonical_code_invariant_under_relabel(dodecahedron, rng):

@@ -151,6 +151,36 @@ def test_darts_outside_the_map_are_refused(dodecahedron, which):
         straighten(m, d)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, "3", None])
+def test_darts_and_run_lengths_that_are_not_ints_are_refused(dodecahedron,
+                                                             bad):
+    m = dodecahedron
+    not_int = "must be an int, not %s$" % type(bad).__name__
+    with pytest.raises(TypeError, match="^start_dart " + not_int):
+        TruncationSpec(m, bad, 1)
+    with pytest.raises(TypeError, match="^s " + not_int):
+        TruncationSpec(m, 0, bad)
+    for name in ("start_dart", "s"):
+        spec = TruncationSpec(m, 0, 1)
+        setattr(spec, name, bad)
+        with pytest.raises(TypeError, match="^%s %s" % (name, not_int)):
+            truncate(m, spec)
+    # before any work: the simplex refuses every dart, but not first
+    for target in (m, tetrahedron()):
+        with pytest.raises(TypeError, match="^dart " + not_int):
+            can_straighten(target, bad)
+        with pytest.raises(TypeError, match="^dart " + not_int):
+            straighten(target, bad)
+
+
+def test_a_bool_dart_or_run_length_is_an_int(dodecahedron):
+    m = dodecahedron
+    assert (TruncationSpec(m, True, False).signature
+            == TruncationSpec(m, 1, 0).signature)
+    assert can_straighten(m, True) == can_straighten(m, 1)
+    assert straighten(m, True).map.twin == straighten(m, 1).map.twin
+
+
 def reference_face_map(src, res):
     """Old face -> new faces whose vertex set contains its vertex set: old
     vertex ids survive a truncation."""
@@ -173,6 +203,7 @@ def reference_merged_faces(m, dart, res):
 
 def test_one_five_truncation_example(dodecahedron):
     spec = TruncationSpec(m := dodecahedron, 0, 1)
+    assert repr(spec) == "TruncationSpec(s=1, k=5; t0=5, t1=5)"
     res = truncate(m, spec)
     assert res.map.face_vector() == {4: 1, 5: 10, 6: 2}
     assert res.map.f0 == 22
