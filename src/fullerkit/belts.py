@@ -81,7 +81,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from .maps import CombMap
+from .maps import CombMap, _check_int
 from .patterns import path_turns
 
 
@@ -115,8 +115,7 @@ def find_k_belts(m: CombMap, k: int) -> List[List[int]]:
     exactly once.  It runs once per map and k; every call returns fresh
     lists.  ``k`` must be an int (a bool counts as one).
     """
-    if not isinstance(k, int):
-        raise TypeError("k must be an int, not %s" % type(k).__name__)
+    _check_int(k, "k")
     if k < 3:
         return []
     found = m._belts.get(k)

@@ -14,7 +14,7 @@ from importlib import resources
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .belts import NotFullerene
-from .maps import CombMap, IsomerSet, MapError
+from .maps import CombMap, IsomerSet, MapError, _check_int
 from .patterns import (MatchResult, PatchPattern, _embeddings, _match_result,
                        match_pattern)
 from .rulefile import GrowthRule, StraightenStep, TruncStep, parse_file
@@ -305,9 +305,7 @@ def enumerate_maps(max_p6: int) -> Dict[bytes, CombMap]:
     orientation preserving and reversing, that it skips sites by as a
     parent.  ``max_p6`` must be an int (a bool counts as one).
     """
-    if not isinstance(max_p6, int):
-        raise TypeError("max_p6 must be an int, not %s"
-                        % type(max_p6).__name__)
+    _check_int(max_p6, "max_p6")
     if max_p6 < 0:
         raise NegativeParameter("max_p6 must be >= 0")
     found = [seed_dodecahedron()]

@@ -58,15 +58,14 @@ class CombMap:
     valid one and keeps the ``from_rotations`` face numbering.
     """
 
-    __slots__ = ("twin", "face_of", "faces", "_cycles", "_nbr_masks",
-                 "_fullerene", "_belts", "_colours", "_words", "_frames")
+    __slots__ = ("twin", "face_of", "faces", "_nbr_masks", "_fullerene",
+                 "_belts", "_colours", "_words", "_frames")
 
     def __init__(self, twin: Tuple[int, ...], face_of: Tuple[int, ...],
                  faces: Tuple[Tuple[int, ...], ...]) -> None:
         self.twin = twin
         self.face_of = face_of
         self.faces = faces
-        self._cycles: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._nbr_masks: Optional[Tuple[int, ...]] = None
         self._fullerene: Optional[bool] = None
         # k -> the k-belts, filled by belts.find_k_belts
@@ -286,15 +285,12 @@ class CombMap:
 
     def face_cycles(self) -> Tuple[Tuple[int, ...], ...]:
         """The dual adjacency: per face, the face across each of its darts,
-        in ``faces[f]`` order.  Built on first use and cached, for the
-        readers of whole rows (:meth:`face_neighbors`, path turns, the
-        round trip through :meth:`from_face_cycles`); the belt searches
-        and surgery read masks or single rows off the darts instead."""
-        if self._cycles is None:
-            face_of, twin = self.face_of, self.twin
-            self._cycles = tuple(tuple(face_of[twin[d]] for d in orbit)
-                                 for orbit in self.faces)
-        return self._cycles
+        in ``faces[f]`` order; the input of :meth:`from_face_cycles`.
+        Built on every call: the package's own readers take single rows
+        or masks off the darts instead."""
+        face_of, twin = self.face_of, self.twin
+        return tuple(tuple(face_of[twin[d]] for d in orbit)
+                     for orbit in self.faces)
 
     def face_neighbor_masks(self) -> Tuple[int, ...]:
         """Per face, the faces across its darts as a bit mask, bit g set for
@@ -315,7 +311,8 @@ class CombMap:
 
     def face_neighbors(self, f: int) -> List[int]:
         """Distinct faces sharing an edge with ``f``, in cycle order."""
-        return list(dict.fromkeys(self.face_cycles()[f]))
+        face_of, twin = self.face_of, self.twin
+        return list(dict.fromkeys(face_of[twin[d]] for d in self.faces[f]))
 
     def edge_darts(self) -> List[int]:
         """One representative dart per edge (the smaller of the pair)."""
@@ -396,17 +393,15 @@ class CombMap:
         when one's forward word is the other's mirror word.  Both words are
         built together on first use; see :meth:`canonical_code`.
         """
-        return self._oriented_words()[mirrored]
-
-    def _oriented_words(self) -> List[bytes]:
-        """The forward and the mirror word, built on first use.  The class's
-        own methods call this, not :meth:`oriented_word`, so that a profile
-        charges the search to the public method that sets it off."""
         if self._words[0] is None:
-            root = self._class_roots()[0]
-            table = _dart_table(self.twin)
-            self._class_words(table, _bfs_word(table, root))
-        return self._words
+            self._class_words(*self._first_walk())
+        return self._words[mirrored]
+
+    def _first_walk(self) -> Tuple[List[_Row], _Walk]:
+        """The map's dart table (see :func:`_dart_table`) and the walk from
+        the first forward root: what every word search starts from."""
+        table = _dart_table(self.twin)
+        return table, _bfs_word(table, self._class_roots()[0])
 
     def _class_roots(self) -> Sequence[int]:
         """The darts of the rarest colour class, in class order: the roots
@@ -421,9 +416,8 @@ class CombMap:
         """The full BFS word of every root of the rarest colour class, on
         the map and then on its mirror image: the one word search behind
         the oriented words, the canonical code, chirality, the symmetries
-        and an :class:`IsomerSet` entry.  ``table`` is the map's dart
-        table (see :func:`_dart_table`) and ``first`` the walk from the
-        first forward root, which the caller has built already.
+        and an :class:`IsomerSet` entry.  ``table`` and ``first`` are
+        what :meth:`_first_walk` returns, which the caller has built.
 
         Each oriented word is the minimum of its orientation's words; its
         tied roots, in class order, are the roots with that word.  Their
@@ -478,12 +472,11 @@ class CombMap:
         compare equal.  The search that builds both words also finds the
         symmetries: see :meth:`_class_words` and :meth:`dart_images`.
         """
-        return min(self._oriented_words())
+        return min(self.oriented_word(), self.oriented_word(True))
 
     def is_chiral(self) -> bool:
         """True if the map admits no orientation-reversing automorphism."""
-        word, mirror_word = self._oriented_words()
-        return word != mirror_word
+        return self.oriented_word() != self.oriented_word(True)
 
     def automorphisms(self) -> List[Tuple[int, ...]]:
         """Aut+, the orientation-preserving automorphisms, as dart maps.
@@ -522,7 +515,7 @@ class CombMap:
         rotation, where slot ``j`` is slot ``2 - j``.  So an image costs
         O(1) per dart, and no permutation is built.
         """
-        self._oriented_words()
+        self.oriented_word()
         yield False, tuple(darts)
         if not self._frames[0]:
             return
@@ -563,13 +556,19 @@ class IsomerSet:
     def add(self, m: CombMap) -> bool:
         """Keep ``m`` and return True, unless it repeats a kept map.
         Raises MapError past 255 vertices."""
-        root = m._class_roots()[0]
-        table = _dart_table(m.twin)
-        first = _bfs_word(table, root)
+        table, first = m._first_walk()
         if first[0] in self._words:
             return False
         self._words.update(m._class_words(table, first))
         return True
+
+
+def _check_int(value: object, name: str) -> None:
+    """Raise TypeError, naming the argument, unless ``value`` is an int (a
+    bool counts as one)."""
+    if not isinstance(value, int):
+        raise TypeError("%s must be an int, not %s"
+                        % (name, type(value).__name__))
 
 
 def _face_orbit(twin: Sequence[int], d: int) -> Tuple[int, ...]:

@@ -561,10 +561,10 @@ def path_turns(m: CombMap, path: List[int]) -> int:
     Raises:
         ValueError: two consecutive faces of the path are not adjacent.
     """
-    cycles = m.face_cycles()
+    face_of, twin = m.face_of, m.twin
     turns = 0
     for a, f, b in zip(path, path[1:], path[2:]):
-        cyc = cycles[f]
+        cyc = [face_of[twin[d]] for d in m.faces[f]]
         for g in (a, b):
             if g not in cyc:
                 raise ValueError("faces %d and %d are not adjacent" % (g, f))

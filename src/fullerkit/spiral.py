@@ -76,7 +76,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .maps import CombMap, IsomerSet, MapError
+from .maps import CombMap, IsomerSet, MapError, _check_int
 from .winding import PatchBuilder, WindingError, _cut
 
 
@@ -218,9 +218,7 @@ def generate_fullerenes(face_count: int) -> List[CombMap]:
     one BFS word per repeat.  ``face_count`` must be an int (a bool
     counts as one).
     """
-    if not isinstance(face_count, int):
-        raise TypeError("face_count must be an int, not %s"
-                        % type(face_count).__name__)
+    _check_int(face_count, "face_count")
     if face_count < 12:
         return []
     out: List[CombMap] = []

@@ -15,19 +15,19 @@ Off 3-connected maps the merge must also be checked to stay simple.
 
 Both cuts keep rotation slots, so darts ``3 * v + i`` (:mod:`maps`) carry
 over: truncation keeps every old dart's index and left face, and
-straightening sends ``3 * v + i`` to ``3 * vertex_map[v] + i`` for v not an
-end of the edge.  Face correspondences are read off these rules.
+straightening sends ``3 * v + i`` to ``3 * new_id[v] + i`` for v not an end
+of the edge.  Face correspondences are read off these rules.
 
 A cut of a valid map is valid by construction: subdividing two edges of a
 face and joining the midpoints across it keeps the map cubic, connected and
 planar.  So ``truncate`` builds its output by copying and patching its
 input's ``twin`` and face tables, not by a rebuild, and calls the trusted
 ``CombMap`` constructor; it checks only that the spec is a run of the map.
-``straighten`` still rebuilds through ``from_rotations``, from rows it
-renumbers by arithmetic: each kept vertex moves down by the number of
-removed ends below it.  ``can_straighten`` reads the rows of its two faces
-off their darts.  So a round trip builds no index of the whole dual graph;
-only :func:`is_flag` searches the whole map, for 3-belts.
+``straighten`` still rebuilds through ``from_rotations``, from rows
+renumbered by ``new_id``, which its result keeps: each kept vertex moves
+down by the number of removed ends below it.  ``can_straighten`` reads the
+rows of its two faces off their darts, so a round trip builds no index of
+the whole dual graph; only :func:`is_flag` searches the whole map.
 
 Darts and run lengths must be ints (a bool counts as one); anything else
 is refused with a TypeError naming the argument, before any work.
@@ -36,12 +36,11 @@ is refused with a TypeError naming the argument, before any work.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain, count
 from operator import itemgetter
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .belts import find_k_belts
-from .maps import CombMap, MapError, _face_orbit
+from .maps import CombMap, MapError, _check_int, _face_orbit
 
 
 class InvalidRun(Exception):
@@ -58,14 +57,6 @@ class NotDefined(Exception):
 
 class IsSimplex(Exception):
     """The tetrahedron admits no straightening."""
-
-
-def _check_int(value: object, name: str) -> None:
-    """Raise TypeError, naming the argument, unless ``value`` is an int (a
-    bool counts as one)."""
-    if not isinstance(value, int):
-        raise TypeError("%s must be an int, not %s"
-                        % (name, type(value).__name__))
 
 
 def _check_dart(m: CombMap, dart: int, error: type) -> None:
@@ -145,21 +136,31 @@ class StraighteningResult:
     Attributes:
         map: the straightened map.
         vertex_map: old vertex id -> new vertex id (the two removed vertices
-            are absent).
+            are absent).  Computed on each access.
         merged_face: id of the united face in the new map.
     """
 
-    def __init__(self, m: CombMap, vertex_map: Dict[int, int],
+    def __init__(self, m: CombMap, new_id: List[int],
                  merged_face: int) -> None:
         self.map = m
-        self.vertex_map = vertex_map
+        # per old vertex its new id, -1 for the two removed ends
+        self._new_id = new_id
         self.merged_face = merged_face
+
+    @property
+    def vertex_map(self) -> Dict[int, int]:
+        return {v: w for v, w in enumerate(self._new_id) if w >= 0}
 
     def map_dart(self, d: int) -> Optional[int]:
         """The new index of old dart ``d``: ``3 * v + i`` goes to
-        ``3 * vertex_map[v] + i``; None for a dart leaving a removed end."""
-        v = self.vertex_map.get(d // 3)
-        return None if v is None else 3 * v + d % 3
+        ``3 * vertex_map[v] + i``; None for a dart leaving a removed end.
+        ``d`` must be an int and a dart of the old map (ValueError)."""
+        _check_int(d, "d")
+        new_id, top = self._new_id, 3 * len(self._new_id) - 1
+        if not 0 <= d <= top:
+            raise ValueError("dart %d outside 0..%d" % (d, top))
+        v = new_id[d // 3]
+        return None if v < 0 else 3 * v + d % 3
 
 
 def truncate(m: CombMap, spec: TruncationSpec) -> TruncationResult:
@@ -283,19 +284,17 @@ def straighten(m: CombMap, dart: int) -> StraighteningResult:
         a, b = twin[v + (e + 1) % 3], twin[v + (e + 2) % 3]
         twin[a], twin[b] = b, a
     # every other vertex moves down by the number of ends below it; no
-    # kept dart points at an end, so the ends' own entries go unread
-    vertex_map = dict(zip(chain(range(lo), range(lo + 1, hi),
-                                range(hi + 1, n)), count()))
-    new_id = [*range(lo + 1), *range(lo, hi), *range(hi - 1, n - 2)]
+    # kept dart points at an end, so the ends' -1s land in dropped rows
+    new_id = [*range(lo), -1, *range(lo, hi - 1), -1, *range(hi - 1, n - 2)]
     heads = [new_id[t // 3] for t in twin]
     rows = list(zip(heads[0::3], heads[1::3], heads[2::3]))
     del rows[hi], rows[lo]
     out = CombMap.from_rotations(rows)
-    res = StraighteningResult(out, vertex_map, -1)
     # the dart before ``dart`` on its face leaves the tail's other neighbour
     # there, so it survives and lies on the merged face
-    res.merged_face = out.face_of[res.map_dart(m.face_prev(dart))]
-    return res
+    p = m.face_prev(dart)
+    return StraighteningResult(out, new_id,
+                               out.face_of[3 * new_id[p // 3] + p % 3])
 
 
 def is_flag(m: CombMap) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Optional, Tuple
 
-from .maps import CombMap
+from .maps import CombMap, _check_int
 
 TOLERANCE = 1e-9
 FACE_COLORS = {4: "#4a7fd4", 5: "#f2d749", 6: "#d4574a", 7: "#57b35b"}
@@ -19,7 +19,11 @@ DEFAULT_COLOR = "#cccccc"
 
 
 def tutte_layout(m: CombMap, outer: int) -> List[Tuple[float, float]]:
-    """Vertex coordinates with face ``outer`` fixed as a regular polygon."""
+    """Vertex coordinates with face ``outer`` fixed as a regular polygon.
+    ``outer`` must be an int and a face of ``m`` (ValueError)."""
+    _check_int(outer, "outer")
+    if not 0 <= outer < m.f2:
+        raise ValueError("outer face %d outside 0..%d" % (outer, m.f2 - 1))
     ring = m.face_vertices(outer)
     k = len(ring)
     pos: List[List[float]] = [[0.0, 0.0] for _ in range(m.f0)]
@@ -46,7 +50,8 @@ def render_svg(m: CombMap, outer: int = 0,
     """An SVG document showing every face as a coloured polygon.
 
     The outer face is drawn unfilled as the boundary outline.  Faces listed
-    in ``highlight`` get a thick dark outline.
+    in ``highlight`` get a thick dark outline.  ``outer`` is checked as
+    in :func:`tutte_layout`.
     """
     pos = tutte_layout(m, outer)
     pad = 0.08

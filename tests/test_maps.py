@@ -3,12 +3,13 @@ import random
 import pytest
 
 from fullerkit import maps
+from fullerkit.belts import find_k_belts
 from fullerkit.growth import (apply_rule, enumerate_maps, load_rules,
                               seed_dodecahedron, seed_family_one,
                               seed_family_two)
 from fullerkit.maps import (AsymmetricAdjacency, CombMap, Disconnected,
                             IsomerSet, MapError, NonCubic, NonPlanar)
-from fullerkit.patterns import match_pattern
+from fullerkit.patterns import match_pattern, path_turns
 from fullerkit.spiral import generate_fullerenes, wind
 from paper_lemmas import reference_from_face_cycles, relabel
 
@@ -20,6 +21,7 @@ def tetrahedron():
 def test_dodecahedron_counts(dodecahedron):
     m = dodecahedron
     assert (m.f0, m.f1, m.f2) == (20, 30, 12)
+    assert repr(m) == "CombMap(f0=20, f1=30, f2=12)"
     assert m.face_vector() == {5: 12}
     assert m.is_fullerene()
 
@@ -500,9 +502,52 @@ def test_face_cycles_match_per_dart_derivation(polytopes, joined_maps):
             assert cycles[f] == tuple(m.face_of[m.twin[d]] for d in orbit)
 
 
-def test_face_cycles_are_cached(dodecahedron, joined_maps):
-    for m in [dodecahedron] + joined_maps:
-        assert m.face_cycles() is m.face_cycles()
+def test_rows_read_off_darts_agree_with_face_cycles(polytopes, joined_maps):
+    # face_neighbors and path_turns read single rows off the darts
+    for m in polytopes + joined_maps:
+        for f, row in enumerate(m.face_cycles()):
+            assert m.face_neighbors(f) == list(dict.fromkeys(row))
+            k = len(row)
+            for a in row:
+                for b in row:
+                    across = (row.index(b) - row.index(a)) % k == k // 2
+                    assert path_turns(m, [a, f, b]) == (k % 2 or not across)
+            # a face that borders itself may border every face
+            far = [g for g in range(m.f2) if g not in row]
+            if far:
+                with pytest.raises(ValueError,
+                                   match="faces %d and %d " % (far[0], f)):
+                    path_turns(m, [row[0], f, far[0]])
+
+
+def test_face_neighbor_masks_match_face_cycles(polytopes, joined_maps):
+    for m in polytopes + joined_maps:
+        assert fresh(m).face_neighbor_masks() == tuple(
+            sum(1 << g for g in set(row)) for row in m.face_cycles())
+
+
+def test_face_steps_follow_the_face_orbits(polytopes, joined_maps):
+    for m in polytopes + joined_maps:
+        for f, orbit in enumerate(m.faces):
+            assert m.face_vertices(f) == [m.tail(d) for d in orbit]
+            for i, d in enumerate(orbit):
+                ahead = list(orbit[i:] + orbit[:i])
+                assert m.face_next(d) == ahead[1]
+                assert m.face_prev(ahead[1]) == d
+                assert m.face_walk(d, len(ahead)) == ahead
+                assert (m.face_walk(d, len(ahead), backward=True)
+                        == [d] + ahead[:0:-1])
+                assert m.dart(m.tail(d), m.head(d)) == d
+
+
+@pytest.mark.parametrize("bad", [1.5, "3", None])
+def test_int_arguments_share_one_contract(dodecahedron, bad):
+    not_int = "must be an int, not %s$" % type(bad).__name__
+    for name, call in (("max_p6", enumerate_maps),
+                       ("face_count", generate_fullerenes),
+                       ("k", lambda k: find_k_belts(dodecahedron, k))):
+        with pytest.raises(TypeError, match="^%s %s" % (name, not_int)):
+            call(bad)
 
 
 def test_from_face_cycles_inverts_face_cycles(polytopes, joined_maps):

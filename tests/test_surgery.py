@@ -149,6 +149,8 @@ def test_darts_outside_the_map_are_refused(dodecahedron, which):
         can_straighten(m, d)
     with pytest.raises(NotDefined, match=bound):
         straighten(m, d)
+    with pytest.raises(ValueError, match=bound):
+        straighten(m, 0).map_dart(d)
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, "3", None])
@@ -171,6 +173,8 @@ def test_darts_and_run_lengths_that_are_not_ints_are_refused(dodecahedron,
             can_straighten(target, bad)
         with pytest.raises(TypeError, match="^dart " + not_int):
             straighten(target, bad)
+    with pytest.raises(TypeError, match="^d " + not_int):
+        straighten(m, 0).map_dart(bad)
 
 
 def test_a_bool_dart_or_run_length_is_an_int(dodecahedron):
@@ -179,6 +183,7 @@ def test_a_bool_dart_or_run_length_is_an_int(dodecahedron):
             == TruncationSpec(m, 1, 0).signature)
     assert can_straighten(m, True) == can_straighten(m, 1)
     assert straighten(m, True).map.twin == straighten(m, 1).map.twin
+    assert straighten(m, 0).map_dart(True) == straighten(m, 0).map_dart(1)
 
 
 def reference_face_map(src, res):
@@ -311,6 +316,50 @@ def test_map_dart_keeps_slots(dodecahedron):
             assert res.map_dart(d) is None
         else:
             assert res.map_dart(d) == 3 * res.vertex_map[v] + d % 3
+
+
+def reference_straighten(m, dart):
+    """The straightening rebuilt from rotations: each end's two other
+    neighbours take its place in each other's rows, the ends are dropped
+    and the kept vertices are numbered in order.  Returns the map and that
+    numbering."""
+    ends = (m.tail(dart), m.head(dart))
+    rot = [list(r) for r in m.rotations]
+    for u, w in (ends, ends[::-1]):
+        p, q = [x for x in rot[u] if x != w]
+        rot[p][rot[p].index(u)] = q
+        rot[q][rot[q].index(u)] = p
+    kept = {v: i for i, v in enumerate(v for v in range(m.f0)
+                                       if v not in ends)}
+    out = CombMap.from_rotations([[kept[w] for w in rot[v]] for v in kept])
+    return out, kept
+
+
+def test_straighten_matches_rebuilt_reference(polytopes):
+    # every edge that can be straightened, on the polytopes and on a spread
+    # of their truncations
+    cuts = [truncate(m, spec).map for m in polytopes
+            for spec in list(all_specs(m))[::300]]
+    count = 0
+    for m in polytopes + cuts:
+        for d in range(3 * m.f0):
+            if m.f0 == 4 or not can_straighten(m, d):
+                continue
+            res = straighten(m, d)
+            ref, kept = reference_straighten(m, d)
+            assert_same_map(res.map, ref)
+            assert res.vertex_map == kept
+            for e in range(3 * m.f0):
+                v, h, new = e // 3, m.head(e), res.map_dart(e)
+                if v not in kept:
+                    assert new is None
+                    continue
+                # the dart keeps its slot, and so its head if that is kept
+                assert (new // 3, new % 3) == (kept[v], e % 3)
+                assert h not in kept or ref.head(new) == kept[h]
+            assert reference_merged_faces(m, d, res) == [res.merged_face]
+            count += 1
+    assert count > 8000
 
 
 def test_merged_face_matches_scan_reference(polytopes):

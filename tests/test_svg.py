@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from fullerkit.growth import decompose_rule, rules_by_id, seed_family_one
 from fullerkit.patterns import match_pattern
 from fullerkit.surgery import truncate
@@ -50,3 +52,30 @@ def test_highlight_outlines_faces():
 
 def test_render_is_deterministic(barrel):
     assert render_svg(barrel) == render_svg(barrel)
+
+
+@pytest.mark.parametrize("which", ["-1", "f2", "10**6"])
+def test_outer_that_is_not_a_face_is_refused(dodecahedron, which):
+    m = dodecahedron
+    outer = {"-1": -1, "f2": m.f2, "10**6": 10 ** 6}[which]
+    for draw in (render_svg, tutte_layout):
+        with pytest.raises(ValueError,
+                           match="^outer face %d outside 0..11$" % outer):
+            draw(m, outer)
+
+
+@pytest.mark.parametrize("bad", [1.5, "0", None])
+def test_outer_that_is_not_an_int_is_refused(dodecahedron, bad):
+    not_int = "^outer must be an int, not %s$" % type(bad).__name__
+    for draw in (render_svg, tutte_layout):
+        with pytest.raises(TypeError, match=not_int):
+            draw(dodecahedron, bad)
+
+
+def test_every_face_can_be_the_outer_face(dodecahedron):
+    m = dodecahedron
+    for outer in range(m.f2):
+        doc = render_svg(m, outer)
+        assert doc.count("<polygon") == m.f2
+        assert doc.count('fill="none"') == 1
+    assert render_svg(m, True) == render_svg(m, 1)
