@@ -212,12 +212,15 @@ def classify_five_belts(m: CombMap) -> FiveBeltReport:
     Kinds: 'pentagon' (the belt surrounds a single pentagon) and 'hexagon
     ring' (a nanotube ring of five hexagons meeting neighbours along
     opposite edges, so a walk round it never turns).  A belt of neither
-    kind, which no fullerene has, gets the kind None.
+    kind, which no fullerene has, gets the kind None.  Like the belts, the
+    kinds are found once per map; every call returns fresh lists.
     """
     if not m.is_fullerene():
         raise NotFullerene("input is not a fullerene")
     belts = find_k_belts(m, 5)
-    return FiveBeltReport(belts, [_five_belt_kind(m, belt) for belt in belts])
+    if m._five_kinds is None:
+        m._five_kinds = tuple(_five_belt_kind(m, belt) for belt in belts)
+    return FiveBeltReport(belts, list(m._five_kinds))
 
 
 def _five_belt_kind(m: CombMap, belt: List[int]) -> Optional[str]:

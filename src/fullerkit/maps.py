@@ -26,6 +26,10 @@ _Row = Tuple[int, int, int, int, int, int]
 # label order; see _bfs_word
 _Walk = Tuple[bytes, List[int], List[int]]
 
+# A map's tied walks, see CombMap._class_words: the first one's vertex
+# labels, then each forward and each mirror walk's entry darts
+_Tied = Tuple[bytes, Tuple[array, ...], Tuple[array, ...]]
+
 
 class MapError(Exception):
     """Base class for construction and validation failures."""
@@ -59,7 +63,7 @@ class CombMap:
     """
 
     __slots__ = ("twin", "face_of", "faces", "_nbr_masks", "_fullerene",
-                 "_belts", "_colours", "_words", "_frames")
+                 "_belts", "_five_kinds", "_colours", "_words", "_tied")
 
     def __init__(self, twin: Tuple[int, ...], face_of: Tuple[int, ...],
                  faces: Tuple[Tuple[int, ...], ...]) -> None:
@@ -70,12 +74,15 @@ class CombMap:
         self._fullerene: Optional[bool] = None
         # k -> the k-belts, filled by belts.find_k_belts
         self._belts: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
+        # the kind of each 5-belt, filled by belts.classify_five_belts
+        self._five_kinds: Optional[Tuple[Optional[str], ...]] = None
         self._colours: Optional[Dict[Colour, array]] = None
         # minimal BFS word of the map, then of its mirror image
         self._words: List[Optional[bytes]] = [None, None]
-        # BFS frames of the roots whose word ties the forward word, per
-        # orientation; see dart_images
-        self._frames: List[Tuple[bytes, ...]] = [(), ()]
+        # the first tied root's labels and the entry darts of the tied
+        # walks, forward and mirror, unless the identity is the one
+        # automorphism; see dart_images
+        self._tied: Optional[_Tied] = None
 
     # -- construction -------------------------------------------------------
 
@@ -420,10 +427,12 @@ class CombMap:
         what :meth:`_first_walk` returns, which the caller has built.
 
         Each oriented word is the minimum of its orientation's words; its
-        tied roots, in class order, are the roots with that word.  Their
-        frames are kept for :meth:`dart_images`, the first with its labels:
-        the mirror ones on an achiral map only, and the forward ones unless
-        the map is chiral and has no automorphism but the identity.
+        tied roots, in class order, are the roots with that word, and the
+        mirror roots tie the forward word on an achiral map only.  Unless
+        the map is chiral and has no automorphism but the identity, the
+        first tied forward root's vertex labels are kept for
+        :meth:`dart_images`, with the entry darts of every tied walk,
+        forward and mirror, each an ``array("H")``.
 
         The list returned spots isomers.  Let ``m`` be a map, ``r`` the
         first root of its forward class, and ``w`` the word from ``r``.
@@ -451,12 +460,10 @@ class CombMap:
         self._words = [word, mirror_word]
         tied = [f for f in fwd if f[0] == word]
         if len(tied) > 1 or word == mirror_word:
-            _, label, entry = tied[0]
-            self._frames[0] = (_frame(entry, False, label),) + tuple(
-                _frame(entry, False) for _, _, entry in tied[1:])
-        if word == mirror_word:
-            self._frames[1] = tuple(_frame(entry, True)
-                                    for w, _, entry in back if w == word)
+            tied_back = [f for f in back if f[0] == word]
+            self._tied = (bytes(tied[0][1]),
+                          tuple(array("H", f[2]) for f in tied),
+                          tuple(array("H", f[2]) for f in tied_back))
         return [f[0] for f in fwd + back]
 
     def canonical_code(self) -> bytes:
@@ -506,29 +513,30 @@ class CombMap:
         two oriented words agree, the tied mirror roots are likewise one per
         reversing automorphism.
 
-        The tied roots' frames are kept: the vertices in discovery order
-        and each one's entry slot (see :func:`_frame`).  The
+        The labels from ``r0`` and the entry darts of every tied walk are
+        kept.  A walk's entry dart ``e[k]`` leaves the vertex labelled
+        ``k``, ``e[k] // 3``, at its entry slot ``e[k] % 3``.  The
         automorphism to a tied root takes the vertex labelled ``k`` from
-        ``r0`` to the ``k``-th vertex ``w`` found from that root, and the
-        dart ``t`` slots past its vertex's entry slot to the dart ``t``
-        slots past ``w``'s.  A mirror root counts slots in the reversed
-        rotation, where slot ``j`` is slot ``2 - j``.  So an image costs
-        O(1) per dart, and no permutation is built.
+        ``r0`` to the one labelled ``k`` from that root, and the dart ``t``
+        slots past its vertex's entry slot to the dart ``t`` slots past
+        that vertex's.  A mirror walk counts slots in the reversed
+        rotation, where slot ``j`` is slot ``2 - j``, so there the image
+        lies ``t`` slots before ``e[k]`` in the map's own rotation.  So an
+        image costs O(1) per dart, and no permutation is built.
         """
         self.oriented_word()
         yield False, tuple(darts)
-        if not self._frames[0]:
+        if self._tied is None:
             return
-        n = self.f0
-        first, *forward = self._frames[0]
-        # per dart: the label of its vertex from r0, and its slot counted
+        label, (first, *forward), mirror = self._tied
+        # per dart: the label k of its vertex from r0, and its slot counted
         # from the vertex's entry slot
-        rel = [(first[d // 3], (d - first[n + d // 3]) % 3) for d in darts]
-        for f in forward:
-            yield False, tuple([3 * (w := f[k]) + (f[n + w] + t) % 3
+        rel = [(k := label[d // 3], (d - first[k]) % 3) for d in darts]
+        for e in forward:
+            yield False, tuple([(x := e[k]) - x % 3 + (x + t) % 3
                                 for k, t in rel])
-        for f in self._frames[1]:
-            yield True, tuple([3 * (w := f[k]) + 2 - (f[n + w] + t) % 3
+        for e in mirror:
+            yield True, tuple([(x := e[k]) - x % 3 + (x - t) % 3
                                for k, t in rel])
 
     def is_isomorphic(self, other: "CombMap") -> bool:
@@ -624,7 +632,7 @@ def _bfs_word(table: Sequence[_Row], root: int,
     dart ``3 * v + 2 - slot``, which has the same head.
 
     Returns the word, each vertex's label and the entry darts in label
-    order, the root first; see :func:`_frame`.
+    order, the root first; see :meth:`CombMap.dart_images`.
     """
     label = [-1] * (len(table) // 3)
     label[root // 3] = 0
@@ -650,16 +658,3 @@ def _bfs_word(table: Sequence[_Row], root: int,
         word += (l0, l1, l2)
     return bytes(word), label, entry
 
-
-def _frame(entry: Sequence[int], mirrored: bool,
-           label: Optional[List[int]] = None) -> bytes:
-    """A tied root's frame for :meth:`CombMap.dart_images`, from the entry
-    darts of its walk: ``label`` if given (the first tied root's), else
-    the vertices in label order; then per vertex the slot of its entry
-    dart, counted in the reversed rotation (slot ``j`` is slot ``2 - j``)
-    for a mirror walk."""
-    start = [0] * len(entry)
-    for e in entry:
-        start[e // 3] = 2 - e % 3 if mirrored else e % 3
-    head = [e // 3 for e in entry] if label is None else label
-    return bytes(head + start)

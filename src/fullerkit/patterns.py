@@ -559,7 +559,10 @@ def path_turns(m: CombMap, path: List[int]) -> int:
     face is a turn.
 
     Raises:
-        ValueError: two consecutive faces of the path are not adjacent.
+        ValueError: two consecutive faces of the path are not adjacent;
+            else, an interior face borders the face before or after it
+            more than once (possible on a map that is not 3-connected), so
+            the path does not say which edge it crosses.
     """
     face_of, twin = m.face_of, m.twin
     turns = 0
@@ -568,6 +571,10 @@ def path_turns(m: CombMap, path: List[int]) -> int:
         for g in (a, b):
             if g not in cyc:
                 raise ValueError("faces %d and %d are not adjacent" % (g, f))
+        for g in (a, b):
+            if cyc.count(g) > 1:
+                raise ValueError("faces %d and %d share more than one edge"
+                                 % (g, f))
         size = len(cyc)
         if size % 2 or (cyc.index(b) - cyc.index(a)) % size != size // 2:
             turns += 1

@@ -9,11 +9,14 @@ system, so reading a written stream reproduces the map exactly.
 
 from __future__ import annotations
 
-from typing import BinaryIO, Iterable, List, Union
+from typing import BinaryIO, Iterable, List, Sequence, Union
 
 from .maps import CombMap, MapError
 
 HEADER = b">>planar_code<<"
+
+# byte b to vertex b - 1; the terminator byte 0 is never read as a vertex
+_VERTEX = bytes(1) + bytes(range(255))
 
 
 class BadHeader(Exception):
@@ -35,30 +38,44 @@ class ValidationFailure(Exception):
 def read_planar_code(src: Union[bytes, bytearray, memoryview, BinaryIO]
                      ) -> List[CombMap]:
     """Parse planar_code bytes (any bytes-like object), or a binary stream
-    read whole, into maps."""
+    read whole, into maps.
+
+    A record of n rows of three entries in range, as every cubic map's
+    is, is sliced apart in one pass; any other record is read row by row,
+    which names its first fault.
+    """
     data = (bytes(src) if isinstance(src, (bytes, bytearray, memoryview))
             else src.read())
     if not data.startswith(HEADER):
         raise BadHeader("expected %r, got %r" % (HEADER, data[:len(HEADER)]))
     maps: List[CombMap] = []
+    rotations: List[Sequence[int]]
     i = len(HEADER)
     while i < len(data):
         index, n = len(maps), data[i]
         if n == 0:
             raise ValidationFailure(index, "vertex count 0")
         i += 1
-        rotations: List[List[int]] = []
-        for _ in range(n):
-            j = data.find(0, i)
-            nbrs = data[i:j] if j >= 0 else data[i:]
-            # a neighbour out of range counts before a missing terminator
-            if nbrs and max(nbrs) > n:
-                raise ValidationFailure(index, "neighbour %d out of range"
-                                        % next(b for b in nbrs if b > n))
-            if j < 0:
-                raise TruncatedRecord("record %d ends mid-vertex" % index)
-            rotations.append([b - 1 for b in nbrs])
-            i = j + 1
+        rec = data[i:i + 4 * n]
+        # every fourth byte a terminator, and no other byte 0 or past n
+        if rec[3::4] == bytes(n) and rec.count(0) == n and max(rec) <= n:
+            ids = rec.translate(_VERTEX)
+            rotations = list(zip(ids[0::4], ids[1::4], ids[2::4]))
+            i += 4 * n
+        else:
+            rotations = []
+            for _ in range(n):
+                j = data.find(0, i)
+                nbrs = data[i:j] if j >= 0 else data[i:]
+                # a neighbour out of range counts before a missing
+                # terminator
+                if nbrs and max(nbrs) > n:
+                    raise ValidationFailure(index, "neighbour %d out of range"
+                                            % next(b for b in nbrs if b > n))
+                if j < 0:
+                    raise TruncatedRecord("record %d ends mid-vertex" % index)
+                rotations.append([b - 1 for b in nbrs])
+                i = j + 1
         try:
             maps.append(CombMap.from_rotations(rotations))
         except MapError as exc:
@@ -72,12 +89,14 @@ def write_planar_code(maps: Iterable[CombMap], sort: bool = True) -> bytes:
     Pass ``sort=False`` to keep the given order (e.g. for step streams).
     """
     ms = list(maps)
+    # before sorting, whose canonical codes refuse such maps with another
+    # message
+    if any(m.f0 >= 256 for m in ms):
+        raise MapError("planar_code with 1-byte entries needs n < 256")
     if sort:
         ms.sort(key=lambda m: (m.f0, m.canonical_code()))
     out = bytearray(HEADER)
     for m in ms:
-        if m.f0 >= 256:
-            raise MapError("planar_code with 1-byte entries needs n < 256")
         # a vertex's row is the 1-based heads of its three darts, each the
         # vertex of the dart's twin, then the zero terminator
         heads = bytes(t // 3 + 1 for t in m.twin)

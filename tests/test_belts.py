@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fullerkit import belts as belts_module
 from fullerkit.belts import (NotFullerene, _five_belt_kind, classify_five_belts,
                              enclosed_faces, find_k_belts)
 from fullerkit.growth import (apply_rule, enumerate_maps, load_rules,
@@ -10,6 +11,7 @@ from fullerkit.growth import (apply_rule, enumerate_maps, load_rules,
 from fullerkit.maps import CombMap
 from fullerkit.patterns import match_pattern
 from fullerkit.surgery import TruncationSpec, truncate
+from fullerkit.verify import verify_fullerene
 from paper_lemmas import (NotSimpleCycle, belt_boundary_cycles, belt_sides,
                           split_by_cycle)
 
@@ -300,6 +302,31 @@ def test_family_one_five_belt_census(k):
     rep = classify_five_belts(m)
     assert rep.kinds.count("pentagon") == 12
     assert rep.kinds.count("hexagon ring") == k
+
+
+def test_five_belt_kinds_found_once_per_map(monkeypatch):
+    # verify_fullerene classifies the 5-belts, and a later call reads the
+    # kinds it found; every call still returns fresh lists
+    calls = []
+
+    def counting_kind(m, belt):
+        calls.append(belt)
+        return _five_belt_kind(m, belt)
+
+    monkeypatch.setattr(belts_module, "_five_belt_kind", counting_kind)
+    m = seed_family_one(3)
+    m = CombMap(m.twin, m.face_of, m.faces)     # every cache empty
+    assert verify_fullerene(m).passed
+    first = classify_five_belts(m)
+    assert calls == first.belts and first.count == 15
+    want = ([list(b) for b in first.belts], list(first.kinds))
+    first.belts[0].append(-1)
+    first.belts.append([-1])
+    first.kinds[0] = "mutated"
+    again = classify_five_belts(m)
+    assert (again.belts, again.kinds) == want
+    assert again.kinds.count("hexagon ring") == 3
+    assert len(calls) == 15
 
 
 def test_five_belt_kind_none_on_a_cut_map():

@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 
@@ -268,7 +269,7 @@ def test_class_words_fill_the_caches_as_oriented_words_do(growth_children,
             assert None not in by_class._words
             assert [by_code.oriented_word(), by_code.oriented_word(True)] \
                 == by_class._words
-            assert by_code._frames == by_class._frames
+            assert by_code._tied == by_class._tied
             assert code == by_class.canonical_code()
             assert by_code.is_chiral() == by_class.is_chiral()
             assert by_code.automorphisms() == by_class.automorphisms()
@@ -298,10 +299,11 @@ def reference_image(m, r0, r, reverse):
 
 def test_class_words_frames_and_images_match_reference(growth_children,
                                                         polytopes):
-    """Each map and its mirror image: the class words, the oriented words
-    and both frame lists are those of the reference walks from the class
-    roots, and the dart images are the automorphisms that send the first
-    tied root to each tied root, grown from it alone."""
+    """Each map and its mirror image: the class words, the oriented words,
+    the first tied root's labels and the entry darts of the tied walks
+    are those of the reference walks from the class roots, and the dart
+    images are the automorphisms that send the first tied root to each
+    tied root, grown from it alone."""
     seen = set()
     for m in growth_children + polytopes:
         for x in (m, m.mirror()):
@@ -327,15 +329,16 @@ def test_class_words_frames_and_images_match_reference(growth_children,
                          if w[0] == word]
             achiral = word == mirror_word
             assert bool(tied_back) == achiral
-            frames = [(), ()]
+            kept = None
             if len(tied) > 1 or achiral:
-                _, label, _, entry = tied[0][1]
-                frames[0] = (bytes(label + entry),) + tuple(
-                    bytes(order + entry) for _, (_, _, order, entry)
-                    in tied[1:])
-            frames[1] = tuple(bytes(order + entry)
-                              for _, (_, _, order, entry) in tied_back)
-            assert y._frames == frames
+                # a mirror walk's entry slot j is x's slot 2 - j
+                kept = (bytes(tied[0][1][1]),
+                        tuple(array("H", [3 * v + entry[v] for v in order])
+                              for _, (_, _, order, entry) in tied),
+                        tuple(array("H", [3 * v + 2 - entry[v]
+                                          for v in order])
+                              for _, (_, _, order, entry) in tied_back))
+            assert y._tied == kept
             r0 = tied[0][0]
             assert list(y.dart_images(range(3 * y.f0))) == (
                 [(False, reference_image(y, r0, r, False)) for r, _ in tied]
@@ -510,6 +513,8 @@ def test_rows_read_off_darts_agree_with_face_cycles(polytopes, joined_maps):
             k = len(row)
             for a in row:
                 for b in row:
+                    if row.count(a) > 1 or row.count(b) > 1:
+                        continue    # refused: see tests/test_patterns.py
                     across = (row.index(b) - row.index(a)) % k == k // 2
                     assert path_turns(m, [a, f, b]) == (k % 2 or not across)
             # a face that borders itself may border every face

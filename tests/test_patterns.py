@@ -308,14 +308,46 @@ def test_path_turns_match_reference_on_thick_paths(small_fullerenes):
 
 
 def test_path_turns_match_reference_round_belts(polytopes, joined_maps):
-    compared = 0
+    compared = refused = 0
     for m in polytopes + joined_maps:
+        rows = m.face_cycles()
         for k in (5, 6):
             for belt in find_k_belts(m, k):
                 closed = belt + belt[:2]
+                # across the 2-edge cut, belt neighbours share two edges
+                if any(rows[f].count(g) > 1 for f, g in zip(belt, closed[1:])):
+                    with pytest.raises(ValueError, match="more than one"):
+                        path_turns(m, closed)
+                    refused += 1
+                    continue
                 assert path_turns(m, closed) == reference_path_turns(m, closed)
                 compared += 1
-    assert compared > 500
+    assert compared > 500 and refused
+
+
+def test_path_turns_refuses_a_face_bordered_twice(joined_maps):
+    """On two tetrahedra joined by a bridge, faces 2 and 5 each border
+    face 0 twice and face 0 borders itself.  A path [a, f, b] through such
+    a row does not say which edge it crosses, and the reference, which
+    reads the last place, once disagreed with a first-place read on 16 of
+    them; every one is refused, naming the two faces, and every other
+    path agrees with the reference."""
+    m = joined_maps[1]
+    refused = 0
+    for f, row in enumerate(m.face_cycles()):
+        for a in row:
+            for b in row:
+                twice = [g for g in (a, b) if row.count(g) > 1]
+                if not twice:
+                    assert path_turns(m, [a, f, b]) == \
+                        reference_path_turns(m, [a, f, b])
+                    continue
+                with pytest.raises(ValueError,
+                                   match="faces %d and %d share more than "
+                                   "one edge" % (twice[0], f)):
+                    path_turns(m, [a, f, b])
+                refused += 1
+    assert refused > 16
 
 
 def test_minimal_path_properties(small_fullerenes):

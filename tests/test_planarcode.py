@@ -68,10 +68,13 @@ def test_writer_agrees_with_reference(dodecahedron, barrel):
 
 
 def test_writer_refuses_256_vertices():
+    # the size is checked before sorting, which would refuse the map's
+    # canonical code with another message
     big = seed_family_one(24)
     assert big.f0 >= 256
-    with pytest.raises(MapError):
-        write_planar_code([big], sort=False)
+    for sort in (False, True):
+        with pytest.raises(MapError, match="needs n < 256"):
+            write_planar_code([big], sort=sort)
 
 
 @pytest.mark.parametrize("wrap", [bytearray, memoryview])
@@ -166,6 +169,16 @@ def outcome(reader, data):
 def agrees_with_reference(data):
     assert outcome(read_planar_code, data) == \
         outcome(reference_read_planar_code, data)
+
+
+def test_good_record_then_four_entry_row():
+    # the first record is sliced apart, the second is read row by row and
+    # refused at its four-entry row, as the reference refuses it
+    good = write_planar_code([seed_family_one(1)])[len(HEADER):]
+    bad = bytes([4, 2, 3, 4, 1, 0, 1, 3, 4, 0, 1, 2, 4, 0, 1, 2, 3, 0])
+    data = HEADER + good + bad
+    assert outcome(read_planar_code, data) == \
+        outcome(reference_read_planar_code, data) == (ValidationFailure, 1)
 
 
 def test_reader_agrees_with_reference_on_stream():
